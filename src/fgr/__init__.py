@@ -22,12 +22,10 @@ from .errors import (
     GridCoverageError,
     RegimeSeparationError,
     UnconvergedPointError,
-    ZeroBudgetError,
 )
-from .kernel import ProfilePoint, kernel_zeros, spectral_profile
+from .kernel import kernel_zeros, spectral_profile
 from .onset import (
     DecayClassification,
-    OnsetReport,
     RateCurve,
     SurvivalPoint,
     empirical_onset,

@@ -9,17 +9,19 @@ Config schema (version 1)::
     {
       "schema_version": 1,
       "unit": "omega0" | "rad_per_s",
-      "model": {"type": "broadband", "coupling": ..., "eta": ...,
-                "omega_x": ..., "cutoff": {"kind": "exponential"}}
-            or {"type": "broadband", ..., "cutoff": {"kind": "power_lorentz",
-                "mu": ...}}
-            or {"type": "narrowband", "g": ..., "kappa": ..., "omega_c": ...},
+      "model": {"type": TYPE, ...},   # TYPE and its fields, see below
       "emitter": {"omega0": ...},
       "time_grid": {"t_min": ..., "t_max": ..., "points_per_decade": ...},
       "quadrature": {...},          # optional, QuadratureConfig fields
       "onset_epsilon": ...,         # optional
-      "output": {"path": ..., "format": "csv" | "json"}   # optional
+      "output": {"path": ..., "format": ...}   # optional
     }
+
+Model types and their fields: broadband with coupling, eta, omega_x and
+"cutoff": {"kind": KIND, ...}, where KIND is exponential (no fields) or
+power_lorentz (mu); narrowband with g, kappa, omega_c. All numbers must be
+finite. The output format is csv for ``rate`` and json for ``onset``;
+when it is omitted the command's own format is used.
 
 Exit codes: 0 ok, 1 config error, 2 partial convergence, 3 onset not
 found, 4 verification failure.
@@ -33,7 +35,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -43,19 +45,20 @@ from .analytic import (
     onset_time_narrowband,
 )
 from .errors import ConvergenceError
-from .onset import OnsetReport, RateCurve, empirical_onset
+from .onset import empirical_onset
 from .quadrature import (
     QuadratureConfig,
+    curve_from_ratios,
     decay_rate_numeric,
     decay_rate_numeric_oracle,
     rate_curve,
 )
 from .reservoir import (
+    CUTOFF_KINDS,
+    MODEL_TYPES,
     BroadbandReservoir,
     EmitterSpec,
-    ExponentialCutoff,
     NarrowbandReservoir,
-    PowerLorentzCutoff,
     golden_rule_rate,
     zeno_slope,
 )
@@ -81,27 +84,46 @@ class ConfigError(ValueError):
         self.path = path
 
 
+# accepted JSON types and their description, per requested kind
+_KINDS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    dict: (dict, "an object"),
+}
+
+
 def _require(mapping, key, path, kind):
     if key not in mapping:
         raise ConfigError(f"{path}.{key}", "missing required field")
     value = mapping[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}.{key}", f"expected a string, got {value!r}")
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path}.{key}", f"expected an object, got {value!r}")
-        return value
-    raise TypeError(kind)
+    types, description = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{path}.{key}", f"expected {description}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _from_fields(cls, data, path):
+    # a model, cutoff or emitter from its dataclass fields, all required:
+    # numbers, and the cutoff as an object tagged by its kind
+    kwargs = {}
+    for f in fields(cls):
+        if f.name == "cutoff":
+            cutoff_d = _require(data, f.name, path, dict)
+            kwargs[f.name] = _tagged(cutoff_d, "kind", CUTOFF_KINDS, f"{path}.{f.name}")
+        else:
+            kwargs[f.name] = _require(data, f.name, path, float)
+    return cls(**kwargs)
+
+
+def _tagged(data, key, table, path):
+    # inverse of to_dict(): the class that data[key] names in the tag table
+    tag = _require(data, key, path, str)
+    if tag not in table:
+        raise ConfigError(
+            f"{path}.{key}", f"unknown {key} {tag!r}, expected one of {sorted(table)}"
+        )
+    return _from_fields(table[tag], data, path)
 
 
 @dataclass(frozen=True)
@@ -111,8 +133,8 @@ class TimeGridSpec:
     points_per_decade: int
 
     def __post_init__(self):
-        if not 0.0 < self.t_min < self.t_max:
-            raise ValueError("time grid requires 0 < t_min < t_max")
+        if not 0.0 < self.t_min < self.t_max < math.inf:
+            raise ValueError("time grid requires 0 < t_min < t_max < inf")
         if self.points_per_decade < 1:
             raise ValueError("points_per_decade must be >= 1")
 
@@ -124,24 +146,14 @@ class TimeGridSpec:
 
 @dataclass(frozen=True)
 class OutputSpec:
+    """Output file; ``format`` None means the writing command's own."""
+
     path: str
-    format: str = "csv"
+    format: str | None = None
 
     def __post_init__(self):
-        if self.format not in ("csv", "json"):
+        if self.format not in (None, "csv", "json"):
             raise ValueError(f"unsupported output format {self.format!r}")
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    """One of the three reference figures plus optional overrides."""
-
-    figure_id: str
-    overrides: dict | None = None
-
-    def __post_init__(self):
-        if self.figure_id not in ("fig1", "fig2", "fig3"):
-            raise ValueError(f"unknown figure {self.figure_id!r}")
 
 
 @dataclass(frozen=True)
@@ -167,40 +179,10 @@ class RunConfig:
             raise ConfigError(f"{path}.unit", f"unknown unit {unit!r}")
 
         model_d = _require(data, "model", path, dict)
-        mtype = _require(model_d, "type", f"{path}.model", str)
         try:
-            if mtype == "broadband":
-                cutoff_d = _require(model_d, "cutoff", f"{path}.model", dict)
-                kind = _require(cutoff_d, "kind", f"{path}.model.cutoff", str)
-                if kind == "exponential":
-                    cutoff = ExponentialCutoff()
-                elif kind == "power_lorentz":
-                    cutoff = PowerLorentzCutoff(
-                        mu=_require(cutoff_d, "mu", f"{path}.model.cutoff", float)
-                    )
-                else:
-                    raise ConfigError(
-                        f"{path}.model.cutoff.kind", f"unknown cutoff {kind!r}"
-                    )
-                model = BroadbandReservoir(
-                    coupling=_require(model_d, "coupling", f"{path}.model", float),
-                    eta=_require(model_d, "eta", f"{path}.model", float),
-                    omega_x=_require(model_d, "omega_x", f"{path}.model", float),
-                    cutoff=cutoff,
-                )
-            elif mtype == "narrowband":
-                model = NarrowbandReservoir(
-                    g=_require(model_d, "g", f"{path}.model", float),
-                    kappa=_require(model_d, "kappa", f"{path}.model", float),
-                    omega_c=_require(model_d, "omega_c", f"{path}.model", float),
-                )
-            else:
-                raise ConfigError(f"{path}.model.type", f"unknown model type {mtype!r}")
-
+            model = _tagged(model_d, "type", MODEL_TYPES, f"{path}.model")
             emitter_d = _require(data, "emitter", path, dict)
-            emitter = EmitterSpec(
-                omega0=_require(emitter_d, "omega0", f"{path}.emitter", float)
-            )
+            emitter = _from_fields(EmitterSpec, emitter_d, f"{path}.emitter")
 
             grid_d = _require(data, "time_grid", path, dict)
             grid = TimeGridSpec(
@@ -214,7 +196,7 @@ class RunConfig:
             quad_d = data.get("quadrature", {})
             if not isinstance(quad_d, dict):
                 raise ConfigError(f"{path}.quadrature", "expected an object")
-            known = {"rel_tol", "abs_tol", "max_panels", "nodes_per_panel", "tail_epsilon"}
+            known = {f.name for f in fields(QuadratureConfig)}
             unknown = set(quad_d) - known
             if unknown:
                 raise ConfigError(
@@ -233,7 +215,7 @@ class RunConfig:
                 out_d = _require(data, "output", path, dict)
                 output = OutputSpec(
                     path=_require(out_d, "path", f"{path}.output", str),
-                    format=out_d.get("format", "csv"),
+                    format=out_d.get("format"),
                 )
         except ConfigError:
             raise
@@ -252,49 +234,30 @@ class RunConfig:
         )
 
     def to_json_dict(self):
-        if isinstance(self.model, BroadbandReservoir):
-            cutoff = self.model.cutoff
-            model = {
-                "type": "broadband",
-                "coupling": self.model.coupling,
-                "eta": self.model.eta,
-                "omega_x": self.model.omega_x,
-                "cutoff": (
-                    {"kind": "exponential"}
-                    if isinstance(cutoff, ExponentialCutoff)
-                    else {"kind": "power_lorentz", "mu": cutoff.mu}
-                ),
-            }
-        else:
-            model = {
-                "type": "narrowband",
-                "g": self.model.g,
-                "kappa": self.model.kappa,
-                "omega_c": self.model.omega_c,
-            }
         out = {
             "schema_version": self.schema_version,
             "unit": self.unit,
-            "model": model,
-            "emitter": {"omega0": self.emitter.omega0},
-            "time_grid": {
-                "t_min": self.time_grid.t_min,
-                "t_max": self.time_grid.t_max,
-                "points_per_decade": self.time_grid.points_per_decade,
-            },
-            "quadrature": {
-                "rel_tol": self.quadrature.rel_tol,
-                "abs_tol": self.quadrature.abs_tol,
-                "max_panels": self.quadrature.max_panels,
-                "nodes_per_panel": self.quadrature.nodes_per_panel,
-                "tail_epsilon": self.quadrature.tail_epsilon,
-            },
+            "model": self.model.to_dict(),
+            "emitter": asdict(self.emitter),
+            "time_grid": asdict(self.time_grid),
+            "quadrature": asdict(self.quadrature),
         }
         if self.onset_epsilon is not None:
             out["onset_epsilon"] = self.onset_epsilon
         if self.output is not None:
-            out["output"] = {"path": self.output.path, "format": self.output.format}
+            out["output"] = asdict(self.output)
         return out
+
+    def output_path(self, fmt, default):
+        """Where a command that writes ``fmt`` puts its output."""
+        if self.output is None:
+            return default
+        if self.output.format not in (None, fmt):
+            raise ConfigError(
+                "config.output.format",
+                f"this command writes {fmt}, got {self.output.format!r}",
+            )
+        return self.output.path
 
 
 def load_config(path):
@@ -306,13 +269,6 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
     return RunConfig.from_json_dict(data)
-
-
-def _dimensionless_scale(model, emitter):
-    # omega0*t for broadband curves, kappa*t for narrowband ones
-    if isinstance(model, NarrowbandReservoir):
-        return model.kappa
-    return emitter.omega0
 
 
 def _format_float(x):
@@ -353,6 +309,7 @@ def _default_epsilon(model):
 
 def cmd_rate(config, max_workers=None):
     """Compute a rate curve and write it as CSV."""
+    out_path = config.output_path("csv", "rate_curve.csv")
     curve = rate_curve(
         config.model,
         config.emitter,
@@ -360,15 +317,14 @@ def cmd_rate(config, max_workers=None):
         config.quadrature,
         max_workers=max_workers,
     )
-    out_path = config.output.path if config.output else "rate_curve.csv"
-    scale = _dimensionless_scale(config.model, config.emitter)
-    write_curve_csv(out_path, curve, scale)
+    write_curve_csv(out_path, curve, config.model.scale_frequency(config.emitter))
     return EXIT_PARTIAL if bool(np.any(curve.flagged)) else EXIT_OK
 
 
 def cmd_onset(config, epsilon=None, max_workers=None, stream=None):
     """Detect the empirical onset time and report it against the formula."""
     stream = stream or sys.stdout
+    out_path = config.output_path("json", None)
     model, emitter = config.model, config.emitter
     if isinstance(model, NarrowbandReservoir):
         t_f_analytic = onset_time_narrowband(model)
@@ -384,56 +340,21 @@ def cmd_onset(config, epsilon=None, max_workers=None, stream=None):
     )
     t_emp = empirical_onset(curve, eps)
     converged = t_emp is not None and not bool(np.any(curve.flagged))
-    report = OnsetReport(
-        t_f_analytic=t_f_analytic,
-        t_f_empirical=t_emp,
-        epsilon=eps,
-        agreement_factor=(t_emp / t_f_analytic) if t_emp is not None else None,
-        converged=converged,
-    )
     payload = {
-        "t_f_analytic": report.t_f_analytic,
-        "t_f_empirical": report.t_f_empirical,
-        "epsilon": report.epsilon,
-        "agreement_factor": report.agreement_factor,
-        "converged": report.converged,
+        "t_f_analytic": t_f_analytic,
+        "t_f_empirical": t_emp,
+        "epsilon": eps,
+        "agreement_factor": (t_emp / t_f_analytic) if t_emp is not None else None,
+        "converged": converged,
         "unit": config.unit,
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if config.output is not None:
-        with open(config.output.path, "w", encoding="utf-8") as fh:
+    if out_path is not None:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         stream.write(text)
     return EXIT_OK if t_emp is not None else EXIT_NO_ONSET
-
-
-def _closed_form_curve(model, emitter, kt_grid):
-    times = kt_grid / model.kappa
-    ratios = np.array(
-        [narrowband_rate_detuned(model, emitter, float(t)) for t in times]
-    )
-    labels = tuple(
-        "zeno" if x < 0.1 else ("fermi" if x > 10.0 else "crossover")
-        for x in kt_grid
-    )
-    return RateCurve(
-        times=times,
-        ratios=ratios,
-        error_estimates=np.zeros_like(times),
-        regime_labels=labels,
-        model_metadata={
-            "model": {
-                "type": "narrowband",
-                "g": model.g,
-                "kappa": model.kappa,
-                "omega_c": model.omega_c,
-            },
-            "emitter": {"omega0": emitter.omega0},
-            "t_scale": 1.0 / model.kappa,
-            "closed_form": True,
-        },
-    )
 
 
 def _write_markers(outdir, figure_id, markers):
@@ -443,19 +364,13 @@ def _write_markers(outdir, figure_id, markers):
         fh.write("\n")
 
 
-def cmd_figure(spec, outdir=".", overrides=None, max_workers=None):
+def cmd_figure(figure_id, outdir=".", overrides=None, max_workers=None):
     """Emit the data behind one of the three reference figures.
 
-    ``spec`` is a FigureSpec or a bare figure id. The broadband sweep is
-    integrated numerically; the narrowband sweeps use the closed forms
-    they plot. One CSV per curve plus markers.json with the reference
-    lines.
+    The broadband sweep is integrated numerically; the narrowband sweeps
+    use the closed forms they plot. One CSV per curve plus markers.json
+    with the reference lines.
     """
-    if isinstance(spec, FigureSpec):
-        figure_id = spec.figure_id
-        overrides = {**(spec.overrides or {}), **(overrides or {})}
-    else:
-        figure_id = spec
     overrides = overrides or {}
     os.makedirs(outdir, exist_ok=True)
     ppd = int(overrides.get("points_per_decade", 16))
@@ -479,18 +394,14 @@ def cmd_figure(spec, outdir=".", overrides=None, max_workers=None):
             if bool(np.any(curve.flagged)):
                 status = EXIT_PARTIAL
             name = os.path.join(outdir, f"fig1_eta_{eta:g}.csv")
-            write_curve_csv(name, curve, emitter.omega0)
+            write_curve_csv(name, curve, model.scale_frequency(emitter))
             t_f = onset_time_broadband(model, emitter)
             vertical.append({"eta": eta, "t_f": t_f})
-        _write_markers(
-            outdir,
-            "fig1",
-            {
-                "horizontal_lines": [{"gamma_ratio": 2.0, "applies_to": "eta>1"}],
-                "vertical_lines": vertical,
-            },
-        )
-    elif figure_id == "fig2":
+        markers = {
+            "horizontal_lines": [{"gamma_ratio": 2.0, "applies_to": "eta>1"}],
+            "vertical_lines": vertical,
+        }
+    elif figure_id in ("fig2", "fig3"):
         omega_c = float(overrides.get("omega_c", 1.0))
         g = float(overrides.get("g", 1e-3 * omega_c))
         kt = TimeGridSpec(
@@ -498,42 +409,43 @@ def cmd_figure(spec, outdir=".", overrides=None, max_workers=None):
             float(overrides.get("kt_max", 1e3)),
             ppd,
         ).times()
-        vertical = []
-        for q in overrides.get("qs", _FIG2_QS):
-            kappa = omega_c / (2.0 * q)
-            model = NarrowbandReservoir(g=g, kappa=kappa, omega_c=omega_c)
-            emitter = EmitterSpec(omega_c)
-            curve = _closed_form_curve(model, emitter, kt)
-            name = os.path.join(outdir, f"fig2_q_{q:g}.csv")
-            write_curve_csv(name, curve, kappa)
-            vertical.append({"q": q, "t_f": onset_time_narrowband(model)})
-        _write_markers(
-            outdir,
-            "fig2",
-            {
+        # (file name, model, emitter, extra columns) per closed-form curve
+        if figure_id == "fig2":
+            sweep = []
+            vertical = []
+            for q in overrides.get("qs", _FIG2_QS):
+                model = NarrowbandReservoir(g=g, kappa=omega_c / (2.0 * q), omega_c=omega_c)
+                sweep.append((f"fig2_q_{q:g}.csv", model, EmitterSpec(omega_c), None))
+                vertical.append({"q": q, "t_f": onset_time_narrowband(model)})
+            markers = {
                 "horizontal_lines": [{"gamma_ratio": 1.0 / math.e}],
                 "vertical_lines": vertical,
-            },
-        )
-    elif figure_id == "fig3":
-        omega_c = float(overrides.get("omega_c", 1.0))
-        q = float(overrides.get("q", 10.0))
-        g = float(overrides.get("g", 1e-3 * omega_c))
-        kappa = omega_c / (2.0 * q)
-        kt = TimeGridSpec(
-            float(overrides.get("kt_min", 1e-3)),
-            float(overrides.get("kt_max", 1e3)),
-            ppd,
-        ).times()
-        for d in overrides.get("detunings", _FIG3_DETUNINGS):
-            model = NarrowbandReservoir(g=g, kappa=kappa, omega_c=omega_c)
-            emitter = EmitterSpec(omega_c + d * kappa)
-            curve = _closed_form_curve(model, emitter, kt)
-            name = os.path.join(outdir, f"fig3_detuning_{d:g}.csv")
-            write_curve_csv(name, curve, kappa, extra_columns=[("delta_over_kappa", d)])
-        _write_markers(outdir, "fig3", {"horizontal_lines": [], "vertical_lines": []})
+            }
+        else:
+            q = float(overrides.get("q", 10.0))
+            model = NarrowbandReservoir(g=g, kappa=omega_c / (2.0 * q), omega_c=omega_c)
+            sweep = [
+                (
+                    f"fig3_detuning_{d:g}.csv",
+                    model,
+                    EmitterSpec(omega_c + d * model.kappa),
+                    [("delta_over_kappa", d)],
+                )
+                for d in overrides.get("detunings", _FIG3_DETUNINGS)
+            ]
+            markers = {"horizontal_lines": [], "vertical_lines": []}
+        for name, model, emitter, extra in sweep:
+            times = kt / model.kappa
+            ratios = np.array(
+                [narrowband_rate_detuned(model, emitter, float(t)) for t in times]
+            )
+            curve = curve_from_ratios(model, emitter, times, ratios, np.zeros_like(times))
+            write_curve_csv(
+                os.path.join(outdir, name), curve, model.scale_frequency(emitter), extra
+            )
     else:
         raise ConfigError("figure_id", f"unknown figure {figure_id!r}")
+    _write_markers(outdir, figure_id, markers)
     return status
 
 

@@ -15,10 +15,6 @@ class ConvergenceError(RuntimeError):
         self.result = result
 
 
-class ZeroBudgetError(RuntimeError):
-    """Raised when a kernel-zero listing would exceed its configured cap."""
-
-
 class RegimeSeparationError(ValueError):
     """Raised when the cutoff and transition frequencies are too close for
     the three time regimes to be distinguishable."""

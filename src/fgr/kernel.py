@@ -8,39 +8,18 @@ are the natural panel boundaries for oscillation-aware quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ZeroBudgetError
 
 # Below this argument sin(x)/x is evaluated by its Taylor series; the x**4
 # term keeps the truncation error under 1e-24 at the switch point.
 _SINC_SWITCH = 1e-4
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
-    """One profile sample: time-valued density at a detuning from the line.
-
-    The value is bounded by the peak height time/(2*pi).
-    """
-
-    detuning: float
-    time: float
-    value: float
-
-    def __post_init__(self):
-        if not self.time > 0.0:
-            raise ValueError(f"time must be > 0, got {self.time}")
-        peak = self.time / (2.0 * math.pi)
-        if not 0.0 <= self.value <= peak * (1.0 + 1e-12):
-            raise ValueError(f"value {self.value} outside [0, {peak}]")
-
-    @classmethod
-    def sample(cls, detuning, time):
-        return cls(detuning=float(detuning), time=float(time),
-                   value=spectral_profile(detuning, time))
+def check_time(t):
+    """Raise ValueError unless t is a finite positive time."""
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"t must be finite and > 0, got {t}")
 
 
 def _sinc(x):
@@ -63,15 +42,14 @@ def spectral_profile(detuning, t):
     detuning : float or array_like
         Frequency offset from the transition frequency (may be negative).
     t : float
-        Elapsed time, > 0.
+        Elapsed time, finite and > 0.
 
     Returns
     -------
     float or ndarray
         (t / 2*pi) * sinc(detuning * t / 2)**2, carrying units of time.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
+    check_time(t)
     delta = np.asarray(detuning, dtype=float)
     s = _sinc(0.5 * delta * t)
     out = (t / (2.0 * math.pi)) * s * s
@@ -80,32 +58,43 @@ def spectral_profile(detuning, t):
     return out
 
 
-def kernel_zeros(t, omega0, omega_max, max_zeros=None):
+def zero_block(t, omega0, k_left, k_right):
+    """The profile zeros omega0 + (2*pi/t)*k for k = -k_left .. k_right.
+
+    k = 0 is omega0 itself, kept as a panel boundary because the other
+    factor of the decay integrand can vary fastest there. Entries below 0
+    (representation noise at the left domain edge) are clipped to 0.
+    """
+    spacing = 2.0 * math.pi / t
+    block = omega0 + spacing * np.arange(-k_left, k_right + 1, dtype=float)
+    return np.maximum(block, 0.0, out=block)
+
+
+def kernel_zeros(t, omega0, omega_max):
     """Frequencies in [0, omega_max] where the profile vanishes, plus omega0.
 
-    The zeros sit at omega0 +/- 2*pi*k/t for integer k >= 1. omega0 itself
-    is included as a panel boundary because the other factor of the decay
-    integrand can vary fastest there. A zero landing exactly at 0 or at
-    omega_max is kept.
+    The zeros sit at omega0 +/- 2*pi*k/t for integer k >= 1; a zero
+    landing exactly at 0 or at omega_max is kept. The counts are exact for
+    the arithmetic of ``zero_block``, which builds the listing.
 
-    Returns a strictly increasing float array. Raises ZeroBudgetError if
-    the listing would exceed ``max_zeros`` entries.
+    Returns a strictly increasing float array.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    if not omega_max > 0.0:
-        raise ValueError(f"omega_max must be > 0, got {omega_max}")
+    check_time(t)
+    if not math.isfinite(omega0):
+        raise ValueError(f"omega0 must be finite, got {omega0}")
+    if not (omega_max > 0.0 and math.isfinite(omega_max)):
+        raise ValueError(f"omega_max must be finite and > 0, got {omega_max}")
     spacing = 2.0 * math.pi / t
-    n_left = int(math.floor(omega0 / spacing + 1e-12)) if omega0 > 0 else 0
-    n_right = max(0, int(math.floor((omega_max - omega0) / spacing + 1e-12)))
-    total = n_left + n_right + 1
-    if max_zeros is not None and total > max_zeros:
-        raise ZeroBudgetError(
-            f"{total} panel boundaries requested, cap is {max_zeros}"
-        )
-    left = omega0 - spacing * np.arange(n_left, 0, -1, dtype=float)
-    right = omega0 + spacing * np.arange(1, n_right + 1, dtype=float)
-    out = np.concatenate([left, [float(omega0)], right])
-    # guard against representation noise at the domain edges
-    np.clip(out, 0.0, omega_max, out=out)
-    return out
+    # the floor of a quotient can miss by one either way once k is large;
+    # settle each count on the zeros as zero_block computes them
+    n_left = max(0, int(omega0 // spacing))
+    while omega0 - spacing * (n_left + 1) >= 0.0:
+        n_left += 1
+    while n_left and omega0 - spacing * n_left < 0.0:
+        n_left -= 1
+    n_right = max(0, int((omega_max - omega0) // spacing))
+    while omega0 + spacing * (n_right + 1) <= omega_max:
+        n_right += 1
+    while n_right and omega0 + spacing * n_right > omega_max:
+        n_right -= 1
+    return zero_block(t, omega0, n_left, n_right)

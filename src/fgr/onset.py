@@ -18,7 +18,6 @@ from .errors import FitWindowError, GridCoverageError, UnconvergedPointError
 
 __all__ = [
     "RateCurve",
-    "OnsetReport",
     "SurvivalPoint",
     "DecayClassification",
     "empirical_onset",
@@ -82,21 +81,6 @@ class RateCurve:
 
     def __len__(self):
         return self.times.size
-
-
-@dataclass(frozen=True)
-class OnsetReport:
-    """Analytic vs empirically detected onset time."""
-
-    t_f_analytic: float
-    t_f_empirical: float | None
-    epsilon: float
-    agreement_factor: float | None
-    converged: bool
-
-    def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be > 0")
 
 
 @dataclass(frozen=True)

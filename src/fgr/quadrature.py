@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -25,7 +25,7 @@ from scipy import special
 
 from .analytic import classify_regime
 from .errors import ConvergenceError, RegimeSeparationError
-from .kernel import kernel_zeros, spectral_profile
+from .kernel import check_time, spectral_profile, zero_block
 from .onset import RateCurve
 from .reservoir import (
     BroadbandReservoir,
@@ -276,16 +276,7 @@ def _build_panels(reservoir, emitter, t, omega_max, zero_cap):
 
     # zero-aligned block
     if k_left or k_right:
-        if k_left_avail <= zero_cap:
-            zeros = kernel_zeros(t, w0, z_right)
-            zeros = zeros[zeros >= z_left * (1.0 - 1e-15) - 1e-300]
-        else:
-            # same boundaries as kernel_zeros, built without materializing
-            # the zeros ceded to the envelope region
-            left = w0 - spacing * np.arange(k_left, 0, -1, dtype=float)
-            right = w0 + spacing * np.arange(1, k_right + 1, dtype=float)
-            zeros = np.concatenate([left, [float(w0)], right])
-        add_full(zeros)
+        add_full(zero_block(t, w0, k_left, k_right))
 
     # right of the zero-aligned block
     if k_right < k_right_avail:
@@ -321,11 +312,30 @@ def _panel_values(f, a, b, n):
     return (vals @ w) * half[:, 0], nodes, vals
 
 
-def _evaluate(reservoir, emitter, t, a, b, smooth, cfg):
+def _setup(reservoir, emitter, t, cfg):
+    # shared by both integrators: defaults, argument checks, the truncated
+    # domain and the bound on the tail beyond it
+    if cfg is None:
+        cfg = QuadratureConfig()
+    check_time(t)
+    _validate_integrable(reservoir)
+    omega_max = truncation_frequency(reservoir, emitter, t, cfg)
+    return cfg, omega_max, _tail_bound(reservoir, emitter, t, omega_max)
+
+
+def _integrand(reservoir, emitter, t):
+    # 2*pi * profile * RSC, the decay-rate integrand over frequency
     w0 = emitter.omega0
 
-    def f_full(w):
+    def f(w):
         return 2.0 * math.pi * spectral_profile(w - w0, t) * evaluate_rsc(reservoir, w)
+
+    return f
+
+
+def _evaluate(reservoir, emitter, t, a, b, smooth, cfg):
+    w0 = emitter.omega0
+    f_full = _integrand(reservoir, emitter, t)
 
     def f_smooth(w):
         d = w - w0
@@ -384,15 +394,7 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
     best result) if the error estimate cannot be brought below the
     tolerance within the panel budget.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    _validate_integrable(reservoir)
-
-    omega_max = truncation_frequency(reservoir, emitter, t, cfg)
-    tail = _tail_bound(reservoir, emitter, t, omega_max)
-
+    cfg, omega_max, tail = _setup(reservoir, emitter, t, cfg)
     zero_cap = _ZERO_CAP
     a, b, smooth = _build_panels(reservoir, emitter, t, omega_max, zero_cap)
     best = None
@@ -448,20 +450,9 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None, max_level=20):
     Structurally independent of the panel scheme (no zero-aligned panels);
     intended for cross-checks and the verification command.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    _validate_integrable(reservoir)
-
-    omega_max = truncation_frequency(reservoir, emitter, t, cfg)
-    tail = _tail_bound(reservoir, emitter, t, omega_max)
-    w0 = emitter.omega0
+    cfg, omega_max, tail = _setup(reservoir, emitter, t, cfg)
+    f = _integrand(reservoir, emitter, t)
     half = 0.5 * omega_max
-
-    def f(w):
-        return 2.0 * math.pi * spectral_profile(w - w0, t) * evaluate_rsc(reservoir, w)
-
     tol = max(min(cfg.rel_tol, 1e-9), 1e-14)
     prev = None
     hits = 0
@@ -519,34 +510,20 @@ def _regime_label(reservoir, emitter, t):
     return "crossover"
 
 
-def _model_metadata(reservoir, emitter):
-    if isinstance(reservoir, BroadbandReservoir):
-        cutoff = reservoir.cutoff
-        model = {
-            "type": "broadband",
-            "coupling": reservoir.coupling,
-            "eta": reservoir.eta,
-            "omega_x": reservoir.omega_x,
-            "cutoff": (
-                {"kind": "exponential"}
-                if isinstance(cutoff, ExponentialCutoff)
-                else {"kind": "power_lorentz", "mu": cutoff.mu}
-            ),
-        }
-        t_scale = 1.0 / emitter.omega0
-    else:
-        model = {
-            "type": "narrowband",
-            "g": reservoir.g,
-            "kappa": reservoir.kappa,
-            "omega_c": reservoir.omega_c,
-        }
-        t_scale = 1.0 / reservoir.kappa
-    return {
-        "model": model,
-        "emitter": {"omega0": emitter.omega0},
-        "t_scale": t_scale,
-    }
+def curve_from_ratios(reservoir, emitter, times, ratios, errors, flagged=None):
+    """RateCurve with the regime labels and model metadata of its points."""
+    return RateCurve(
+        times=times,
+        ratios=ratios,
+        error_estimates=errors,
+        regime_labels=tuple(_regime_label(reservoir, emitter, float(t)) for t in times),
+        model_metadata={
+            "model": reservoir.to_dict(),
+            "emitter": asdict(emitter),
+            "t_scale": 1.0 / reservoir.scale_frequency(emitter),
+        },
+        flagged=flagged,
+    )
 
 
 def _resolve_workers(max_workers):
@@ -592,15 +569,6 @@ def rate_curve(reservoir, emitter, time_grid, cfg=None, max_workers=None):
     values = np.array([r[0] for r in rows])
     errors = np.array([r[1] for r in rows])
     flagged = np.array([r[2] for r in rows], dtype=bool)
-    labels = tuple(_regime_label(reservoir, emitter, float(t)) for t in times)
-
-    metadata = _model_metadata(reservoir, emitter)
-    metadata["gamma0"] = gamma0
-    return RateCurve(
-        times=times,
-        ratios=values / gamma0,
-        error_estimates=errors / gamma0,
-        regime_labels=labels,
-        model_metadata=metadata,
-        flagged=flagged,
+    return curve_from_ratios(
+        reservoir, emitter, times, values / gamma0, errors / gamma0, flagged
     )

@@ -9,11 +9,14 @@ rates are angular-frequency valued (no hbar anywhere).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import integrate
+
+from .errors import ConvergenceError
 
 __all__ = [
     "ExponentialCutoff",
@@ -22,6 +25,8 @@ __all__ = [
     "BroadbandReservoir",
     "NarrowbandReservoir",
     "EmitterSpec",
+    "MODEL_TYPES",
+    "CUTOFF_KINDS",
     "evaluate_rsc",
     "golden_rule_rate",
     "golden_rule_rate_approx",
@@ -30,8 +35,28 @@ __all__ = [
 ]
 
 
+def _require_finite(spec):
+    # the range checks below compare with `>`, which infinities pass
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+class _Tagged:
+    """Models and cutoffs serialise as their tag, then every field."""
+
+    def to_dict(self):
+        key, tag = _TAGS[type(self)]
+        out = {key: tag}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.to_dict() if isinstance(value, _Tagged) else value
+        return out
+
+
 @dataclass(frozen=True)
-class ExponentialCutoff:
+class ExponentialCutoff(_Tagged):
     """exp(-omega/omega_x) high-frequency roll-off."""
 
     def profile(self, x):
@@ -40,7 +65,7 @@ class ExponentialCutoff:
 
 
 @dataclass(frozen=True)
-class PowerLorentzCutoff:
+class PowerLorentzCutoff(_Tagged):
     """[1 + (omega/omega_x)**2]**(-mu) high-frequency roll-off.
 
     mu > 1/2 keeps the profile integrable. Values below 4 fall outside the
@@ -50,6 +75,7 @@ class PowerLorentzCutoff:
     mu: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.mu > 0.5:
             raise ValueError(f"mu must be > 1/2, got {self.mu}")
         if self.mu < 4.0:
@@ -68,7 +94,7 @@ CutoffKind = ExponentialCutoff | PowerLorentzCutoff
 
 
 @dataclass(frozen=True)
-class BroadbandReservoir:
+class BroadbandReservoir(_Tagged):
     """Power-law RSC: coupling * omega * (omega/omega_x)**(eta-1) * F(omega).
 
     Attributes
@@ -90,6 +116,7 @@ class BroadbandReservoir:
     cutoff: CutoffKind = field(default_factory=ExponentialCutoff)
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.coupling > 0.0:
             raise ValueError(f"coupling must be > 0, got {self.coupling}")
         if not self.eta >= 0.0:
@@ -97,9 +124,13 @@ class BroadbandReservoir:
         if not self.omega_x > 0.0:
             raise ValueError(f"omega_x must be > 0, got {self.omega_x}")
 
+    def scale_frequency(self, emitter):
+        """Frequency that makes time dimensionless: omega0 for broadband."""
+        return emitter.omega0
+
 
 @dataclass(frozen=True)
-class NarrowbandReservoir:
+class NarrowbandReservoir(_Tagged):
     """Breit-Wigner RSC: (kappa/pi) * g**2 / ((omega-omega_c)**2 + kappa**2).
 
     Attributes
@@ -117,6 +148,7 @@ class NarrowbandReservoir:
     omega_c: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.g > 0.0:
             raise ValueError(f"g must be > 0, got {self.g}")
         if not self.kappa > 0.0:
@@ -128,6 +160,10 @@ class NarrowbandReservoir:
     def quality_factor(self):
         return self.omega_c / (2.0 * self.kappa)
 
+    def scale_frequency(self, emitter):
+        """Frequency that makes time dimensionless: kappa for narrowband."""
+        return self.kappa
+
 
 @dataclass(frozen=True)
 class EmitterSpec:
@@ -136,8 +172,18 @@ class EmitterSpec:
     omega0: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.omega0 > 0.0:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
+
+
+# the tag tables of the serialised form (see ``to_dict``)
+MODEL_TYPES = {"broadband": BroadbandReservoir, "narrowband": NarrowbandReservoir}
+CUTOFF_KINDS = {"exponential": ExponentialCutoff, "power_lorentz": PowerLorentzCutoff}
+_TAGS = {
+    **{cls: ("type", tag) for tag, cls in MODEL_TYPES.items()},
+    **{cls: ("kind", tag) for tag, cls in CUTOFF_KINDS.items()},
+}
 
 
 def evaluate_rsc(reservoir, omega):
@@ -221,8 +267,6 @@ def zeno_slope(reservoir, rel_tol=1e-10):
         limit=200,
     )
     if not math.isfinite(val) or err > rel_tol * abs(val):
-        from .errors import ConvergenceError
-
         raise ConvergenceError(
             f"zeno_slope quadrature did not reach rel_tol={rel_tol} "
             f"(value={val}, error={err})"

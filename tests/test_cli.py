@@ -70,6 +70,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as excinfo:
             RunConfig.from_json_dict(broken)
         assert "model.omega_c" in str(excinfo.value)
+        # the cutoff has a library default but is required in a config
+        broken = json.loads(json.dumps(BROAD_CONFIG))
+        del broken["model"]["cutoff"]
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig.from_json_dict(broken)
+        assert "model.cutoff" in str(excinfo.value)
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -83,6 +89,15 @@ class TestConfigParsing:
         broken["model"] = {"type": "squareband"}
         with pytest.raises(ConfigError):
             RunConfig.from_json_dict(broken)
+
+    def test_non_finite_number_rejected(self, tmp_path):
+        # JSON 1e999 parses to inf
+        text = json.dumps(NARROW_CONFIG).replace('"kappa": 1.0', '"kappa": 1e999')
+        path = tmp_path / "inf.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="kappa must be finite"):
+            load_config(str(path))
+        assert main(["rate", "-c", str(path)]) == EXIT_CONFIG
 
     def test_invalid_values_rejected(self):
         broken = json.loads(json.dumps(NARROW_CONFIG))
@@ -134,6 +149,15 @@ class TestCmdRate:
             assert float(row["gamma_ratio"]) == float(row["gamma_ratio"])
             assert row["flagged"] == "false"
 
+    def test_json_format_rejected(self, tmp_path):
+        data = dict(NARROW_CONFIG)
+        out = tmp_path / "curve.json"
+        data["output"] = {"path": str(out), "format": "json"}
+        with pytest.raises(ConfigError, match="output.format"):
+            cmd_rate(RunConfig.from_json_dict(data))
+        assert main(["rate", "-c", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_partial_convergence_exit_code(self, tmp_path):
         data = json.loads(json.dumps(BROAD_CONFIG))
         data["quadrature"] = {"rel_tol": 1e-16, "max_panels": 64}
@@ -168,6 +192,22 @@ class TestCmdOnset:
         assert report["t_f_analytic"] == pytest.approx(5.71e-14, rel=2e-3)
         assert report["converged"] is True
         assert 0.5 < report["agreement_factor"] < 2.0
+
+    def test_csv_format_rejected(self, tmp_path):
+        data = dict(NARROW_CONFIG)
+        out = tmp_path / "report.csv"
+        data["output"] = {"path": str(out), "format": "csv"}
+        with pytest.raises(ConfigError, match="output.format"):
+            cmd_onset(RunConfig.from_json_dict(data))
+        assert main(["onset", "-c", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_omitted_format_writes_json(self, tmp_path):
+        data = json.loads(json.dumps(NARROW_CONFIG))
+        data["time_grid"] = {"t_min": 1e-2, "t_max": 1e3, "points_per_decade": 8}
+        data["output"] = {"path": str(tmp_path / "report.json")}
+        assert cmd_onset(RunConfig.from_json_dict(data)) == EXIT_OK
+        assert json.loads((tmp_path / "report.json").read_text())["converged"] is True
 
     def test_onset_not_found_exit_code(self):
         data = json.loads(json.dumps(NARROW_CONFIG))

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from fgr.errors import ZeroBudgetError
-from fgr.kernel import ProfilePoint, kernel_zeros, spectral_profile
+from fgr.kernel import kernel_zeros, spectral_profile
 
 
 def profile_reference(detuning, t):
@@ -81,24 +80,6 @@ class TestSpectralProfile:
         assert abs(total - 1.0) < 1e-8
 
 
-class TestProfilePoint:
-    def test_sample_matches_function(self):
-        p = ProfilePoint.sample(0.3, 2.0)
-        assert p.value == spectral_profile(0.3, 2.0)
-
-    def test_peak_bound_enforced(self):
-        with pytest.raises(ValueError):
-            ProfilePoint(detuning=0.0, time=1.0, value=1.0)
-        with pytest.raises(ValueError):
-            ProfilePoint(detuning=0.0, time=1.0, value=-0.1)
-        with pytest.raises(ValueError):
-            ProfilePoint(detuning=0.0, time=0.0, value=0.0)
-
-    def test_negative_detuning_allowed(self):
-        p = ProfilePoint.sample(-5.0, 0.7)
-        assert p.value >= 0.0
-
-
 class TestKernelZeros:
     def test_no_zeros_in_range(self):
         # spacing exceeds omega_max: only the transition frequency remains
@@ -120,9 +101,19 @@ class TestKernelZeros:
             assert out[0] >= 0.0 and out[-1] <= wmax
             assert w0 in out
 
-    def test_budget_error(self):
-        with pytest.raises(ZeroBudgetError):
-            kernel_zeros(t=1000.0, omega0=50.0, omega_max=100.0, max_zeros=100)
+    def test_count_exact_up_to_a_million_zeros(self):
+        # a zero landing exactly on omega_max is listed: k + 1 entries with
+        # omega0 first, for every k; from k ~ 1e4 on the rounding of
+        # floor(span / spacing) exceeds any fixed absolute guard
+        t, w0 = 1.0, 1.0
+        spacing = 2.0 * math.pi / t
+        ks = np.unique(np.geomspace(1, 1e6, 400).astype(int)).tolist() + [194416]
+        for k in ks:
+            wmax = w0 + spacing * k
+            out = kernel_zeros(t, w0, wmax)
+            assert out.size == k + 1, k
+            assert out[-1] == wmax
+            assert kernel_zeros(t, w0, np.nextafter(wmax, 0.0)).size == k
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

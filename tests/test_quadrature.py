@@ -10,6 +10,7 @@ from fgr.errors import ConvergenceError
 from fgr.quadrature import (
     IntegrationResult,
     QuadratureConfig,
+    _build_panels,
     decay_rate_numeric,
     decay_rate_numeric_oracle,
     rate_curve,
@@ -203,6 +204,21 @@ class TestTruncation:
         tail_mass = float(np.trapezoid(evaluate_rsc(r, grid), grid))
         bound = tail_mass * min(t, 4.0 / (t * (w - EM.omega0) ** 2))
         assert bound < 1e-10 * decay_rate_numeric(r, EM, t, CFG).value
+
+
+class TestPanels:
+    @pytest.mark.parametrize("zero_cap", [10_000, 40_000])
+    def test_panels_tile_the_domain(self, zero_cap):
+        # high-Q late-time point whose zero block has ~1e4 lobes per side,
+        # where a block edge counted apart from its neighbour's can lose a lobe
+        model = NarrowbandReservoir(g=1e-3, kappa=5e-4, omega_c=1.0)
+        t = 14467.883254733497
+        omega_max = truncation_frequency(model, EM, t, CFG)
+        a, b, _ = _build_panels(model, EM, t, omega_max, zero_cap)
+        assert a[0] == 0.0
+        assert b[-1] == pytest.approx(omega_max, rel=1e-9)
+        assert np.all(b > a)
+        np.testing.assert_allclose(a[1:], b[:-1], rtol=1e-9, atol=0.0)
 
 
 class TestRateCurve:

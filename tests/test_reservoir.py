@@ -7,6 +7,8 @@ import pytest
 from scipy import integrate
 
 from fgr.errors import ConvergenceError
+from fgr.kernel import kernel_zeros, spectral_profile
+from fgr.quadrature import decay_rate_numeric, decay_rate_numeric_oracle
 from fgr.reservoir import (
     BroadbandReservoir,
     EmitterSpec,
@@ -232,6 +234,38 @@ class TestValidation:
             PowerLorentzCutoff(mu=0.5)
         with pytest.warns(UserWarning):
             PowerLorentzCutoff(mu=2.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("coupling", lambda v: BroadbandReservoir(coupling=v, eta=1.0, omega_x=1.0)),
+            ("eta", lambda v: BroadbandReservoir(coupling=1e-3, eta=v, omega_x=1.0)),
+            ("omega_x", lambda v: BroadbandReservoir(coupling=1e-3, eta=1.0, omega_x=v)),
+            ("mu", lambda v: PowerLorentzCutoff(mu=v)),
+            ("g", lambda v: NarrowbandReservoir(g=v, kappa=1.0, omega_c=1.0)),
+            ("kappa", lambda v: NarrowbandReservoir(g=1.0, kappa=v, omega_c=1.0)),
+            ("omega_c", lambda v: NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=v)),
+            ("omega0", lambda v: EmitterSpec(omega0=v)),
+            ("t", lambda v: decay_rate_numeric(
+                BroadbandReservoir(coupling=1e-3, eta=1.0, omega_x=250.0),
+                EmitterSpec(1.0), v)),
+            ("t", lambda v: decay_rate_numeric_oracle(
+                NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=20.0),
+                EmitterSpec(20.0), v)),
+            ("t", lambda v: spectral_profile(0.3, v)),
+            ("t", lambda v: kernel_zeros(v, 1.0, 2.0)),
+        ],
+        ids=[
+            "coupling", "eta", "omega_x", "mu", "g", "kappa", "omega_c", "omega0",
+            "decay_rate_numeric-t", "oracle-t", "spectral_profile-t", "kernel_zeros-t",
+        ],
+    )
+    def test_rejects_non_finite(self, name, build, value):
+        # infinities pass a `> 0` range check; each must be refused up front
+        # with a ValueError naming the field, not crash deeper down
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            build(value)
 
     def test_quality_factor(self):
         nb = NarrowbandReservoir(g=1.0, kappa=1.75e13, omega_c=3.5e14)
