@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .errors import RegimeSeparationError
 from .reservoir import (
     BroadbandReservoir,
+    EmitterSpec,
     NarrowbandReservoir,
     cutoff_constant,
     golden_rule_rate_approx,
@@ -223,27 +224,9 @@ def onset_time_broadband(reservoir, emitter):
 def narrowband_rate_resonant(reservoir, t):
     """Rate ratio of a resonant narrowband emitter: 1 - (1 - e^-kt)/(kt).
 
-    Strictly increasing from 0 to 1; the small-kt branch evaluates the
-    alternating series x/2 - x^2/6 + ... to avoid cancellation.
+    Strictly increasing from 0 to 1; the detuned expression at zero detuning.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    x = reservoir.kappa * t
-    if x < _SERIES_SWITCH:
-        # sum_{k>=1} (-1)^(k+1) x^k / (k+1)!
-        return x * (
-            1.0 / 2.0
-            + x
-            * (
-                -1.0 / 6.0
-                + x
-                * (
-                    1.0 / 24.0
-                    + x * (-1.0 / 120.0 + x * (1.0 / 720.0 - x / 5040.0))
-                )
-            )
-        )
-    return 1.0 + math.expm1(-x) / x
+    return narrowband_rate_detuned(reservoir, EmitterSpec(reservoir.omega_c), t)
 
 
 def _series_ratio_detuned(x, r):

@@ -20,8 +20,9 @@ Config schema (version 1)::
 Model types and their fields: broadband with coupling, eta, omega_x and
 "cutoff": {"kind": KIND, ...}, where KIND is exponential (no fields) or
 power_lorentz (mu); narrowband with g, kappa, omega_c. All numbers must be
-finite. The output format is csv for ``rate`` and json for ``onset``;
-when it is omitted the command's own format is used.
+finite, and every object refuses keys that name none of its fields. The
+output format is csv for ``rate`` and json for ``onset``; when it is
+omitted the command's own format is used.
 
 Exit codes: 0 ok, 1 config error, 2 partial convergence, 3 onset not
 found, 4 verification failure.
@@ -35,7 +36,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -103,17 +104,38 @@ def _require(mapping, key, path, kind):
     return float(value) if kind is float else value
 
 
-def _from_fields(cls, data, path):
-    # a model, cutoff or emitter from its dataclass fields, all required:
-    # numbers, and the cutoff as an object tagged by its kind
+# JSON kind of a section field, from its annotation (a string, since
+# annotations are postponed); "X | None" also admits null
+_FIELD_KINDS = {"float": float, "int": int, "str": str}
+
+
+def _refuse_unknown(data, cls, path, tag_key=None):
+    unknown = set(data) - {f.name for f in fields(cls)} - {tag_key}
+    if unknown:
+        raise ConfigError(path, f"unknown fields {sorted(unknown)}")
+
+
+def _from_fields(cls, data, path, tag_key=None):
+    # a config section from its dataclass fields: a field may be left out
+    # exactly when it has a default (the cutoff is always required, as an
+    # object tagged by its kind), and a key that names no field is refused
+    _refuse_unknown(data, cls, path, tag_key)
     kwargs = {}
     for f in fields(cls):
         if f.name == "cutoff":
             cutoff_d = _require(data, f.name, path, dict)
             kwargs[f.name] = _tagged(cutoff_d, "kind", CUTOFF_KINDS, f"{path}.{f.name}")
-        else:
-            kwargs[f.name] = _require(data, f.name, path, float)
-    return cls(**kwargs)
+        elif f.name in data or (f.default is MISSING and f.default_factory is MISSING):
+            kind, optional, _ = f.type.partition(" | None")
+            if not (optional and data.get(f.name) is None):
+                kwargs[f.name] = _require(data, f.name, path, _FIELD_KINDS[kind])
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        # constructors name the field they refuse first
+        name = str(exc).split(" ", 1)[0]
+        field_path = f"{path}.{name}" if name in kwargs else path
+        raise ConfigError(field_path, str(exc)) from exc
 
 
 def _tagged(data, key, table, path):
@@ -123,7 +145,11 @@ def _tagged(data, key, table, path):
         raise ConfigError(
             f"{path}.{key}", f"unknown {key} {tag!r}, expected one of {sorted(table)}"
         )
-    return _from_fields(table[tag], data, path)
+    return _from_fields(table[tag], data, path, tag_key=key)
+
+
+def _section(data, key, path, cls):
+    return _from_fields(cls, _require(data, key, path, dict), f"{path}.{key}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +197,7 @@ class RunConfig:
     def from_json_dict(cls, data, path="config"):
         if not isinstance(data, dict):
             raise ConfigError(path, "top level must be an object")
+        _refuse_unknown(data, cls, path)
         version = data.get("schema_version", 1)
         if version != 1:
             raise ConfigError(f"{path}.schema_version", f"unsupported version {version}")
@@ -178,57 +205,30 @@ class RunConfig:
         if unit not in ("omega0", "rad_per_s"):
             raise ConfigError(f"{path}.unit", f"unknown unit {unit!r}")
 
-        model_d = _require(data, "model", path, dict)
-        try:
-            model = _tagged(model_d, "type", MODEL_TYPES, f"{path}.model")
-            emitter_d = _require(data, "emitter", path, dict)
-            emitter = _from_fields(EmitterSpec, emitter_d, f"{path}.emitter")
-
-            grid_d = _require(data, "time_grid", path, dict)
-            grid = TimeGridSpec(
-                t_min=_require(grid_d, "t_min", f"{path}.time_grid", float),
-                t_max=_require(grid_d, "t_max", f"{path}.time_grid", float),
-                points_per_decade=_require(
-                    grid_d, "points_per_decade", f"{path}.time_grid", int
-                ),
-            )
-
-            quad_d = data.get("quadrature", {})
-            if not isinstance(quad_d, dict):
-                raise ConfigError(f"{path}.quadrature", "expected an object")
-            known = {f.name for f in fields(QuadratureConfig)}
-            unknown = set(quad_d) - known
-            if unknown:
+        onset_epsilon = data.get("onset_epsilon")
+        if onset_epsilon is not None:
+            onset_epsilon = _require(data, "onset_epsilon", path, float)
+            if not 0.0 < onset_epsilon < math.inf:
                 raise ConfigError(
-                    f"{path}.quadrature", f"unknown fields {sorted(unknown)}"
+                    f"{path}.onset_epsilon",
+                    f"must be finite and > 0, got {onset_epsilon}",
                 )
-            quadrature = QuadratureConfig(**quad_d)
-
-            onset_epsilon = data.get("onset_epsilon")
-            if onset_epsilon is not None:
-                onset_epsilon = float(onset_epsilon)
-                if onset_epsilon <= 0.0:
-                    raise ConfigError(f"{path}.onset_epsilon", "must be > 0")
-
-            output = None
-            if "output" in data and data["output"] is not None:
-                out_d = _require(data, "output", path, dict)
-                output = OutputSpec(
-                    path=_require(out_d, "path", f"{path}.output", str),
-                    format=out_d.get("format"),
-                )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(path, str(exc)) from exc
-
+        model_d = _require(data, "model", path, dict)
         return cls(
-            model=model,
-            emitter=emitter,
-            time_grid=grid,
-            quadrature=quadrature,
+            model=_tagged(model_d, "type", MODEL_TYPES, f"{path}.model"),
+            emitter=_section(data, "emitter", path, EmitterSpec),
+            time_grid=_section(data, "time_grid", path, TimeGridSpec),
+            quadrature=(
+                _section(data, "quadrature", path, QuadratureConfig)
+                if "quadrature" in data
+                else QuadratureConfig()
+            ),
             onset_epsilon=onset_epsilon,
-            output=output,
+            output=(
+                _section(data, "output", path, OutputSpec)
+                if data.get("output") is not None
+                else None
+            ),
             unit=unit,
             schema_version=1,
         )
@@ -535,7 +535,10 @@ def _workers_from_env():
     raw = os.environ.get("FGR_THREADS")
     if raw is None:
         return None
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError("FGR_THREADS", f"expected an integer, got {raw!r}") from None
 
 
 def main(argv=None):
@@ -563,9 +566,9 @@ def main(argv=None):
     sub.add_parser("verify", help="run the numerical cross-check suite")
 
     args = parser.parse_args(argv)
-    workers = _workers_from_env()
 
     try:
+        workers = _workers_from_env()
         if args.command == "rate":
             return cmd_rate(load_config(args.config), max_workers=workers)
         if args.command == "onset":

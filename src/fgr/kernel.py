@@ -70,20 +70,12 @@ def zero_block(t, omega0, k_left, k_right):
     return np.maximum(block, 0.0, out=block)
 
 
-def kernel_zeros(t, omega0, omega_max):
-    """Frequencies in [0, omega_max] where the profile vanishes, plus omega0.
+def zero_counts(t, omega0, omega_max):
+    """How many profile zeros omega0 -/+ (2*pi/t)*k, k >= 1, lie in [0, omega_max].
 
-    The zeros sit at omega0 +/- 2*pi*k/t for integer k >= 1; a zero
-    landing exactly at 0 or at omega_max is kept. The counts are exact for
-    the arithmetic of ``zero_block``, which builds the listing.
-
-    Returns a strictly increasing float array.
+    Returns (n_left, n_right); a zero landing exactly at 0 or at omega_max
+    counts. The counts are exact for the arithmetic of ``zero_block``.
     """
-    check_time(t)
-    if not math.isfinite(omega0):
-        raise ValueError(f"omega0 must be finite, got {omega0}")
-    if not (omega_max > 0.0 and math.isfinite(omega_max)):
-        raise ValueError(f"omega_max must be finite and > 0, got {omega_max}")
     spacing = 2.0 * math.pi / t
     # the floor of a quotient can miss by one either way once k is large;
     # settle each count on the zeros as zero_block computes them
@@ -97,4 +89,20 @@ def kernel_zeros(t, omega0, omega_max):
         n_right += 1
     while n_right and omega0 + spacing * n_right > omega_max:
         n_right -= 1
-    return zero_block(t, omega0, n_left, n_right)
+    return n_left, n_right
+
+
+def kernel_zeros(t, omega0, omega_max):
+    """Frequencies in [0, omega_max] where the profile vanishes, plus omega0.
+
+    The zeros sit at omega0 +/- 2*pi*k/t for integer k >= 1 (see
+    ``zero_counts``).
+
+    Returns a strictly increasing float array.
+    """
+    check_time(t)
+    if not math.isfinite(omega0):
+        raise ValueError(f"omega0 must be finite, got {omega0}")
+    if not (omega_max > 0.0 and math.isfinite(omega_max)):
+        raise ValueError(f"omega_max must be finite and > 0, got {omega_max}")
+    return zero_block(t, omega0, *zero_counts(t, omega0, omega_max))

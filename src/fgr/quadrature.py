@@ -25,13 +25,14 @@ from scipy import special
 
 from .analytic import classify_regime
 from .errors import ConvergenceError, RegimeSeparationError
-from .kernel import check_time, spectral_profile, zero_block
+from .kernel import check_time, spectral_profile, zero_block, zero_counts
 from .onset import RateCurve
 from .reservoir import (
     BroadbandReservoir,
     ExponentialCutoff,
     NarrowbandReservoir,
     PowerLorentzCutoff,
+    _require_finite,
     evaluate_rsc,
     golden_rule_rate,
     zeno_slope,
@@ -72,6 +73,7 @@ class QuadratureConfig:
     tail_epsilon: float = 1e-12
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.rel_tol > 0.0 or self.abs_tol > 0.0):
             raise ValueError("rel_tol or abs_tol must be positive")
         if self.nodes_per_panel < 2:
@@ -242,10 +244,7 @@ def _build_panels(reservoir, emitter, t, omega_max, zero_cap):
     """Panel arrays (a, b, smooth_flag) plus far-field boundary values."""
     w0 = emitter.omega0
     spacing = 2.0 * math.pi / t
-    k_left_avail = int(math.floor(w0 / spacing + 1e-12))
-    k_right_avail = (
-        int(math.floor((omega_max - w0) / spacing + 1e-12)) if omega_max > w0 else 0
-    )
+    k_left_avail, k_right_avail = zero_counts(t, w0, omega_max)
     k_left = min(k_left_avail, zero_cap)
     k_right = min(k_right_avail, zero_cap)
     z_left = w0 - k_left * spacing
@@ -285,11 +284,11 @@ def _build_panels(reservoir, emitter, t, omega_max, zero_cap):
     elif z_right < omega_max:
         add_full(_geom_edges(z_right, omega_max))
 
+    # the parts are built left to right
     a = np.concatenate([p[0] for p in parts])
     b = np.concatenate([p[1] for p in parts])
     smooth = np.concatenate([p[2] for p in parts])
-    order = np.argsort(a, kind="stable")
-    return a[order], b[order], smooth[order]
+    return a, b, smooth
 
 
 _GL_CACHE = {}

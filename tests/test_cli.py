@@ -99,6 +99,40 @@ class TestConfigParsing:
             load_config(str(path))
         assert main(["rate", "-c", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "section, key, value, field",
+        [
+            ("quadrature", "nodes_per_panel", 16.0, "config.quadrature.nodes_per_panel"),
+            ("quadrature", "rel_tol", "1e999", "config.quadrature.rel_tol"),
+            ("quadrature", "rel_tol", '"1e-8"', "config.quadrature.rel_tol"),
+            ("quadrature", "max_panels", 1.5, "config.quadrature.max_panels"),
+            ("time_grid", "t_mid", 1.0, "config.time_grid"),
+            (None, "onset_epsilon", "true", "config.onset_epsilon"),
+            (None, "onset_epsilon", '"0.5"', "config.onset_epsilon"),
+            (None, "onset_epsilon", "1e999", "config.onset_epsilon"),
+            (None, "quadrture", "{}", "config"),
+        ],
+        ids=[
+            "nodes_per_panel-float", "rel_tol-inf", "rel_tol-string", "max_panels-float",
+            "time_grid-unknown", "onset_epsilon-bool", "onset_epsilon-string",
+            "onset_epsilon-inf", "top_level-unknown",
+        ],
+    )
+    def test_bad_field_names_its_path(self, tmp_path, section, key, value, field):
+        # value is JSON text, so 1e999 reaches the parser as written
+        data = json.loads(json.dumps(NARROW_CONFIG))
+        out = tmp_path / "curve.csv"
+        data["output"] = {"path": str(out)}
+        data.setdefault("quadrature", {})
+        (data[section] if section else data)[key] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data).replace('"@"', str(value)), encoding="utf-8")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(str(path))
+        assert excinfo.value.path == field
+        assert main(["rate", "-c", str(path)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_invalid_values_rejected(self):
         broken = json.loads(json.dumps(NARROW_CONFIG))
         broken["model"]["kappa"] = -1.0
@@ -312,6 +346,15 @@ class TestMain:
 
     def test_missing_file_exit_code(self):
         assert main(["rate", "-c", "/nonexistent/cfg.json"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("raw", ["abc", "2.5"])
+    def test_bad_thread_count_exit_code(self, tmp_path, monkeypatch, capsys, raw):
+        monkeypatch.setenv("FGR_THREADS", raw)
+        out = tmp_path / "figs"
+        assert main(["figure", "fig3", "-o", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "FGR_THREADS" in err
+        assert not out.exists()
 
     def test_rate_through_main(self, tmp_path):
         data = dict(NARROW_CONFIG)

@@ -8,6 +8,7 @@ import pytest
 
 from fgr.errors import ConvergenceError
 from fgr.quadrature import (
+    _ZERO_CAP,
     IntegrationResult,
     QuadratureConfig,
     _build_panels,
@@ -219,6 +220,33 @@ class TestPanels:
         assert b[-1] == pytest.approx(omega_max, rel=1e-9)
         assert np.all(b > a)
         np.testing.assert_allclose(a[1:], b[:-1], rtol=1e-9, atol=0.0)
+
+
+class TestRefinement:
+    # every other tier-1 point converges in the first round; these two
+    # reach the refinement branches of decay_rate_numeric
+
+    def test_widened_zero_block(self):
+        # late eta = 0.5 point where the dropped oscillation dominates the
+        # first round, so the zero-aligned block grows fourfold
+        model, t = bb(0.5), 77736.50302387758
+        omega_max = truncation_frequency(model, EM, t, CFG)
+        first = _build_panels(model, EM, t, omega_max, _ZERO_CAP)[0].size
+        res = decay_rate_numeric(model, EM, t, CFG)
+        assert res.panels_used > 2 * first
+        # 25-digit mpmath value of the time-domain identity
+        assert res.value == pytest.approx(0.09894920211783992, rel=1e-8)
+
+    def test_bisection(self):
+        model = NarrowbandReservoir(g=1e-3, kappa=0.05, omega_c=1.0)
+        cfg = QuadratureConfig(rel_tol=1e-12)
+        t = 0.02
+        omega_max = truncation_frequency(model, EM, t, cfg)
+        first = _build_panels(model, EM, t, omega_max, _ZERO_CAP)[0].size
+        res = decay_rate_numeric(model, EM, t, cfg)
+        assert first < res.panels_used < 2 * first
+        oracle = decay_rate_numeric_oracle(model, EM, t, cfg)
+        assert res.value == pytest.approx(oracle.value, rel=1e-10)
 
 
 class TestRateCurve:

@@ -8,7 +8,7 @@ from scipy import integrate
 
 from fgr.errors import ConvergenceError
 from fgr.kernel import kernel_zeros, spectral_profile
-from fgr.quadrature import decay_rate_numeric, decay_rate_numeric_oracle
+from fgr.quadrature import QuadratureConfig, decay_rate_numeric, decay_rate_numeric_oracle
 from fgr.reservoir import (
     BroadbandReservoir,
     EmitterSpec,
@@ -161,6 +161,18 @@ class TestZenoSlope:
         oracle, _ = integrate.quad(lambda w: evaluate_rsc(bb, w), 0.0, np.inf, limit=400)
         assert zeno_slope(bb) == pytest.approx(oracle, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "eta, mu", [(1.5, 4.0), (2.0, 4.0), (1.0, 4.0), (2.0, 1.6), (0.0, 0.75), (3.3, 6.0),
+                    (0.5, 200.0)]
+    )
+    def test_power_lorentz_closed_form_matches_quad(self, eta, mu):
+        # mu = 200 is past where Gamma(mu) overflows a float
+        bb = BroadbandReservoir(coupling=1e-3, eta=eta, omega_x=3.0, cutoff=make_pl(mu))
+        oracle, _ = integrate.quad(
+            lambda x: x**eta * (1.0 + x * x) ** -mu, 0.0, np.inf, epsrel=1e-13, limit=400
+        )
+        assert zeno_slope(bb) == pytest.approx(1e-3 * 3.0**2 * oracle, rel=1e-11)
+
     def test_power_lorentz_nonintegrable_raises(self):
         with pytest.warns(UserWarning):
             cutoff = PowerLorentzCutoff(mu=1.0)
@@ -186,7 +198,7 @@ class TestCutoffConstant:
             values.append(cutoff_constant(cutoff))
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("mu", [0.75, 1.5, 2.5, 6.0])
+    @pytest.mark.parametrize("mu", [0.75, 1.5, 2.5, 6.0, 200.0])
     def test_matches_quadrature_oracle(self, mu):
         cutoff = make_pl(mu)
         oracle, _ = integrate.quad(lambda x: (1 + x * x) ** -mu, 0.0, np.inf, limit=200)
@@ -255,10 +267,14 @@ class TestValidation:
                 EmitterSpec(20.0), v)),
             ("t", lambda v: spectral_profile(0.3, v)),
             ("t", lambda v: kernel_zeros(v, 1.0, 2.0)),
+            ("rel_tol", lambda v: QuadratureConfig(rel_tol=v)),
+            ("abs_tol", lambda v: QuadratureConfig(abs_tol=v)),
+            ("tail_epsilon", lambda v: QuadratureConfig(tail_epsilon=v)),
         ],
         ids=[
             "coupling", "eta", "omega_x", "mu", "g", "kappa", "omega_c", "omega0",
             "decay_rate_numeric-t", "oracle-t", "spectral_profile-t", "kernel_zeros-t",
+            "rel_tol", "abs_tol", "tail_epsilon",
         ],
     )
     def test_rejects_non_finite(self, name, build, value):
