@@ -5,7 +5,6 @@ detection of the golden-rule onset time."""
 from .analytic import (
     BroadbandRateParts,
     Regime,
-    RegimeThresholds,
     Visibility,
     broadband_rate_analytic,
     broadband_resonant_part,

@@ -27,7 +27,6 @@ from .reservoir import (
 
 __all__ = [
     "Regime",
-    "RegimeThresholds",
     "BroadbandRateParts",
     "Visibility",
     "classify_regime",
@@ -50,6 +49,14 @@ _ETA_ONE_TOL = 1e-9
 # switch the series branch takes over (see _series_ratio_detuned).
 _SERIES_SWITCH = 5e-3
 
+# Regime thresholds, one decade of margin on each strong inequality: the
+# cutoff regime holds while omega_x * t < CUTOFF_MAX, the resonant regime
+# once omega0 * t > RESONANT_MIN, and both need omega_x / omega0 of at
+# least MIN_SEPARATION.
+CUTOFF_MAX = 0.1
+RESONANT_MIN = 10.0
+MIN_SEPARATION = 100.0
+
 
 class Regime(enum.Enum):
     """Time regime of the broadband decay dynamics."""
@@ -57,23 +64,6 @@ class Regime(enum.Enum):
     CUTOFF = "cutoff"
     INTERMEDIATE = "intermediate"
     RESONANT = "resonant"
-
-
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Explicit classification thresholds (one decade of margin on each
-    strong inequality by default)."""
-
-    cutoff_max: float = 0.1  # cutoff regime while omega_x * t < cutoff_max
-    resonant_min: float = 10.0  # resonant regime once omega0 * t > resonant_min
-    min_separation: float = 100.0  # required omega_x / omega0 ratio
-
-    def __post_init__(self):
-        if not 0.0 < self.cutoff_max < self.resonant_min:
-            raise ValueError("thresholds must satisfy 0 < cutoff_max < resonant_min")
-
-
-DEFAULT_THRESHOLDS = RegimeThresholds()
 
 
 @dataclass(frozen=True)
@@ -109,25 +99,25 @@ class Visibility:
         return cls((1.0 - r2) / (1.0 + r2))
 
 
-def classify_regime(reservoir, emitter, t, thresholds=DEFAULT_THRESHOLDS):
+def classify_regime(reservoir, emitter, t):
     """Assign the time regime for a broadband reservoir.
 
-    Deterministic at the boundaries: t with omega_x*t == cutoff_max or
-    omega0*t == resonant_min classifies as intermediate.
+    Deterministic at the boundaries: t with omega_x*t == CUTOFF_MAX or
+    omega0*t == RESONANT_MIN classifies as intermediate.
     """
     if not isinstance(reservoir, BroadbandReservoir):
         raise TypeError("regimes are defined for broadband reservoirs only")
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
     w0, wx = emitter.omega0, reservoir.omega_x
-    if wx < thresholds.min_separation * w0:
+    if wx < MIN_SEPARATION * w0:
         raise RegimeSeparationError(
-            f"omega_x/omega0 = {wx / w0:g} < {thresholds.min_separation:g}; "
+            f"omega_x/omega0 = {wx / w0:g} < {MIN_SEPARATION:g}; "
             "the cutoff and resonant regimes are not separable"
         )
-    if wx * t < thresholds.cutoff_max:
+    if wx * t < CUTOFF_MAX:
         return Regime.CUTOFF
-    if w0 * t > thresholds.resonant_min:
+    if w0 * t > RESONANT_MIN:
         return Regime.RESONANT
     return Regime.INTERMEDIATE
 
@@ -193,9 +183,9 @@ def broadband_tail_part(reservoir, emitter, t, regime):
     raise TypeError(f"unknown regime: {regime!r}")
 
 
-def broadband_rate_analytic(reservoir, emitter, t, thresholds=DEFAULT_THRESHOLDS):
+def broadband_rate_analytic(reservoir, emitter, t):
     """Classify the regime and return both rate contributions."""
-    regime = classify_regime(reservoir, emitter, t, thresholds)
+    regime = classify_regime(reservoir, emitter, t)
     return BroadbandRateParts(
         resonant_part=broadband_resonant_part(reservoir, emitter, t, regime),
         tail_part=broadband_tail_part(reservoir, emitter, t, regime),

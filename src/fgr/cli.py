@@ -73,8 +73,18 @@ EXIT_VERIFY = 4
 CSV_COLUMNS = ("t", "t_dimensionless", "gamma_ratio", "abs_err_est", "regime", "flagged")
 
 _FIG1_ETAS = (0.5, 1.0, 1.5, 2.0, 3.0)
+# fig2/fig3: omega_c = 1 and g = 1e-3 omega_c, over kappa*t in [1e-3, 1e3]
+_NARROW_OMEGA_C = 1.0
+_NARROW_G = 1e-3
+_NARROW_KT = (1e-3, 1e3)
 _FIG2_QS = (1.0, 10.0, 100.0, 1000.0)
+_FIG3_Q = 10.0
 _FIG3_DETUNINGS = (0.0, 0.4, 1.0, 2.0, 5.0)  # in units of kappa
+
+# fgr verify: the rel_tol of both integrators, and the largest relative
+# difference between them that passes
+_VERIFY_REL_TOL = 1e-8
+_VERIFY_THRESHOLD = 1e-6
 
 
 class ConfigError(ValueError):
@@ -369,7 +379,9 @@ def cmd_figure(figure_id, outdir=".", overrides=None, max_workers=None):
 
     The broadband sweep is integrated numerically; the narrowband sweeps
     use the closed forms they plot. One CSV per curve plus markers.json
-    with the reference lines.
+    with the reference lines. ``overrides`` may set points_per_decade for
+    every figure, and for fig1 also etas, coupling, omega_x, t_min, t_max,
+    rel_tol and tail_epsilon.
     """
     overrides = overrides or {}
     os.makedirs(outdir, exist_ok=True)
@@ -402,19 +414,20 @@ def cmd_figure(figure_id, outdir=".", overrides=None, max_workers=None):
             "vertical_lines": vertical,
         }
     elif figure_id in ("fig2", "fig3"):
-        omega_c = float(overrides.get("omega_c", 1.0))
-        g = float(overrides.get("g", 1e-3 * omega_c))
-        kt = TimeGridSpec(
-            float(overrides.get("kt_min", 1e-3)),
-            float(overrides.get("kt_max", 1e3)),
-            ppd,
-        ).times()
+        omega_c = _NARROW_OMEGA_C
+        kt = TimeGridSpec(*_NARROW_KT, ppd).times()
+
+        def narrow(q):
+            return NarrowbandReservoir(
+                g=_NARROW_G, kappa=omega_c / (2.0 * q), omega_c=omega_c
+            )
+
         # (file name, model, emitter, extra columns) per closed-form curve
         if figure_id == "fig2":
             sweep = []
             vertical = []
-            for q in overrides.get("qs", _FIG2_QS):
-                model = NarrowbandReservoir(g=g, kappa=omega_c / (2.0 * q), omega_c=omega_c)
+            for q in _FIG2_QS:
+                model = narrow(q)
                 sweep.append((f"fig2_q_{q:g}.csv", model, EmitterSpec(omega_c), None))
                 vertical.append({"q": q, "t_f": onset_time_narrowband(model)})
             markers = {
@@ -422,8 +435,7 @@ def cmd_figure(figure_id, outdir=".", overrides=None, max_workers=None):
                 "vertical_lines": vertical,
             }
         else:
-            q = float(overrides.get("q", 10.0))
-            model = NarrowbandReservoir(g=g, kappa=omega_c / (2.0 * q), omega_c=omega_c)
+            model = narrow(_FIG3_Q)
             sweep = [
                 (
                     f"fig3_detuning_{d:g}.csv",
@@ -431,7 +443,7 @@ def cmd_figure(figure_id, outdir=".", overrides=None, max_workers=None):
                     EmitterSpec(omega_c + d * model.kappa),
                     [("delta_over_kappa", d)],
                 )
-                for d in overrides.get("detunings", _FIG3_DETUNINGS)
+                for d in _FIG3_DETUNINGS
             ]
             markers = {"horizontal_lines": [], "vertical_lines": []}
         for name, model, emitter, extra in sweep:
@@ -479,12 +491,8 @@ def _verify_cases():
 def cmd_verify(stream=None):
     """Run the oracle-equivalence and regime-consistency checks."""
     stream = stream or sys.stdout
-    rel_tol = float(os.environ.get("FGR_RELTOL", "1e-8"))
-    cfg = QuadratureConfig(rel_tol=rel_tol)
-    threshold = max(rel_tol * 1e2, 1e-8)
+    cfg = QuadratureConfig(rel_tol=_VERIFY_REL_TOL)
     cases = _verify_cases()
-    n_points = int(os.environ.get("FGR_VERIFY_POINTS", str(len(cases))))
-    cases = cases[: max(1, n_points)]
 
     failures = 0
 
@@ -499,7 +507,7 @@ def cmd_verify(stream=None):
             main = decay_rate_numeric(model, em, t, cfg)
             oracle = decay_rate_numeric_oracle(model, em, t, cfg)
             rel = abs(main.value - oracle.value) / max(abs(main.value), 1e-300)
-            report(f"oracle {name}", rel <= threshold, f"rel diff {rel:.3e}")
+            report(f"oracle {name}", rel <= _VERIFY_THRESHOLD, f"rel diff {rel:.3e}")
         except ConvergenceError as exc:
             report(f"oracle {name}", False, str(exc))
 

@@ -25,13 +25,16 @@ def check_time(t):
 def _sinc(x):
     """sin(x)/x with sinc(0) = 1, stable for arbitrarily small arguments."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SINC_SWITCH
-    xs = np.where(small, 0.0, x)
+    # one sin(x)/x pass in place (an array out keeps 0-d input an array),
+    # then the series over the small arguments alone
+    out = np.sin(x, out=np.empty_like(x))
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = np.sin(xs) / xs
-    x2 = x * x
-    series = 1.0 - x2 / 6.0 + (x2 * x2) / 120.0
-    return np.where(small, series, direct)
+        np.divide(out, x, out=out)
+    small = np.abs(x) < _SINC_SWITCH
+    xs = x[small]
+    x2 = xs * xs
+    out[small] = 1.0 - x2 / 6.0 + (x2 * x2) / 120.0
+    return out
 
 
 def spectral_profile(detuning, t):

@@ -134,11 +134,11 @@ def survival_probability(t, rate):
     return SurvivalPoint(value=1.0 - decay, flag=flag)
 
 
-def zeno_classifier(curve, threshold=_ANTI_ZENO_THRESHOLD):
+def zeno_classifier(curve):
     """Classify a curve as Zeno-only or anti-Zeno.
 
     Anti-Zeno means the rate transiently exceeds the golden-rule value by
-    more than the threshold. Requires the curve to span at least
+    more than _ANTI_ZENO_THRESHOLD. Requires the curve to span at least
     [1e-2, 1e2] times the model's onset scale.
     """
     t_scale = curve.model_metadata.get("t_scale")
@@ -151,7 +151,7 @@ def zeno_classifier(curve, threshold=_ANTI_ZENO_THRESHOLD):
             f"curve spans [{curve.times[0]:g}, {curve.times[-1]:g}] but "
             f"[{lo:g}, {hi:g}] is required"
         )
-    if np.max(curve.ratios) > 1.0 + threshold:
+    if np.max(curve.ratios) > 1.0 + _ANTI_ZENO_THRESHOLD:
         return DecayClassification.ANTI_ZENO
     return DecayClassification.ZENO_ONLY
 

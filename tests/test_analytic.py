@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from fgr.analytic import (
+    CUTOFF_MAX,
+    RESONANT_MIN,
     Regime,
-    RegimeThresholds,
     Visibility,
     broadband_rate_analytic,
     broadband_resonant_part,
@@ -47,11 +48,10 @@ class TestClassifyRegime:
         assert classify_regime(bb(0.5), EM, 0.1) is Regime.INTERMEDIATE
 
     def test_boundaries_deterministic(self):
-        thr = RegimeThresholds()
-        t_c = thr.cutoff_max / 250.0
+        t_c = CUTOFF_MAX / 250.0
         assert classify_regime(bb(1.0), EM, t_c) is Regime.INTERMEDIATE
         assert classify_regime(bb(1.0), EM, math.nextafter(t_c, 0.0)) is Regime.CUTOFF
-        t_r = thr.resonant_min
+        t_r = RESONANT_MIN
         assert classify_regime(bb(1.0), EM, t_r) is Regime.INTERMEDIATE
         assert classify_regime(bb(1.0), EM, math.nextafter(t_r, math.inf)) is Regime.RESONANT
 

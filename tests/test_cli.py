@@ -102,7 +102,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "section, key, value, field",
         [
-            ("quadrature", "nodes_per_panel", 16.0, "config.quadrature.nodes_per_panel"),
+            ("quadrature", "nodes_per_panel", 16, "config.quadrature"),
+            ("quadrature", "abs_tol", 0.0, "config.quadrature"),
             ("quadrature", "rel_tol", "1e999", "config.quadrature.rel_tol"),
             ("quadrature", "rel_tol", '"1e-8"', "config.quadrature.rel_tol"),
             ("quadrature", "max_panels", 1.5, "config.quadrature.max_panels"),
@@ -113,7 +114,7 @@ class TestConfigParsing:
             (None, "quadrture", "{}", "config"),
         ],
         ids=[
-            "nodes_per_panel-float", "rel_tol-inf", "rel_tol-string", "max_panels-float",
+            "nodes_per_panel-unknown", "abs_tol-unknown", "rel_tol-inf", "rel_tol-string", "max_panels-float",
             "time_grid-unknown", "onset_epsilon-bool", "onset_epsilon-string",
             "onset_epsilon-inf", "top_level-unknown",
         ],
@@ -322,20 +323,13 @@ class TestCmdFigure:
 
 
 class TestCmdVerify:
-    def test_reduced_point_set_passes(self, monkeypatch):
-        monkeypatch.setenv("FGR_VERIFY_POINTS", "4")
+    def test_reduced_point_set_passes(self):
         stream = io.StringIO()
         code = cmd_verify(stream=stream)
         lines = stream.getvalue().strip().splitlines()
         assert code == EXIT_OK
         assert all(line.startswith("PASS") for line in lines[:-1])
-
-    def test_reltol_env_override(self, monkeypatch):
-        monkeypatch.setenv("FGR_VERIFY_POINTS", "2")
-        monkeypatch.setenv("FGR_RELTOL", "1e-6")
-        stream = io.StringIO()
-        code = cmd_verify(stream=stream)
-        assert code == EXIT_OK
+        assert lines[-1] == "20 oracle points, 0 failures"
 
 
 class TestMain:

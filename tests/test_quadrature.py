@@ -49,11 +49,9 @@ class TestConfigValidation:
 
     def test_rejects_no_tolerance(self):
         with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0, abs_tol=0.0)
+            QuadratureConfig(rel_tol=0.0)
 
     def test_rejects_bad_panel_counts(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(nodes_per_panel=1)
         with pytest.raises(ValueError):
             QuadratureConfig(max_panels=0)
 
@@ -143,20 +141,26 @@ class TestInvariances:
     def test_nonnegative(self, model, em, t):
         assert decay_rate_numeric(model, em, t, CFG).value >= 0.0
 
+    # the references are 25-digit mpmath values from
+    # benchmark/make_refs.py::exact_rate, which shares no code with the
+    # integrator
     @pytest.mark.parametrize(
-        "model,em,t",
+        "model,em,t,reference",
         [
-            (bb(2.0), EM, 0.1),
-            (bb(0.5), EM, 30.0),
-            (NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=20.0), EmitterSpec(20.0), 1.0),
+            (bb(2.0), EM, 0.1, 0.020412734391204283),
+            (bb(0.5), EM, 30.0, 0.09871843110693507),
+            (
+                NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=20.0),
+                EmitterSpec(20.0),
+                1.0,
+                0.7357292394136496,
+            ),
         ],
+        ids=["eta2-w0t0.1", "eta0.5-w0t30", "narrowband-kt1"],
     )
-    def test_node_doubling_within_error_estimate(self, model, em, t):
-        base = decay_rate_numeric(model, em, t, CFG)
-        fine = decay_rate_numeric(
-            model, em, t, QuadratureConfig(nodes_per_panel=32)
-        )
-        assert abs(fine.value - base.value) <= base.error_estimate
+    def test_exact_reference_within_error_estimate(self, model, em, t, reference):
+        res = decay_rate_numeric(model, em, t, CFG)
+        assert abs(res.value - reference) <= res.error_estimate
 
 
 class TestErrors:

@@ -268,13 +268,12 @@ class TestValidation:
             ("t", lambda v: spectral_profile(0.3, v)),
             ("t", lambda v: kernel_zeros(v, 1.0, 2.0)),
             ("rel_tol", lambda v: QuadratureConfig(rel_tol=v)),
-            ("abs_tol", lambda v: QuadratureConfig(abs_tol=v)),
             ("tail_epsilon", lambda v: QuadratureConfig(tail_epsilon=v)),
         ],
         ids=[
             "coupling", "eta", "omega_x", "mu", "g", "kappa", "omega_c", "omega0",
             "decay_rate_numeric-t", "oracle-t", "spectral_profile-t", "kernel_zeros-t",
-            "rel_tol", "abs_tol", "tail_epsilon",
+            "rel_tol", "tail_epsilon",
         ],
     )
     def test_rejects_non_finite(self, name, build, value):
