@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import RegimeSeparationError
+from .kernel import check_time
 from .reservoir import (
     BroadbandReservoir,
     EmitterSpec,
@@ -107,8 +108,7 @@ def classify_regime(reservoir, emitter, t):
     """
     if not isinstance(reservoir, BroadbandReservoir):
         raise TypeError("regimes are defined for broadband reservoirs only")
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
+    check_time(t)
     w0, wx = emitter.omega0, reservoir.omega_x
     if wx < MIN_SEPARATION * w0:
         raise RegimeSeparationError(
@@ -132,8 +132,7 @@ def broadband_resonant_part(reservoir, emitter, t, regime):
     The regime is passed explicitly so the expressions can be probed
     outside their domain for diagnostics.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
+    check_time(t)
     if regime is Regime.RESONANT:
         return golden_rule_rate_approx(reservoir, emitter)
     eta, w0, wx = reservoir.eta, emitter.omega0, reservoir.omega_x
@@ -160,8 +159,7 @@ def broadband_tail_part(reservoir, emitter, t, regime):
     a 1/t law whose prefactor diverges as eta -> 1+, replaced at eta = 1
     by a logarithmic prefactor.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
+    check_time(t)
     eta, w0, wx = reservoir.eta, emitter.omega0, reservoir.omega_x
     if eta < 1.0 and not _is_eta_one(eta):
         return 0.0
@@ -239,8 +237,7 @@ def narrowband_rate_detuned(reservoir, emitter, t):
     detuning and V its visibility; reduces to the resonant expression at
     zero detuning and is even in the detuning.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
+    check_time(t)
     kappa = reservoir.kappa
     delta = emitter.omega0 - reservoir.omega_c
     x = kappa * t

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitWindowError, GridCoverageError, UnconvergedPointError
+from .kernel import check_time
 
 __all__ = [
     "RateCurve",
@@ -104,8 +105,8 @@ def empirical_onset(curve, epsilon):
     qualifies. Raises UnconvergedPointError if the qualifying suffix
     contains flagged points.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     dev = np.abs(curve.ratios - 1.0)
     outside = dev > epsilon
     if outside[-1]:
@@ -125,10 +126,9 @@ def survival_probability(t, rate):
     The raw value is returned even when negative; the flag records whether
     rate*t is small enough for first-order perturbation theory.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    if rate < 0.0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
+    check_time(t)
+    if not (rate >= 0.0 and math.isfinite(rate)):
+        raise ValueError(f"rate must be finite and >= 0, got {rate}")
     decay = rate * t
     flag = PERTURBATIVE_OK if decay <= _PERTURBATIVE_LIMIT else OUTSIDE_PERTURBATIVE
     return SurvivalPoint(value=1.0 - decay, flag=flag)

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
 from .analytic import classify_regime
 from .errors import ConvergenceError, RegimeSeparationError
@@ -158,7 +157,14 @@ def _tail_mass(reservoir, omega_max):
     lam, eta, wx = reservoir.coupling, reservoir.eta, reservoir.omega_x
     x = omega_max / wx
     if isinstance(reservoir.cutoff, ExponentialCutoff):
-        return lam * wx**2 * math.gamma(eta + 1.0) * float(special.gammaincc(eta + 1.0, x))
+        # upper bound on Gamma(a, x), the integral of s**eta e**-s over s > x:
+        # ln s <= ln c + s/c - 1 for any c > eta gives c**a e**(eta*x/c - eta - x)
+        # / (c - eta), least at the root c below; Gamma(a) where that is larger
+        a = eta + 1.0
+        c = 0.5 * (a + x + math.sqrt((a + x) ** 2 - 4.0 * eta * x))
+        log_bound = a * math.log(c) + eta * x / c - eta - x - math.log(c - eta)
+        bound = math.gamma(a) if log_bound >= math.lgamma(a) else math.exp(log_bound)
+        return lam * wx**2 * bound
     mu = reservoir.cutoff.mu
     p = 2.0 * mu - eta - 1.0
     if p > 1e-9:
@@ -167,24 +173,21 @@ def _tail_mass(reservoir, omega_max):
 
 
 def _tail_bound(reservoir, emitter, t, omega_max):
-    # bound on 2*pi * integral of profile*RSC above omega_max, combining
-    # the flat-profile bound t*M with the far-detuning envelope bound
+    # bound on 2*pi * integral of profile*RSC above omega_max: the smaller
+    # of the flat-profile bound t*M and the far-detuning envelope bound
     w0 = emitter.omega0
     mass = _tail_mass(reservoir, omega_max)
-    bounds = []
-    if math.isfinite(mass):
-        bounds.append(t * mass)
-        if omega_max > w0:
-            bounds.append(4.0 * mass / (t * (omega_max - w0) ** 2))
-    if not bounds:
+    if mass == math.inf and isinstance(reservoir.cutoff, PowerLorentzCutoff):
         # RSC mass diverges but profile decay keeps the integral finite
         lam, eta, wx = reservoir.coupling, reservoir.eta, reservoir.omega_x
-        mu = reservoir.cutoff.mu
-        q = 2.0 * mu + 1.0 - eta
+        q = 2.0 * reservoir.cutoff.mu + 1.0 - eta
         x = omega_max / wx
         rel = 1.0 - w0 / omega_max
-        bounds.append(4.0 * lam * x ** (-q) / (t * rel * rel * q))
-    return min(bounds)
+        return 4.0 * lam * x ** (-q) / (t * rel * rel * q)
+    bound = t * mass
+    if omega_max > w0:
+        bound = min(bound, 4.0 * mass / (t * (omega_max - w0) ** 2))
+    return bound
 
 
 def _geom_edges(lo, hi, per_decade=_PANELS_PER_DECADE):

@@ -120,6 +120,17 @@ class BroadbandReservoir(_Tagged):
             raise ValueError(f"eta must be >= 0, got {self.eta}")
         if not self.omega_x > 0.0:
             raise ValueError(f"omega_x must be > 0, got {self.omega_x}")
+        if isinstance(self.cutoff, ExponentialCutoff):
+            # the quadrature's tail bounds take this total mass as a float
+            try:
+                mass = zeno_slope(self)
+            except OverflowError:
+                mass = math.inf
+            if not math.isfinite(mass):
+                raise ValueError(
+                    "eta must keep the RSC mass coupling*omega_x**2*Gamma(eta+1) "
+                    f"finite, got eta={self.eta}"
+                )
 
     def scale_frequency(self, emitter):
         """Frequency that makes time dimensionless: omega0 for broadband."""

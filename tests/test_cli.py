@@ -5,10 +5,13 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from fgr import cli
 from fgr.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -25,6 +28,7 @@ from fgr.cli import (
     load_config,
     main,
 )
+from fgr.errors import ConvergenceError
 
 NARROW_CONFIG = {
     "schema_version": 1,
@@ -134,6 +138,18 @@ class TestConfigParsing:
         assert main(["rate", "-c", str(path)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("eta", [170.0, 200.0])
+    def test_overflowing_exponent_names_eta(self, tmp_path, eta):
+        data = json.loads(json.dumps(BROAD_CONFIG))
+        data["model"]["eta"] = eta
+        out = tmp_path / "curve.csv"
+        data["output"] = {"path": str(out)}
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig.from_json_dict(data)
+        assert excinfo.value.path == "config.model.eta"
+        assert main(["rate", "-c", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_invalid_values_rejected(self):
         broken = json.loads(json.dumps(NARROW_CONFIG))
         broken["model"]["kappa"] = -1.0
@@ -237,6 +253,21 @@ class TestCmdOnset:
         assert main(["onset", "-c", write_config(tmp_path, data)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw", ["inf", "nan"])
+    def test_non_finite_epsilon_exit_code(self, tmp_path, monkeypatch, capsys, raw):
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(cli, "rate_curve", no_points)
+        data = json.loads(json.dumps(NARROW_CONFIG))
+        out = tmp_path / "report.json"
+        data["output"] = {"path": str(out), "format": "json"}
+        path = write_config(tmp_path, data)
+        assert main(["onset", "-c", path, "--epsilon", raw]) == EXIT_CONFIG
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "epsilon" in captured.err
+
     def test_omitted_format_writes_json(self, tmp_path):
         data = json.loads(json.dumps(NARROW_CONFIG))
         data["time_grid"] = {"t_min": 1e-2, "t_max": 1e3, "points_per_decade": 8}
@@ -331,6 +362,33 @@ class TestCmdVerify:
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1] == "20 oracle points, 0 failures"
 
+    @pytest.mark.parametrize("calls_before_failure", [0, 20])
+    def test_non_converged_point_is_a_failure(self, monkeypatch, capsys, calls_before_failure):
+        # the 20 oracle points take the first 20 main-integrator calls (the
+        # short-time law reuses them), the golden-rule limits the next 3
+        real = cli.decay_rate_numeric
+        calls = []
+
+        def failing_after(*args):
+            calls.append(args)
+            if len(calls) > calls_before_failure:
+                raise ConvergenceError("forced failure")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "decay_rate_numeric", failing_after)
+        assert main(["verify"]) == EXIT_VERIFY
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(calls) == 23
+        assert lines[-1] == f"20 oracle points, {len(failed)} failures"
+        assert all(line.startswith("FAIL golden-rule limit") for line in failed[-3:])
+        if calls_before_failure == 0:
+            # every oracle point, the 6 short-time-law points, the 3 limits
+            assert len(failed) == 20 + 6 + 3
+            assert sum("short-time law" in line for line in failed) == 6
+        else:
+            assert len(failed) == 3
+
 
 class TestMain:
     def test_config_error_exit_code(self, tmp_path):
@@ -363,3 +421,14 @@ class TestMain:
         code = main(["figure", "fig3", "-o", str(out), "--points-per-decade", "2"])
         assert code == EXIT_OK
         assert (out / "markers.json").exists()
+
+
+def test_import_loads_no_scipy():
+    # the runtime depends on numpy alone; scipy is a test-only dependency
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, fgr, fgr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

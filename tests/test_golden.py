@@ -34,7 +34,7 @@ FIGURE_DIGESTS = {
 
 RATE_DIGESTS = {
     "narrow": "6e6058d9ac09ef32703ba5d1cae17fad6f6341d1445837c71c3ce8e58b0514cc",
-    "broad": "8b64cc7e4e84dd7afcc0d4c3ddc2af8b29a141de5b2c894d17c6fa6c7b02316b",
+    "broad": "7c14fd95d3d8d0e4d25d0934f4c714ae5a9d73addc16ca576037b6b30b4b9612",
 }
 
 

@@ -3,6 +3,7 @@
 import math
 import os
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from fgr.quadrature import (
     IntegrationResult,
     QuadratureConfig,
     _build_panels,
+    _tail_mass,
     decay_rate_numeric,
     decay_rate_numeric_oracle,
     rate_curve,
@@ -198,6 +200,22 @@ class TestTruncation:
         r = bb(1.0, cutoff=PowerLorentzCutoff(mu=4.0))
         w = truncation_frequency(r, EM, 1.0, CFG)
         assert w <= 1e3 * r.omega_x + 1e-9
+
+    def test_exponential_tail_mass_bounds_gammainc(self):
+        # the closed-form tail mass against the exact upper incomplete gamma
+        # Gamma(eta+1, omega_max/omega_x): never below it (but for rounding),
+        # never above 1.5x, and within 1% at the default tail_epsilon for eta <= 10
+        epsilons = [1e-300, 1e-100, 1e-30, 1e-16, 1e-12, 1e-4, 0.1, 0.999]
+        with mp.workdps(30):
+            for eta in np.arange(0.0, 170.125, 0.25):
+                r = BroadbandReservoir(coupling=1.0, eta=float(eta), omega_x=1.0)
+                for eps in epsilons:
+                    cfg = QuadratureConfig(tail_epsilon=eps)
+                    x = truncation_frequency(r, EM, 1.0, cfg)
+                    ratio = _tail_mass(r, x) / mp.gammainc(eta + 1.0, x)
+                    assert 1.0 - 1e-12 <= ratio <= 1.5, (eta, eps, ratio)
+                    if eps == 1e-12 and eta <= 10.0:
+                        assert ratio <= 1.01, (eta, ratio)
 
     def test_tail_is_negligible(self):
         # the neglected contribution above the cut (RSC mass times the

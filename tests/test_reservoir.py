@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fgr.analytic import (
+    Regime,
+    broadband_resonant_part,
+    broadband_tail_part,
+    classify_regime,
+    narrowband_rate_detuned,
+    narrowband_rate_resonant,
+)
 from fgr.errors import ConvergenceError
 from fgr.kernel import kernel_zeros, spectral_profile
+from fgr.onset import RateCurve, empirical_onset, survival_probability
 from fgr.quadrature import QuadratureConfig, decay_rate_numeric, decay_rate_numeric_oracle
 from fgr.reservoir import (
     BroadbandReservoir,
@@ -241,6 +250,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             EmitterSpec(omega0=-1.0)
 
+    @pytest.mark.parametrize("eta", [170.0, 200.0])
+    def test_exponential_mass_must_be_finite(self, eta):
+        # lambda * omega_x**2 * Gamma(eta+1) overflows: at eta = 170 it is inf,
+        # at eta = 200 math.gamma itself raises OverflowError
+        with pytest.raises(ValueError, match=r"^eta must keep the RSC mass"):
+            BroadbandReservoir(coupling=1e-3, eta=eta, omega_x=250.0)
+
     def test_power_lorentz_mu_domain(self):
         with pytest.raises(ValueError):
             PowerLorentzCutoff(mu=0.5)
@@ -269,11 +285,32 @@ class TestValidation:
             ("t", lambda v: kernel_zeros(v, 1.0, 2.0)),
             ("rel_tol", lambda v: QuadratureConfig(rel_tol=v)),
             ("tail_epsilon", lambda v: QuadratureConfig(tail_epsilon=v)),
+            ("t", lambda v: narrowband_rate_resonant(
+                NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=20.0), v)),
+            ("t", lambda v: narrowband_rate_detuned(
+                NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=20.0), EmitterSpec(21.0), v)),
+            ("t", lambda v: broadband_resonant_part(
+                BroadbandReservoir(coupling=1e-3, eta=2.0, omega_x=250.0),
+                EmitterSpec(1.0), v, Regime.INTERMEDIATE)),
+            ("t", lambda v: broadband_tail_part(
+                BroadbandReservoir(coupling=1e-3, eta=2.0, omega_x=250.0),
+                EmitterSpec(1.0), v, Regime.INTERMEDIATE)),
+            ("t", lambda v: classify_regime(
+                BroadbandReservoir(coupling=1e-3, eta=2.0, omega_x=250.0),
+                EmitterSpec(1.0), v)),
+            ("t", lambda v: survival_probability(v, 1.0)),
+            ("rate", lambda v: survival_probability(1.0, v)),
+            ("epsilon", lambda v: empirical_onset(
+                RateCurve(times=[1.0], ratios=[1.0], error_estimates=[0.0],
+                          regime_labels=("fermi",)), v)),
         ],
         ids=[
             "coupling", "eta", "omega_x", "mu", "g", "kappa", "omega_c", "omega0",
             "decay_rate_numeric-t", "oracle-t", "spectral_profile-t", "kernel_zeros-t",
-            "rel_tol", "tail_epsilon",
+            "rel_tol", "tail_epsilon", "narrowband_rate_resonant-t",
+            "narrowband_rate_detuned-t", "broadband_resonant_part-t",
+            "broadband_tail_part-t", "classify_regime-t", "survival_probability-t",
+            "survival_probability-rate", "empirical_onset-epsilon",
         ],
     )
     def test_rejects_non_finite(self, name, build, value):
