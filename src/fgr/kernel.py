@@ -61,27 +61,16 @@ def spectral_profile(detuning, t):
     return out
 
 
-def zero_block(t, omega0, k_left, k_right):
-    """The profile zeros omega0 + (2*pi/t)*k for k = -k_left .. k_right.
-
-    k = 0 is omega0 itself, kept as a panel boundary because the other
-    factor of the decay integrand can vary fastest there. Entries below 0
-    (representation noise at the left domain edge) are clipped to 0.
-    """
-    spacing = 2.0 * math.pi / t
-    block = omega0 + spacing * np.arange(-k_left, k_right + 1, dtype=float)
-    return np.maximum(block, 0.0, out=block)
-
-
 def zero_counts(t, omega0, omega_max):
     """How many profile zeros omega0 -/+ (2*pi/t)*k, k >= 1, lie in [0, omega_max].
 
     Returns (n_left, n_right); a zero landing exactly at 0 or at omega_max
-    counts. The counts are exact for the arithmetic of ``zero_block``.
+    counts. The counts are exact for the arithmetic of ``kernel_zeros``,
+    which the quadrature's half-lobe edges omega0 + (pi/t)*m share at even m.
     """
     spacing = 2.0 * math.pi / t
     # the floor of a quotient can miss by one either way once k is large;
-    # settle each count on the zeros as zero_block computes them
+    # settle each count on the zeros as kernel_zeros computes them
     n_left = max(0, int(omega0 // spacing))
     while omega0 - spacing * (n_left + 1) >= 0.0:
         n_left += 1
@@ -99,7 +88,8 @@ def kernel_zeros(t, omega0, omega_max):
     """Frequencies in [0, omega_max] where the profile vanishes, plus omega0.
 
     The zeros sit at omega0 +/- 2*pi*k/t for integer k >= 1 (see
-    ``zero_counts``).
+    ``zero_counts``). Entries below 0 (representation noise at the left
+    domain edge) are clipped to 0.
 
     Returns a strictly increasing float array.
     """
@@ -108,4 +98,7 @@ def kernel_zeros(t, omega0, omega_max):
         raise ValueError(f"omega0 must be finite, got {omega0}")
     if not (omega_max > 0.0 and math.isfinite(omega_max)):
         raise ValueError(f"omega_max must be finite and > 0, got {omega_max}")
-    return zero_block(t, omega0, *zero_counts(t, omega0, omega_max))
+    k_left, k_right = zero_counts(t, omega0, omega_max)
+    spacing = 2.0 * math.pi / t
+    block = omega0 + spacing * np.arange(-k_left, k_right + 1, dtype=float)
+    return np.maximum(block, 0.0, out=block)

@@ -6,7 +6,10 @@ reservoir coupling spectrum. The integrand oscillates on the frequency
 scale 2*pi/t, so the integrator aligns panels with the profile zeros near
 the transition and, far from it, splits the profile into its smooth
 envelope plus a residual oscillation whose neglected contribution is
-bounded and folded into the error estimate.
+bounded and folded into the error estimate. The aligned panels are
+half-lobes of the profile, integrated in their local phase: the sinc^2
+factor of a whole half-lobe is a fixed weight table per parity, and the
+frequency is formed only as the argument of the reservoir spectrum.
 
 A structurally independent double-exponential (tanh-sinh) scheme over the
 same truncated domain serves as a cross-check oracle.
@@ -24,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .analytic import classify_regime
 from .errors import ConvergenceError, RegimeSeparationError
-from .kernel import check_time, spectral_profile, zero_block, zero_counts
+from .kernel import check_time, spectral_profile, zero_counts
 from .onset import RateCurve
 from .reservoir import (
     BroadbandReservoir,
@@ -62,6 +65,31 @@ _PHASE_CAP = 4.0
 # difference from the 8-node value as the refinement error
 _GL_HI = leggauss(16)
 _GL_LO = leggauss(8)
+
+# Panel kinds. A phase panel lies in half-lobe m of the profile, where the
+# phase x = (omega - omega0)*t/2 runs over [m*pi/2, (m+1)*pi/2]; its edges
+# are the local phase u = x - m*pi/2. The other kinds span frequencies:
+# profile panels carry the whole integrand, smooth panels its envelope.
+_PHASE, _PROFILE, _SMOOTH = 0, 1, 2
+_HALF_PI = 0.5 * math.pi
+
+
+def _half_lobe_rule(rule):
+    # Over a whole half-lobe sin(x)**2 is sin(u)**2 for even m and cos(u)**2
+    # for odd m, whatever m is, so the profile folds into one weight table
+    # per parity: (pi/2) * w * sin(u)**2 and (pi/2) * w * cos(u)**2.
+    nodes, w = rule
+    u = 0.25 * math.pi + 0.25 * math.pi * nodes
+    return nodes, w, u, _HALF_PI * w * np.stack([np.sin(u) ** 2, np.cos(u) ** 2])
+
+
+_HALF_LOBE_RULES = (_half_lobe_rule(_GL_HI), _half_lobe_rule(_GL_LO))
+
+# nodes per vectorised pass over phase panels or oracle nodes, so that the
+# arrays of one pass stay in cache
+_CHUNK = 1 << 13
+
+_EPS = float(np.finfo(float).eps)
 
 _MAX_ROUNDS = 12
 
@@ -227,25 +255,33 @@ def _rsc_width_cap(reservoir):
     return cap
 
 
-def _refine_width(edges, cap_fn, extra_cap=None):
-    a, b = edges[:-1].copy(), edges[1:].copy()
+def _bisect(mask, a, b, *carried):
+    """Halve the panels under mask; both halves take their parent's place."""
+    idx = np.repeat(np.arange(a.size), np.where(mask, 2, 1))
+    a, b = a[idx], b[idx]
+    second = np.zeros(idx.size, dtype=bool)
+    second[1:] = idx[1:] == idx[:-1]
+    mid = 0.5 * (a[second] + b[second])
+    b[np.roll(second, -1)] = mid
+    a[second] = mid
+    return (a, b) + tuple(c[idx] for c in carried)
+
+
+def _refine_width(a, b, m, too_wide):
     while True:
-        caps = cap_fn(a, b)
-        if extra_cap is not None:
-            caps = np.minimum(caps, extra_cap)
-        mask = (b - a) > caps
+        mask = too_wide(a, b, m)
         if not mask.any():
-            break
-        am, bm = a[mask], b[mask]
-        mid = 0.5 * (am + bm)
-        a = np.concatenate([a[~mask], am, mid])
-        b = np.concatenate([b[~mask], mid, bm])
-    order = np.argsort(a, kind="stable")
-    return a[order], b[order]
+            return a, b, m
+        a, b, m = _bisect(mask, a, b, m)
+
+
+def _phase_omega(w0, t, m, u):
+    # the frequency at local phase u of half-lobe m, formed only for the RSC
+    return (w0 + (math.pi / t) * m) + (2.0 / t) * u
 
 
 def _build_panels(reservoir, emitter, t, omega_max, zero_cap):
-    """Panel arrays (a, b, smooth_flag) plus far-field boundary values."""
+    """Panel arrays (a, b, m, kind), left to right (see the panel kinds)."""
     w0 = emitter.omega0
     spacing = 2.0 * math.pi / t
     k_left_avail, k_right_avail = zero_counts(t, w0, omega_max)
@@ -257,42 +293,47 @@ def _build_panels(reservoir, emitter, t, omega_max, zero_cap):
     cap_fn = _rsc_width_cap(reservoir)
     phase_cap = _PHASE_CAP / t
 
-    parts = []  # (a, b, smooth)
+    parts = []  # (a, b, m, kind)
 
-    def add_full(edges):
-        a, b = _refine_width(edges, cap_fn, extra_cap=phase_cap)
-        parts.append((a, b, np.zeros(a.size, dtype=bool)))
+    def add(kind, a, b, m, too_wide):
+        a, b, m = _refine_width(a, b, m, too_wide)
+        parts.append((a, b, m, np.full(a.size, kind)))
 
-    def add_smooth(edges):
-        a, b = _refine_width(edges, cap_fn)
-        parts.append((a, b, np.ones(a.size, dtype=bool)))
+    def add_span(kind, edges, extra_cap=np.inf):
+        def too_wide(a, b, m):
+            return (b - a) > np.minimum(cap_fn(a, b), extra_cap)
+
+        m = np.zeros(edges.size - 1, dtype=int)
+        add(kind, edges[:-1], edges[1:], m, too_wide)
 
     # left of the zero-aligned block
     if k_left < k_left_avail:
         # remaining zeros are ceded to the envelope treatment
         deltas = _geom_edges(k_left * spacing, w0)
-        add_smooth(np.sort(w0 - deltas))
+        add_span(_SMOOTH, np.sort(w0 - deltas))
     elif z_left > 0.0:
         stub = z_left * 1e-9
         edges = np.concatenate([[0.0], _geom_edges(stub, z_left)])
-        add_full(edges)
+        add_span(_PROFILE, edges, phase_cap)
 
-    # zero-aligned block
+    # zero-aligned block: one whole half-lobe per panel where the RSC allows
     if k_left or k_right:
-        add_full(zero_block(t, w0, k_left, k_right))
+
+        def too_wide(a, b, m):
+            lo, hi = _phase_omega(w0, t, m, a), _phase_omega(w0, t, m, b)
+            return (b - a) * (2.0 / t) > cap_fn(lo, hi)
+
+        m = np.arange(-2 * k_left, 2 * k_right)
+        add(_PHASE, np.zeros(m.size), np.full(m.size, _HALF_PI), m, too_wide)
 
     # right of the zero-aligned block
     if k_right < k_right_avail:
         deltas = _geom_edges(k_right * spacing, omega_max - w0)
-        add_smooth(w0 + deltas)
+        add_span(_SMOOTH, w0 + deltas)
     elif z_right < omega_max:
-        add_full(_geom_edges(z_right, omega_max))
+        add_span(_PROFILE, _geom_edges(z_right, omega_max), phase_cap)
 
-    # the parts are built left to right
-    a = np.concatenate([p[0] for p in parts])
-    b = np.concatenate([p[1] for p in parts])
-    smooth = np.concatenate([p[2] for p in parts])
-    return a, b, smooth
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _panel_values(f, a, b, rule):
@@ -302,6 +343,41 @@ def _panel_values(f, a, b, rule):
     nodes = mid + half * x
     vals = f(nodes.reshape(-1)).reshape(nodes.shape)
     return (vals @ w) * half[:, 0], nodes, vals
+
+
+def _phase_values(reservoir, w0, t, a, b, m):
+    """16- and 8-node values of phase panels, in chunks."""
+    values = (np.empty(a.size), np.empty(a.size))
+    per_pass = _CHUNK // _GL_HI[0].size
+    for i in range(0, a.size, per_pass):
+        c = slice(i, i + per_pass)
+        for out, rule in zip(values, _HALF_LOBE_RULES):
+            out[c] = _phase_pass(reservoir, w0, t, a[c], b[c], m[c], rule)
+    return values
+
+
+def _phase_pass(reservoir, w0, t, a, b, m, rule):
+    # Each phase panel is sum_j W_j R(omega_j) / x_j**2 with
+    # W_j = (b - a) * w_j * sin(x_j)**2: from the parity table on whole
+    # half-lobes, from sin of the local phase on the rest. Rounding the
+    # small local phase costs eps relative at any m.
+    nodes, w, u, table = rule
+    part = (a != 0.0) | (b != _HALF_PI)
+    partial = part.any()
+    if partial:
+        half = 0.5 * (b - a)[:, None]
+        u = 0.5 * (a + b)[:, None] + half * nodes
+    mc = m[:, None]
+    x2 = _HALF_PI * mc + u
+    x2 *= x2
+    vals = evaluate_rsc(reservoir, _phase_omega(w0, t, mc, u).reshape(-1))
+    vals = vals.reshape(x2.shape) / x2
+    odd = (m & 1).astype(bool)
+    out = np.where(odd, vals @ table[1], vals @ table[0])
+    if partial:
+        s = np.sin(u[part] + _HALF_PI * odd[part, None])
+        out[part] = ((s * s * vals[part]) @ w) * (2.0 * half[part, 0])
+    return out
 
 
 def _setup(reservoir, emitter, t, cfg):
@@ -316,18 +392,25 @@ def _setup(reservoir, emitter, t, cfg):
 
 
 def _integrand(reservoir, emitter, t):
-    # 2*pi * profile * RSC, the decay-rate integrand over frequency
+    # 2*pi * profile * RSC, the decay-rate integrand over frequency, and
+    # the RSC factor itself
     w0 = emitter.omega0
 
     def f(w):
-        return 2.0 * math.pi * spectral_profile(w - w0, t) * evaluate_rsc(reservoir, w)
+        out = 2.0 * math.pi * spectral_profile(w - w0, t)
+        rsc = evaluate_rsc(reservoir, w)
+        out *= rsc
+        return out, rsc
 
     return f
 
 
-def _evaluate(reservoir, emitter, t, a, b, smooth):
+def _evaluate(reservoir, emitter, t, a, b, m, kind):
     w0 = emitter.omega0
-    f_full = _integrand(reservoir, emitter, t)
+    integrand = _integrand(reservoir, emitter, t)
+
+    def f_full(w):
+        return integrand(w)[0]
 
     def f_smooth(w):
         d = w - w0
@@ -337,12 +420,19 @@ def _evaluate(reservoir, emitter, t, a, b, smooth):
     panel_lo = np.empty(a.size)
     osc = 0.0
 
-    full = ~smooth
+    phase = kind == _PHASE
+    if phase.any():
+        panel_hi[phase], panel_lo[phase] = _phase_values(
+            reservoir, w0, t, a[phase], b[phase], m[phase]
+        )
+    full = kind == _PROFILE
     if full.any():
         panel_hi[full], _, _ = _panel_values(f_full, a[full], b[full], _GL_HI)
         panel_lo[full], _, _ = _panel_values(f_full, a[full], b[full], _GL_LO)
+    smooth = kind == _SMOOTH
     if smooth.any():
         sa, sb = a[smooth], b[smooth]
+        top = b[~phase].max()
         hi, nodes, vals = _panel_values(f_smooth, sa, sb, _GL_HI)
         panel_hi[smooth] = hi
         panel_lo[smooth], _, _ = _panel_values(f_smooth, sa, sb, _GL_LO)
@@ -367,14 +457,14 @@ def _evaluate(reservoir, emitter, t, a, b, smooth):
             edge_vals = 0.0
             if lo_edge[0] <= 0.0:
                 edge_vals += float(f_smooth(np.array([0.0]))[0])
-            if hi_edge[-1] >= b.max():
+            if hi_edge[-1] >= top:
                 edge_vals += float(f_smooth(np.array([hi_edge[-1]]))[0])
             osc += edge_vals / t + dprime / (t * t)
 
     value = math.fsum(panel_hi.tolist())
     deltas = np.abs(panel_hi - panel_lo)
     # rounding floor: per-panel dot products carry O(eps) relative noise
-    refine_err = math.fsum(deltas.tolist()) + 5e-16 * abs(value)
+    refine_err = float(np.sum(deltas)) + 5e-16 * abs(value)
     return value, refine_err, osc, deltas
 
 
@@ -387,10 +477,10 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
     """
     cfg, omega_max, tail = _setup(reservoir, emitter, t, cfg)
     zero_cap = _ZERO_CAP
-    a, b, smooth = _build_panels(reservoir, emitter, t, omega_max, zero_cap)
+    a, b, m, kind = _build_panels(reservoir, emitter, t, omega_max, zero_cap)
     best = None
     for _ in range(_MAX_ROUNDS):
-        value, refine_err, osc, deltas = _evaluate(reservoir, emitter, t, a, b, smooth)
+        value, refine_err, osc, deltas = _evaluate(reservoir, emitter, t, a, b, m, kind)
         err = refine_err + osc + tail
         result = IntegrationResult(
             value=value,
@@ -407,7 +497,7 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
         if osc > 0.5 * (refine_err + osc) and 16 * zero_cap <= cfg.max_panels:
             # the dropped oscillation dominates: widen the zero-aligned block
             zero_cap *= 4
-            a, b, smooth = _build_panels(reservoir, emitter, t, omega_max, zero_cap)
+            a, b, m, kind = _build_panels(reservoir, emitter, t, omega_max, zero_cap)
             continue
         # bisect the panels responsible for the bulk of the refinement error
         order = np.argsort(deltas)[::-1]
@@ -418,18 +508,34 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
             break
         split = np.zeros(a.size, dtype=bool)
         split[order[:n_split]] = True
-        mid = 0.5 * (a[split] + b[split])
-        a = np.concatenate([a[~split], a[split], mid])
-        b = np.concatenate([b[~split], mid, b[split]])
-        smooth = np.concatenate([smooth[~split], smooth[split], smooth[split]])
-        srt = np.argsort(a, kind="stable")
-        a, b, smooth = a[srt], b[srt], smooth[srt]
+        a, b, m, kind = _bisect(split, a, b, m, kind)
 
     raise ConvergenceError(
         f"decay-rate quadrature reached {best.panels_used} panels with error "
         f"estimate {best.error_estimate:.3e} (value {best.value:.6e})",
         result=best,
     )
+
+
+def _oracle_rounding(w0, t, w, weight, fw, rsc):
+    # First-order bound on the rounding in the oracle's weighted sum. The
+    # global phase x = (omega - omega0)*t/2 of a node is formed with an error
+    # up to eps*(omega*t/2 + |x|), which moves f = t*sinc(x)**2*R(omega) by
+    # t*R*|d sinc**2/dx| per unit of phase, and |d sinc**2/dx| is at most
+    # both 2|x|/3 and 4/x**2. 8*eps*|f| covers the rest of each node's
+    # arithmetic.
+    phase = arith = 0.0
+    for i in range(0, w.size, _CHUNK):
+        c = slice(i, i + _CHUNK)
+        x = np.abs(w[c] - w0)
+        x *= 0.5 * t
+        shift = w[c] * (0.5 * t)
+        shift += x
+        shift *= np.minimum(x * (2.0 / 3.0), 4.0 / np.maximum(x, 1.0) ** 2)
+        shift *= rsc[c]
+        phase += float(np.dot(weight[c], shift))
+        arith += float(np.dot(weight[c], np.abs(fw[c])))
+    return _EPS * (t * phase + 8.0 * arith)
 
 
 def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None, max_level=20):
@@ -456,22 +562,28 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None, max_level=20):
         ok = np.isfinite(weight) & (weight > 0.0)
         w = half * (x[ok] + 1.0)
         np.clip(w, 0.0, omega_max, out=w)
-        value = half * h * float(np.dot(weight[ok], f(w)))
+        fw, rsc = f(w)
+        weight = weight[ok]
+        value = half * h * float(np.dot(weight, fw))
         evals += int(ok.sum())
         if prev is not None:
             delta = abs(value - prev)
             if delta <= tol * max(abs(value), 1e-300):
                 hits += 1
                 if hits >= 2:
+                    rounding = half * h * _oracle_rounding(
+                        emitter.omega0, t, w, weight, fw, rsc
+                    )
                     return IntegrationResult(
                         value=max(value, 0.0),
-                        error_estimate=delta + tail,
+                        error_estimate=delta + tail + rounding,
                         panels_used=evals,
                         truncation_frequency=omega_max,
                     )
             else:
                 hits = 0
         prev = value
+        del fw, rsc
 
     best = IntegrationResult(
         value=max(prev, 0.0),

@@ -33,8 +33,8 @@ FIGURE_DIGESTS = {
 }
 
 RATE_DIGESTS = {
-    "narrow": "6e6058d9ac09ef32703ba5d1cae17fad6f6341d1445837c71c3ce8e58b0514cc",
-    "broad": "7c14fd95d3d8d0e4d25d0934f4c714ae5a9d73addc16ca576037b6b30b4b9612",
+    "narrow": "fb937d1e4b3fe5229de3e82d635602b0e1d453ebd0ffee0cea10c36ed0d7b0b3",
+    "broad": "27bb7410c9d42cf5353bad0e43f8fc7f4d42b615faa8fe53e265e99074ec5104",
 }
 
 

@@ -1,5 +1,6 @@
 """Decay-rate quadrature: limits, invariances, oracle equivalence, budgets."""
 
+import json
 import math
 import os
 
@@ -9,10 +10,12 @@ import pytest
 
 from fgr.errors import ConvergenceError
 from fgr.quadrature import (
+    _PHASE,
     _ZERO_CAP,
     IntegrationResult,
     QuadratureConfig,
     _build_panels,
+    _phase_omega,
     _tail_mass,
     decay_rate_numeric,
     decay_rate_numeric_oracle,
@@ -145,8 +148,8 @@ class TestInvariances:
 
     # the references are 25-digit mpmath values from
     # benchmark/make_refs.py::exact_rate, which shares no code with the
-    # integrator
-    @pytest.mark.parametrize(
+    # integrators
+    EXACT_REFERENCES = pytest.mark.parametrize(
         "model,em,t,reference",
         [
             (bb(2.0), EM, 0.1, 0.020412734391204283),
@@ -160,9 +163,35 @@ class TestInvariances:
         ],
         ids=["eta2-w0t0.1", "eta0.5-w0t30", "narrowband-kt1"],
     )
+
+    @EXACT_REFERENCES
     def test_exact_reference_within_error_estimate(self, model, em, t, reference):
         res = decay_rate_numeric(model, em, t, CFG)
         assert abs(res.value - reference) <= res.error_estimate
+
+    @EXACT_REFERENCES
+    def test_oracle_exact_reference_within_error_estimate(self, model, em, t, reference):
+        res = decay_rate_numeric_oracle(model, em, t, CFG)
+        assert abs(res.value - reference) <= res.error_estimate
+
+    # late fig1 points, where rounding the global phase (omega - omega0)*t/2
+    # of the sinc kernel would cost about eps*omega0*t; the references are
+    # the 25-digit mpmath values of benchmark/refs (grid offset 1)
+    LATE_FIG1 = [
+        (eta, w0t) for eta in (0.5, 1.0, 2.0, 3.0) for w0t in (3278.1, 18434.2, 43714.4)
+    ]
+
+    @pytest.mark.parametrize("eta,w0t", LATE_FIG1)
+    def test_late_fig1_within_error_estimate(self, eta, w0t):
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "benchmark", "refs", "fig1_broadband-offset1.json"
+        )
+        with open(path) as fh:
+            curve = next(c for c in json.load(fh)["curves"] if c["eta"] == eta)
+        i = min(range(len(curve["t"])), key=lambda k: abs(curve["t"][k] - w0t))
+        assert curve["source"][i] == "mpmath" and abs(curve["t"][i] - w0t) < 0.1
+        res = decay_rate_numeric(bb(eta), EM, curve["t"][i], CFG)
+        assert abs(res.value - curve["value"][i]) <= res.error_estimate + curve["error"][i]
 
 
 class TestErrors:
@@ -237,7 +266,12 @@ class TestPanels:
         model = NarrowbandReservoir(g=1e-3, kappa=5e-4, omega_c=1.0)
         t = 14467.883254733497
         omega_max = truncation_frequency(model, EM, t, CFG)
-        a, b, _ = _build_panels(model, EM, t, omega_max, zero_cap)
+        a, b, m, kind = _build_panels(model, EM, t, omega_max, zero_cap)
+        # phase panels carry local phase edges; compare them as frequencies
+        phase = kind == _PHASE
+        assert phase.any()
+        a = np.where(phase, _phase_omega(EM.omega0, t, m, a), a)
+        b = np.where(phase, _phase_omega(EM.omega0, t, m, b), b)
         assert a[0] == 0.0
         assert b[-1] == pytest.approx(omega_max, rel=1e-9)
         assert np.all(b > a)
@@ -257,7 +291,9 @@ class TestRefinement:
         res = decay_rate_numeric(model, EM, t, CFG)
         assert res.panels_used > 2 * first
         # 25-digit mpmath value of the time-domain identity
-        assert res.value == pytest.approx(0.09894920211783992, rel=1e-8)
+        reference = 0.09894920211783992
+        assert res.value == pytest.approx(reference, rel=1e-8)
+        assert abs(res.value - reference) <= res.error_estimate
 
     def test_bisection(self):
         model = NarrowbandReservoir(g=1e-3, kappa=0.05, omega_c=1.0)
