@@ -317,21 +317,17 @@ def _default_epsilon(model):
     return 1.0 if model.eta > 1.0 else 1.0 - math.exp(-1.0)
 
 
-def cmd_rate(config, max_workers=None):
+def cmd_rate(config):
     """Compute a rate curve and write it as CSV."""
     out_path = config.output_path("csv", "rate_curve.csv")
     curve = rate_curve(
-        config.model,
-        config.emitter,
-        config.time_grid.times(),
-        config.quadrature,
-        max_workers=max_workers,
+        config.model, config.emitter, config.time_grid.times(), config.quadrature
     )
     write_curve_csv(out_path, curve, config.model.scale_frequency(config.emitter))
     return EXIT_PARTIAL if bool(np.any(curve.flagged)) else EXIT_OK
 
 
-def cmd_onset(config, epsilon=None, max_workers=None, stream=None):
+def cmd_onset(config, epsilon=None, stream=None):
     """Detect the empirical onset time and report it against the formula."""
     stream = stream or sys.stdout
     out_path = config.output_path("json", None)
@@ -346,10 +342,7 @@ def cmd_onset(config, epsilon=None, max_workers=None, stream=None):
     if not 0.0 < eps < math.inf:
         raise ConfigError("epsilon", f"must be finite and > 0, got {eps}")
 
-    curve = rate_curve(
-        model, emitter, config.time_grid.times(), config.quadrature,
-        max_workers=max_workers,
-    )
+    curve = rate_curve(model, emitter, config.time_grid.times(), config.quadrature)
     t_emp = empirical_onset(curve, eps)
     converged = t_emp is not None and not bool(np.any(curve.flagged))
     payload = {
@@ -376,7 +369,7 @@ def _write_markers(outdir, figure_id, markers):
         fh.write("\n")
 
 
-def cmd_figure(figure_id, outdir=".", overrides=None, max_workers=None):
+def cmd_figure(figure_id, outdir=".", overrides=None):
     """Emit the data behind one of the three reference figures.
 
     The broadband sweep is integrated numerically; the narrowband sweeps
@@ -404,7 +397,7 @@ def cmd_figure(figure_id, outdir=".", overrides=None, max_workers=None):
         vertical = []
         for eta in overrides.get("etas", _FIG1_ETAS):
             model = BroadbandReservoir(coupling=coupling, eta=eta, omega_x=omega_x)
-            curve = rate_curve(model, emitter, grid, cfg, max_workers=max_workers)
+            curve = rate_curve(model, emitter, grid, cfg)
             if bool(np.any(curve.flagged)):
                 status = EXIT_PARTIAL
             name = os.path.join(outdir, f"fig1_eta_{eta:g}.csv")
@@ -547,16 +540,6 @@ def cmd_verify(stream=None):
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def _workers_from_env():
-    raw = os.environ.get("FGR_THREADS")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError("FGR_THREADS", f"expected an integer, got {raw!r}") from None
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="fgr",
@@ -584,18 +567,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        workers = _workers_from_env()
         if args.command == "rate":
-            return cmd_rate(load_config(args.config), max_workers=workers)
+            return cmd_rate(load_config(args.config))
         if args.command == "onset":
-            return cmd_onset(
-                load_config(args.config), epsilon=args.epsilon, max_workers=workers
-            )
+            return cmd_onset(load_config(args.config), epsilon=args.epsilon)
         if args.command == "figure":
             overrides = {}
             if args.points_per_decade is not None:
                 overrides["points_per_decade"] = args.points_per_decade
-            return cmd_figure(args.figure_id, args.outdir, overrides, max_workers=workers)
+            return cmd_figure(args.figure_id, args.outdir, overrides)
         if args.command == "verify":
             return cmd_verify()
     except ConfigError as exc:

@@ -18,8 +18,6 @@ same truncated domain serves as a cross-check oracle.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -141,13 +139,28 @@ def _rate_floor(reservoir, emitter, t):
 
 def truncation_frequency(reservoir, emitter, t, cfg):
     """Upper integration limit with the neglected tail below
-    tail_epsilon relative to the rate scale."""
+    tail_epsilon relative to the rate scale.
+
+    For the exponential cutoff, with L = ln(1/tail_epsilon), the limit is
+    omega_x*(L + 10) wherever the RSC mass beyond it is at most
+    tail_epsilon times the total mass (eta <= 3 at the default
+    tail_epsilon). Otherwise the spectral peak at eta*omega_x lies too
+    close below it, and the limit moves out to omega_x*x with
+    x = min(a + sqrt(2*a*L) + L, 700), a = eta + 1: past the peak by the
+    Gamma(a) tail's width, capped where the closed-form tail bound is
+    still a normal float.
+    """
     eps = cfg.tail_epsilon
     w0 = emitter.omega0
     if isinstance(reservoir, BroadbandReservoir):
         wx = reservoir.omega_x
         if isinstance(reservoir.cutoff, ExponentialCutoff):
-            omega_max = wx * math.log(1.0 / eps) + 10.0 * wx
+            log_inv_eps = math.log(1.0 / eps)
+            omega_max = wx * log_inv_eps + 10.0 * wx
+            if _tail_mass(reservoir, omega_max) > eps * zeno_slope(reservoir):
+                a = reservoir.eta + 1.0
+                x = min(a + math.sqrt(2.0 * a * log_inv_eps) + log_inv_eps, 700.0)
+                omega_max = max(omega_max, wx * x)
         else:
             p = reservoir.eta + 1.0 - 2.0 * reservoir.cutoff.mu
             if p < -1e-9:
@@ -626,20 +639,12 @@ def curve_from_ratios(reservoir, emitter, times, ratios, errors, flagged=None):
     )
 
 
-def _resolve_workers(max_workers):
-    if max_workers is None:
-        return 1
-    if max_workers == 0:
-        return os.cpu_count() or 1
-    return max(1, int(max_workers))
-
-
-def rate_curve(reservoir, emitter, time_grid, cfg=None, max_workers=None):
+def rate_curve(reservoir, emitter, time_grid, cfg=None):
     """Rate-ratio curve over a strictly increasing time grid.
 
-    Points are computed independently (optionally threaded) and
-    deterministically; a point whose quadrature fails to converge is kept
-    with its best value and flagged rather than aborting the curve.
+    Points are computed one after another, each independently of the
+    others; a point whose quadrature fails to converge is kept with its
+    best value and flagged rather than aborting the curve.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -650,25 +655,19 @@ def rate_curve(reservoir, emitter, time_grid, cfg=None, max_workers=None):
         raise ValueError("time_grid must be positive and strictly increasing")
 
     gamma0 = golden_rule_rate(reservoir, emitter)
-
-    def point(t):
+    values = np.empty(times.size)
+    errors = np.empty(times.size)
+    flagged = np.zeros(times.size, dtype=bool)
+    for i, t in enumerate(times):
+        # a module-global lookup per point, so that a wrapper installed on
+        # quadrature.decay_rate_numeric sees every point
         try:
             res = decay_rate_numeric(reservoir, emitter, float(t), cfg)
-            return res.value, res.error_estimate, False
         except ConvergenceError as exc:
             res = exc.result
-            return res.value, res.error_estimate, True
-
-    workers = _resolve_workers(max_workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(point, times))
-    else:
-        rows = [point(t) for t in times]
-
-    values = np.array([r[0] for r in rows])
-    errors = np.array([r[1] for r in rows])
-    flagged = np.array([r[2] for r in rows], dtype=bool)
+            flagged[i] = True
+        values[i] = res.value
+        errors[i] = res.error_estimate
     return curve_from_ratios(
         reservoir, emitter, times, values / gamma0, errors / gamma0, flagged
     )

@@ -399,15 +399,6 @@ class TestMain:
     def test_missing_file_exit_code(self):
         assert main(["rate", "-c", "/nonexistent/cfg.json"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("raw", ["abc", "2.5"])
-    def test_bad_thread_count_exit_code(self, tmp_path, monkeypatch, capsys, raw):
-        monkeypatch.setenv("FGR_THREADS", raw)
-        out = tmp_path / "figs"
-        assert main(["figure", "fig3", "-o", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "FGR_THREADS" in err
-        assert not out.exists()
-
     def test_rate_through_main(self, tmp_path):
         data = dict(NARROW_CONFIG)
         out = tmp_path / "c.csv"

@@ -246,6 +246,24 @@ class TestTruncation:
                     if eps == 1e-12 and eta <= 10.0:
                         assert ratio <= 1.01, (eta, ratio)
 
+    @pytest.mark.parametrize(
+        "eta, t, reference",
+        [
+            # 25-digit mpmath values of the time-domain identity
+            (20.0, 1e-3, 1.323441904073873e16),
+            (20.0, 1.0, 12810440419563.117),
+            (40.0, 1e-3, 1.3644222988792526e45),
+            (40.0, 1.0, 1.0462654906993125e42),
+        ],
+    )
+    def test_peak_beyond_default_cut(self, eta, t, reference):
+        # the spectral peak eta*omega_x lies past omega_x*(ln(1/eps) + 10),
+        # so the cut moves out and the tail no longer swamps the estimate
+        r = bb(eta)
+        assert truncation_frequency(r, EM, t, CFG) > 1.5 * eta * r.omega_x
+        res = decay_rate_numeric(r, EM, t, CFG)
+        assert abs(res.value - reference) <= res.error_estimate
+
     def test_tail_is_negligible(self):
         # the neglected contribution above the cut (RSC mass times the
         # profile envelope there) is far below the tolerance budget
@@ -305,6 +323,9 @@ class TestRefinement:
         assert first < res.panels_used < 2 * first
         oracle = decay_rate_numeric_oracle(model, EM, t, cfg)
         assert res.value == pytest.approx(oracle.value, rel=1e-10)
+        # 25-digit mpmath value of the closed-form Lorentzian identity
+        reference = 1.9678612671256706e-08
+        assert abs(res.value - reference) <= res.error_estimate
 
 
 class TestRateCurve:
@@ -314,14 +335,30 @@ class TestRateCurve:
         direct = decay_rate_numeric(r, EM, 2.0, CFG)
         assert curve.ratios[0] == direct.value / golden_rule_rate(r, EM)
         assert len(curve) == 1
-
-    def test_threaded_matches_serial_bitwise(self):
+        # every point of a curve is the direct call's result, bit for bit
         r = bb(2.0)
         grid = np.geomspace(0.01, 100.0, 13)
-        serial = rate_curve(r, EM, grid, CFG, max_workers=1)
-        threaded = rate_curve(r, EM, grid, CFG, max_workers=4)
-        assert np.array_equal(serial.ratios, threaded.ratios)
-        assert np.array_equal(serial.error_estimates, threaded.error_estimates)
+        curve = rate_curve(r, EM, grid, CFG)
+        gamma0 = golden_rule_rate(r, EM)
+        for i, t in enumerate(grid):
+            direct = decay_rate_numeric(r, EM, float(t), CFG)
+            assert curve.ratios[i] == direct.value / gamma0
+            assert curve.error_estimates[i] == direct.error_estimate / gamma0
+        assert not curve.flagged.any()
+
+    def test_threaded_matches_serial_bitwise(self):
+        # rate_curve keeps no mutable module state, so callers that compute
+        # curves from several threads at once get the serial bytes back
+        from concurrent.futures import ThreadPoolExecutor
+
+        r = bb(2.0)
+        grids = [np.geomspace(0.01, 100.0, 13), np.geomspace(0.02, 50.0, 7)]
+        serial = [rate_curve(r, EM, g, CFG) for g in grids]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda g: rate_curve(r, EM, g, CFG), grids))
+        for s, c in zip(serial, threaded):
+            assert np.array_equal(s.ratios, c.ratios)
+            assert np.array_equal(s.error_estimates, c.error_estimates)
 
     def test_regime_labels_and_metadata(self):
         r = bb(2.0)
