@@ -12,7 +12,10 @@ factor of a whole half-lobe is a fixed weight table per parity, and the
 frequency is formed only as the argument of the reservoir spectrum.
 
 A structurally independent double-exponential (tanh-sinh) scheme over the
-same truncated domain serves as a cross-check oracle.
+same truncated domain serves as a cross-check oracle. Its levels are
+nested, each halving the step of the last, so a level evaluates only the
+nodes new to it, in one chunked pass that adds them to running sums of
+the weighted integrand and of its rounding bound.
 """
 
 from __future__ import annotations
@@ -505,7 +508,8 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
             best = result
         if err <= cfg.rel_tol * abs(value):
             return result
-        if a.size >= cfg.max_panels:
+        if a.size >= cfg.max_panels or tail > cfg.rel_tol * abs(value):
+            # refinement cannot lower the tail bound
             break
         if osc > 0.5 * (refine_err + osc) and 16 * zero_cap <= cfg.max_panels:
             # the dropped oscillation dominates: widen the zero-aligned block
@@ -523,89 +527,84 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
         split[order[:n_split]] = True
         a, b, m, kind = _bisect(split, a, b, m, kind)
 
-    raise ConvergenceError(
+    msg = (
         f"decay-rate quadrature reached {best.panels_used} panels with error "
-        f"estimate {best.error_estimate:.3e} (value {best.value:.6e})",
-        result=best,
+        f"estimate {best.error_estimate:.3e} (value {best.value:.6e})"
     )
-
-
-def _oracle_rounding(w0, t, w, weight, fw, rsc):
-    # First-order bound on the rounding in the oracle's weighted sum. The
-    # global phase x = (omega - omega0)*t/2 of a node is formed with an error
-    # up to eps*(omega*t/2 + |x|), which moves f = t*sinc(x)**2*R(omega) by
-    # t*R*|d sinc**2/dx| per unit of phase, and |d sinc**2/dx| is at most
-    # both 2|x|/3 and 4/x**2. 8*eps*|f| covers the rest of each node's
-    # arithmetic.
-    phase = arith = 0.0
-    for i in range(0, w.size, _CHUNK):
-        c = slice(i, i + _CHUNK)
-        x = np.abs(w[c] - w0)
-        x *= 0.5 * t
-        shift = w[c] * (0.5 * t)
-        shift += x
-        shift *= np.minimum(x * (2.0 / 3.0), 4.0 / np.maximum(x, 1.0) ** 2)
-        shift *= rsc[c]
-        phase += float(np.dot(weight[c], shift))
-        arith += float(np.dot(weight[c], np.abs(fw[c])))
-    return _EPS * (t * phase + 8.0 * arith)
+    if tail > cfg.rel_tol * abs(best.value):
+        msg += f"; the tail bound {tail:.3e} alone exceeds the tolerance"
+    raise ConvergenceError(msg, result=best)
 
 
 def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None, max_level=20):
     """Same integral via a tanh-sinh transform over the truncated domain.
 
     Structurally independent of the panel scheme (no zero-aligned panels);
-    intended for cross-checks and the verification command.
+    intended for cross-checks and the verification command. Level l, from
+    6 to max_level (an integer >= 7), has the nodes j*2**-l and holds every
+    node of level l - 1, so each level after 6 evaluates only its odd j.
     """
+    if not isinstance(max_level, (int, np.integer)) or max_level < 7:
+        raise ValueError(f"max_level must be an integer >= 7, got {max_level!r}")
     cfg, omega_max, tail = _setup(reservoir, emitter, t, cfg)
     f = _integrand(reservoir, emitter, t)
+    w0 = emitter.omega0
     half = 0.5 * omega_max
     tol = max(min(cfg.rel_tol, 1e-9), 1e-14)
-    prev = None
-    hits = 0
-    evals = 0
+    # weighted sums over every node so far: of f, of f's first-order phase
+    # rounding per unit eps*t, and of |f|
+    total = phase = arith = 0.0
+    hits = evals = 0
     for level in range(6, max_level + 1):
         h = 0.5**level
-        j = np.arange(-math.floor(6.9 / h), math.floor(6.9 / h) + 1)
-        u = j * h
-        with np.errstate(over="ignore"):
-            z = 0.5 * math.pi * np.sinh(u)
-            x = np.tanh(z)
-            weight = 0.5 * math.pi * np.cosh(u) / np.cosh(z) ** 2
-        ok = np.isfinite(weight) & (weight > 0.0)
-        w = half * (x[ok] + 1.0)
-        np.clip(w, 0.0, omega_max, out=w)
-        fw, rsc = f(w)
-        weight = weight[ok]
-        value = half * h * float(np.dot(weight, fw))
-        evals += int(ok.sum())
-        if prev is not None:
+        # level 6 takes every j in [-top, top], each later level the odd j
+        top = math.floor(6.9 / h)
+        step = 1 if level == 6 else 2
+        first = -top if step == 1 or top % 2 else 1 - top
+        for i in range(first, top + 1, step * _CHUNK):
+            u = np.arange(i, min(i + step * _CHUNK, top + 1), step) * h
+            with np.errstate(over="ignore"):
+                z = 0.5 * math.pi * np.sinh(u)
+                x = np.tanh(z)
+                weight = 0.5 * math.pi * np.cosh(u) / np.cosh(z) ** 2
+            ok = np.isfinite(weight) & (weight > 0.0)
+            w = half * (x[ok] + 1.0)
+            np.clip(w, 0.0, omega_max, out=w)
+            weight = weight[ok]
+            fw, rsc = f(w)
+            # The global phase x = (omega - omega0)*t/2 of a node is formed
+            # with an error up to eps*(omega*t/2 + |x|), which moves
+            # f = t*sinc(x)**2*R(omega) by t*R*|d sinc**2/dx| per unit of
+            # phase, and |d sinc**2/dx| is at most both 2|x|/3 and 4/x**2.
+            # 8*eps*|f| covers the rest of each node's arithmetic.
+            x = np.abs(w - w0)
+            x *= 0.5 * t
+            shift = w * (0.5 * t)
+            shift += x
+            shift *= np.minimum(x * (2.0 / 3.0), 4.0 / np.maximum(x, 1.0) ** 2)
+            shift *= rsc
+            total += float(np.dot(weight, fw))
+            phase += float(np.dot(weight, shift))
+            arith += float(np.dot(weight, np.abs(fw)))
+            evals += w.size
+        value = half * h * total
+        if level > 6:
             delta = abs(value - prev)
-            if delta <= tol * max(abs(value), 1e-300):
-                hits += 1
-                if hits >= 2:
-                    rounding = half * h * _oracle_rounding(
-                        emitter.omega0, t, w, weight, fw, rsc
-                    )
-                    return IntegrationResult(
-                        value=max(value, 0.0),
-                        error_estimate=delta + tail + rounding,
-                        panels_used=evals,
-                        truncation_frequency=omega_max,
-                    )
-            else:
-                hits = 0
+            hits = hits + 1 if delta <= tol * max(abs(value), 1e-300) else 0
+            if hits >= 2:
+                break
         prev = value
-        del fw, rsc
 
-    best = IntegrationResult(
-        value=max(prev, 0.0),
-        error_estimate=abs(value - prev) + tail if prev is not None else math.inf,
+    result = IntegrationResult(
+        value=max(value, 0.0),
+        error_estimate=delta + tail + half * h * _EPS * (t * phase + 8.0 * arith),
         panels_used=evals,
         truncation_frequency=omega_max,
     )
+    if hits >= 2:
+        return result
     raise ConvergenceError(
-        f"tanh-sinh scheme not converged at level {max_level}", result=best
+        f"tanh-sinh scheme not converged at level {max_level}", result=result
     )
 
 

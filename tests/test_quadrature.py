@@ -8,8 +8,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fgr import quadrature
 from fgr.errors import ConvergenceError
 from fgr.quadrature import (
+    _CHUNK,
     _PHASE,
     _ZERO_CAP,
     IntegrationResult,
@@ -118,6 +120,29 @@ class TestOracleEquivalence:
         b = decay_rate_numeric_oracle(r, EM, 5.0, CFG)
         assert abs(a.value - b.value) / a.value < 1e-8
 
+    def test_each_node_evaluated_once(self, monkeypatch):
+        # Q = 1000 at kappa*t = 1 converges at level 17; the nested levels
+        # evaluate each node once, in passes of at most _CHUNK nodes
+        calls = []
+        rsc = quadrature.evaluate_rsc
+
+        def record(reservoir, omega):
+            calls.append(np.array(omega))
+            return rsc(reservoir, omega)
+
+        monkeypatch.setattr(quadrature, "evaluate_rsc", record)
+        model, em = nb_resonant(q=1000.0)
+        res = decay_rate_numeric_oracle(model, em, 1.0 / model.kappa, CFG)
+        assert max(c.size for c in calls) <= _CHUNK
+        omega = np.concatenate(calls)
+        assert omega.size == res.panels_used
+        # near the domain ends tanh rounds to +-1, so there distinct nodes
+        # share one omega (0 and omega_max most of all)
+        top = res.truncation_frequency
+        inner = omega[(omega > 1e-9 * top) & (omega < (1.0 - 1e-9) * top)]
+        assert inner.size > 0.4 * omega.size
+        assert np.unique(inner).size == inner.size
+
 
 class TestInvariances:
     @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
@@ -174,6 +199,19 @@ class TestInvariances:
         res = decay_rate_numeric_oracle(model, em, t, CFG)
         assert abs(res.value - reference) <= res.error_estimate
 
+    @EXACT_REFERENCES
+    def test_oracle_unconverged_estimate_carries_level_difference(
+        self, model, em, t, reference
+    ):
+        # a result carried by ConvergenceError counts its last level
+        # difference, as a converged one does, not only the tail bound
+        results = {}
+        for level in (7, 8):
+            with pytest.raises(ConvergenceError) as excinfo:
+                decay_rate_numeric_oracle(model, em, t, CFG, max_level=level)
+            results[level] = excinfo.value.result
+        assert results[8].error_estimate >= abs(results[8].value - results[7].value)
+
     # late fig1 points, where rounding the global phase (omega - omega0)*t/2
     # of the sinc kernel would cost about eps*omega0*t; the references are
     # the 25-digit mpmath values of benchmark/refs (grid offset 1)
@@ -200,6 +238,11 @@ class TestErrors:
             decay_rate_numeric(bb(1.0), EM, 0.0, CFG)
         with pytest.raises(ValueError):
             decay_rate_numeric_oracle(bb(1.0), EM, -1.0, CFG)
+
+    @pytest.mark.parametrize("max_level", [5, 6, 2.5])
+    def test_oracle_rejects_bad_max_level(self, max_level):
+        with pytest.raises(ValueError, match="max_level"):
+            decay_rate_numeric_oracle(bb(1.0), EM, 1.0, CFG, max_level=max_level)
 
     def test_divergent_integral_rejected(self):
         with pytest.warns(UserWarning):
@@ -326,6 +369,18 @@ class TestRefinement:
         # 25-digit mpmath value of the closed-form Lorentzian identity
         reference = 1.9678612671256706e-08
         assert abs(res.value - reference) <= res.error_estimate
+
+    def test_tail_bound_above_tolerance_stops_refinement(self):
+        # a heavy power-Lorentz tail: the bound beyond omega_max alone
+        # exceeds rel_tol*value, and no refinement can lower it
+        with pytest.warns(UserWarning):
+            cutoff = PowerLorentzCutoff(mu=1.6)
+        model, t = bb(2.0, cutoff=cutoff), 10.0
+        omega_max = truncation_frequency(model, EM, t, CFG)
+        first = _build_panels(model, EM, t, omega_max, _ZERO_CAP)[0].size
+        with pytest.raises(ConvergenceError, match="tail bound") as excinfo:
+            decay_rate_numeric(model, EM, t, CFG)
+        assert excinfo.value.result.panels_used == first
 
 
 class TestRateCurve:
