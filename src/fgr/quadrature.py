@@ -3,13 +3,13 @@
 The decay rate at time t is 2*pi times the integral over [0, inf) of the
 spectral profile (centered on the transition frequency) against the
 reservoir coupling spectrum. The integrand oscillates on the frequency
-scale 2*pi/t, so the integrator aligns panels with the profile zeros near
-the transition and, far from it, splits the profile into its smooth
-envelope plus a residual oscillation whose neglected contribution is
-bounded and folded into the error estimate. The aligned panels are
-half-lobes of the profile, integrated in their local phase: the sinc^2
-factor of a whole half-lobe is a fixed weight table per parity, and the
-frequency is formed only as the argument of the reservoir spectrum.
+scale 2*pi/t, so the integrator aligns panels with the profile zeros in
+blocks of whole lobes, and between blocks integrates the smooth envelope,
+taking the far-field oscillation by parts to an O(t**-4) bounded rest. The
+aligned panels are half-lobes of the profile, integrated in their local
+phase: the sinc^2 factor of a whole half-lobe is a fixed weight table per
+parity, and the frequency is formed only as the argument of the reservoir
+spectrum.
 
 A structurally independent double-exponential (tanh-sinh) scheme over the
 same truncated domain serves as a cross-check oracle. Its levels are
@@ -24,7 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legder, legvander
 
 from .analytic import classify_regime
 from .errors import ConvergenceError, RegimeSeparationError
@@ -50,10 +50,13 @@ __all__ = [
     "truncation_frequency",
 ]
 
-# kernel zeros kept on each side of the transition before switching to the
-# far-field envelope treatment; grown adaptively if the neglected
-# oscillation dominates the error budget
+# whole lobes kept on each side of the transition, and of a narrowband
+# line's centre, before the far field is left to envelope runs
 _ZERO_CAP = 10_000
+
+# whole lobes kept next to omega = 0 when the block around the transition
+# stops short of it, so that no envelope run ends at the branch point there
+_EDGE_LOBES = 8
 
 # geometric panels per decade in oscillation-free stretches
 _PANELS_PER_DECADE = 8
@@ -85,6 +88,17 @@ def _half_lobe_rule(rule):
 
 
 _HALF_LOBE_RULES = (_half_lobe_rule(_GL_HI), _half_lobe_rule(_GL_LO))
+
+# rows that take a 16-node panel's values to derivatives 0 to 3 (per unit
+# half-width) of their interpolant at -1, at each node and at 1
+_GL_DIFF = np.stack(
+    [
+        legvander(np.r_[-1.0, _GL_HI[0], 1.0], 15 - k)
+        @ legder(np.eye(16), k)
+        @ np.linalg.inv(legvander(_GL_HI[0], 15))
+        for k in range(4)
+    ]
+)
 
 # nodes per vectorised pass over phase panels or oracle nodes, so that the
 # arrays of one pass stay in cache
@@ -296,15 +310,26 @@ def _phase_omega(w0, t, m, u):
     return (w0 + (math.pi / t) * m) + (2.0 / t) * u
 
 
-def _build_panels(reservoir, emitter, t, omega_max, zero_cap):
-    """Panel arrays (a, b, m, kind), left to right (see the panel kinds)."""
+def _build_panels(reservoir, emitter, t, omega_max):
+    """Panel arrays (a, b, m, kind), left to right (see the panel kinds):
+    merged blocks of whole lobes, envelope runs between them, and profile
+    stubs beyond the outermost kernel zeros."""
     w0 = emitter.omega0
-    spacing = 2.0 * math.pi / t
-    k_left_avail, k_right_avail = zero_counts(t, w0, omega_max)
-    k_left = min(k_left_avail, zero_cap)
-    k_right = min(k_right_avail, zero_cap)
-    z_left = w0 - k_left * spacing
-    z_right = w0 + k_right * spacing
+    k_left, k_right = zero_counts(t, w0, omega_max)
+    # blocks as ranges [lo, hi] of zero indices k, the zero k at w0 + 2*pi*k/t
+    blocks = [(-min(k_left, _ZERO_CAP), min(k_right, _ZERO_CAP))]
+    if k_left > _ZERO_CAP:
+        blocks.append((-k_left, _EDGE_LOBES - k_left))
+    if isinstance(reservoir, NarrowbandReservoir):
+        kc = round((reservoir.omega_c - w0) * t / (2.0 * math.pi))
+        if not blocks[0][0] <= kc <= blocks[0][1]:
+            blocks.append((max(kc - _ZERO_CAP, -k_left), min(kc + _ZERO_CAP, k_right)))
+    merged = []
+    for lo, hi in sorted(blocks):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
 
     cap_fn = _rsc_width_cap(reservoir)
     phase_cap = _PHASE_CAP / t
@@ -322,30 +347,37 @@ def _build_panels(reservoir, emitter, t, omega_max, zero_cap):
         m = np.zeros(edges.size - 1, dtype=int)
         add(kind, edges[:-1], edges[1:], m, too_wide)
 
-    # left of the zero-aligned block
-    if k_left < k_left_avail:
-        # remaining zeros are ceded to the envelope treatment
-        deltas = _geom_edges(k_left * spacing, w0)
-        add_span(_SMOOTH, np.sort(w0 - deltas))
-    elif z_left > 0.0:
+    def zero(k):
+        # the half-lobe edge arithmetic, so that runs meet blocks exactly
+        return _phase_omega(w0, t, 2 * k, 0.0)
+
+    def add_run(lo, hi):
+        # envelope run from lo to hi, geometric in the distance from w0
+        if lo < w0:
+            edges = (w0 - _geom_edges(w0 - hi, w0 - lo))[::-1]
+        else:
+            edges = w0 + _geom_edges(lo - w0, hi - w0)
+        edges[0], edges[-1] = lo, hi
+        add_span(_SMOOTH, edges)
+
+    def too_wide(a, b, m):
+        lo, hi = _phase_omega(w0, t, m, a), _phase_omega(w0, t, m, b)
+        return (b - a) * (2.0 / t) > cap_fn(lo, hi)
+
+    z_left = zero(-k_left)
+    if z_left > 0.0:
         stub = z_left * 1e-9
         edges = np.concatenate([[0.0], _geom_edges(stub, z_left)])
         add_span(_PROFILE, edges, phase_cap)
-
-    # zero-aligned block: one whole half-lobe per panel where the RSC allows
-    if k_left or k_right:
-
-        def too_wide(a, b, m):
-            lo, hi = _phase_omega(w0, t, m, a), _phase_omega(w0, t, m, b)
-            return (b - a) * (2.0 / t) > cap_fn(lo, hi)
-
-        m = np.arange(-2 * k_left, 2 * k_right)
+    for i, (lo, hi) in enumerate(merged):
+        if i:
+            add_run(zero(merged[i - 1][1]), zero(lo))
+        # one whole half-lobe per panel where the RSC allows
+        m = np.arange(2 * lo, 2 * hi)
         add(_PHASE, np.zeros(m.size), np.full(m.size, _HALF_PI), m, too_wide)
-
-    # right of the zero-aligned block
-    if k_right < k_right_avail:
-        deltas = _geom_edges(k_right * spacing, omega_max - w0)
-        add_span(_SMOOTH, w0 + deltas)
+    z_right = zero(merged[-1][1])
+    if merged[-1][1] < k_right:
+        add_run(z_right, omega_max)
     elif z_right < omega_max:
         add_span(_PROFILE, _geom_edges(z_right, omega_max), phase_cap)
 
@@ -358,7 +390,7 @@ def _panel_values(f, a, b, rule):
     half = 0.5 * (b - a)[:, None]
     nodes = mid + half * x
     vals = f(nodes.reshape(-1)).reshape(nodes.shape)
-    return (vals @ w) * half[:, 0], nodes, vals
+    return (vals @ w) * half[:, 0], vals
 
 
 def _phase_values(reservoir, w0, t, a, b, m):
@@ -434,7 +466,7 @@ def _evaluate(reservoir, emitter, t, a, b, m, kind):
 
     panel_hi = np.empty(a.size)
     panel_lo = np.empty(a.size)
-    osc = 0.0
+    far, osc = [], 0.0
 
     phase = kind == _PHASE
     if phase.any():
@@ -443,41 +475,34 @@ def _evaluate(reservoir, emitter, t, a, b, m, kind):
         )
     full = kind == _PROFILE
     if full.any():
-        panel_hi[full], _, _ = _panel_values(f_full, a[full], b[full], _GL_HI)
-        panel_lo[full], _, _ = _panel_values(f_full, a[full], b[full], _GL_LO)
+        panel_hi[full], _ = _panel_values(f_full, a[full], b[full], _GL_HI)
+        panel_lo[full], _ = _panel_values(f_full, a[full], b[full], _GL_LO)
     smooth = kind == _SMOOTH
     if smooth.any():
         sa, sb = a[smooth], b[smooth]
-        top = b[~phase].max()
-        hi, nodes, vals = _panel_values(f_smooth, sa, sb, _GL_HI)
-        panel_hi[smooth] = hi
-        panel_lo[smooth], _, _ = _panel_values(f_smooth, sa, sb, _GL_LO)
-        # Neglected oscillatory remainder of each contiguous envelope run:
-        # integrating by parts twice, boundary sine terms vanish at kernel
-        # zeros, leaving |S|/t at the raw domain edges plus
-        # (|S'| at the edges + total variation of S') / t^2, with S'
-        # estimated by divided differences over the run's nodes.
+        panel_hi[smooth], vals = _panel_values(f_smooth, sa, sb, _GL_HI)
+        panel_lo[smooth], _ = _panel_values(f_smooth, sa, sb, _GL_LO)
+        # An envelope run drops -int S cos(delta*t). Integrating by parts
+        # twice between kernel zeros, where sin(delta*t) = 0, gives it as
+        # -[S']/t^2 plus at most (|S'''| at the ends + total variation of
+        # S''')/t^4. At omega_max the S*sin/t and S'*cos/t^2 terms keep their
+        # sine and cosine, and |S''|/t^3 joins the bound. The derivatives are
+        # those of each panel's 16-node interpolant.
+        d = np.einsum("kpj,nj->knp", _GL_DIFF, vals)
+        d *= (2.0 / (sb - sa))[None, :, None] ** np.arange(4)[:, None, None]
         runs = np.nonzero(sa[1:] != sb[:-1])[0] + 1
-        for seg_nodes, seg_vals, lo_edge, hi_edge in zip(
-            np.split(nodes, runs),
-            np.split(vals, runs),
-            np.split(sa, runs),
-            np.split(sb, runs),
-        ):
-            xs = seg_nodes.reshape(-1)
-            ys = seg_vals.reshape(-1)
-            slopes = np.diff(ys) / np.diff(xs)
-            dprime = abs(slopes[0]) + abs(slopes[-1]) + float(
-                np.sum(np.abs(np.diff(slopes)))
-            )
-            edge_vals = 0.0
-            if lo_edge[0] <= 0.0:
-                edge_vals += float(f_smooth(np.array([0.0]))[0])
-            if hi_edge[-1] >= top:
-                edge_vals += float(f_smooth(np.array([hi_edge[-1]]))[0])
-            osc += edge_vals / t + dprime / (t * t)
+        first, last = np.append(0, runs), np.append(runs - 1, sa.size - 1)
+        far = ((d[1, first, 0] - d[1, last, -1]) / (t * t)).tolist()
+        tv = [np.sum(np.abs(np.diff(r.reshape(-1)))) for r in np.split(d[3], runs)]
+        d3 = np.abs(d[3, first, 0]) + np.abs(d[3, last, -1]) + tv
+        osc = float(np.sum(d3)) / t**4
+        if kind[-1] == _SMOOTH:
+            x = (sb[-1] - w0) * t
+            s0, s1, s2 = d[:3, -1, -1].tolist()
+            far.append(s1 * (1.0 - math.cos(x)) / (t * t) - s0 * math.sin(x) / t)
+            osc += abs(s2) / t**3
 
-    value = math.fsum(panel_hi.tolist())
+    value = math.fsum(np.append(panel_hi, far).tolist())
     deltas = np.abs(panel_hi - panel_lo)
     # rounding floor: per-panel dot products carry O(eps) relative noise
     refine_err = float(np.sum(deltas)) + 5e-16 * abs(value)
@@ -492,8 +517,7 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
     tolerance within the panel budget.
     """
     cfg, omega_max, tail = _setup(reservoir, emitter, t, cfg)
-    zero_cap = _ZERO_CAP
-    a, b, m, kind = _build_panels(reservoir, emitter, t, omega_max, zero_cap)
+    a, b, m, kind = _build_panels(reservoir, emitter, t, omega_max)
     best = None
     for _ in range(_MAX_ROUNDS):
         value, refine_err, osc, deltas = _evaluate(reservoir, emitter, t, a, b, m, kind)
@@ -511,11 +535,6 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
         if a.size >= cfg.max_panels or tail > cfg.rel_tol * abs(value):
             # refinement cannot lower the tail bound
             break
-        if osc > 0.5 * (refine_err + osc) and 16 * zero_cap <= cfg.max_panels:
-            # the dropped oscillation dominates: widen the zero-aligned block
-            zero_cap *= 4
-            a, b, m, kind = _build_panels(reservoir, emitter, t, omega_max, zero_cap)
-            continue
         # bisect the panels responsible for the bulk of the refinement error
         order = np.argsort(deltas)[::-1]
         cum = np.cumsum(deltas[order])

@@ -34,7 +34,7 @@ FIGURE_DIGESTS = {
 
 RATE_DIGESTS = {
     "narrow": "fb937d1e4b3fe5229de3e82d635602b0e1d453ebd0ffee0cea10c36ed0d7b0b3",
-    "broad": "27bb7410c9d42cf5353bad0e43f8fc7f4d42b615faa8fe53e265e99074ec5104",
+    "broad": "c8474048f0912924494a696bfafd945c9dcc8f315cf140cc19ed316ef4fce678",
 }
 
 

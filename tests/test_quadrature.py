@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +14,7 @@ from fgr.errors import ConvergenceError
 from fgr.quadrature import (
     _CHUNK,
     _PHASE,
-    _ZERO_CAP,
+    _SMOOTH,
     IntegrationResult,
     QuadratureConfig,
     _build_panels,
@@ -320,48 +321,112 @@ class TestTruncation:
 
 
 class TestPanels:
-    @pytest.mark.parametrize("zero_cap", [10_000, 40_000])
-    def test_panels_tile_the_domain(self, zero_cap):
-        # high-Q late-time point whose zero block has ~1e4 lobes per side,
-        # where a block edge counted apart from its neighbour's can lose a lobe
-        model = NarrowbandReservoir(g=1e-3, kappa=5e-4, omega_c=1.0)
-        t = 14467.883254733497
-        omega_max = truncation_frequency(model, EM, t, CFG)
-        a, b, m, kind = _build_panels(model, EM, t, omega_max, zero_cap)
+    @pytest.mark.parametrize(
+        "model,em,t",
+        [
+            # high-Q late-time point whose zero block has ~1e4 lobes per side,
+            # where a block edge counted apart from its neighbour's can lose a lobe
+            (NarrowbandReservoir(g=1e-3, kappa=5e-4, omega_c=1.0), EM, 14467.883254733497),
+            # more lobes left of the transition than the cap: a block at omega = 0
+            (bb(0.5), EM, 77736.50302387758),
+            # a far-detuned line: its block merges with the transition's
+            (NarrowbandReservoir(g=1e-3, kappa=1e-5, omega_c=1.0), EmitterSpec(2.0), 1e5),
+            # ... or stands apart from it
+            (NarrowbandReservoir(g=1e-3, kappa=1e-3, omega_c=5.0), EM, 1e5),
+        ],
+        ids=["resonant-high-q", "edge-block", "line-block-merged", "line-block-apart"],
+    )
+    def test_panels_tile_the_domain(self, model, em, t):
+        omega_max = truncation_frequency(model, em, t, CFG)
+        a, b, m, kind = _build_panels(model, em, t, omega_max)
         # phase panels carry local phase edges; compare them as frequencies
         phase = kind == _PHASE
         assert phase.any()
-        a = np.where(phase, _phase_omega(EM.omega0, t, m, a), a)
-        b = np.where(phase, _phase_omega(EM.omega0, t, m, b), b)
+        a = np.where(phase, _phase_omega(em.omega0, t, m, a), a)
+        b = np.where(phase, _phase_omega(em.omega0, t, m, b), b)
         assert a[0] == 0.0
         assert b[-1] == pytest.approx(omega_max, rel=1e-9)
         assert np.all(b > a)
         np.testing.assert_allclose(a[1:], b[:-1], rtol=1e-9, atol=0.0)
+        # no envelope run reaches omega = 0, and each ends on a kernel zero
+        # as the half-lobe edges compute it, bit for bit (or at omega_max)
+        smooth = kind == _SMOOTH
+        assert np.all(a[smooth] > 0.0)
+        ends = np.concatenate(
+            [a[smooth & ~np.roll(smooth, 1)], b[smooth & ~np.roll(smooth, -1)]]
+        )
+        ends = ends[ends != omega_max]
+        k = np.round((ends - em.omega0) * t / (2.0 * math.pi))
+        assert np.array_equal(ends, _phase_omega(em.omega0, t, 2 * k, 0.0))
+        if isinstance(model, NarrowbandReservoir):
+            # the line centre lies inside a phase block
+            assert np.any(phase & (a <= model.omega_c) & (b >= model.omega_c))
+
+
+class TestFarField:
+    # Envelope runs carry the far field -int S cos(delta*t) as a boundary
+    # term plus an O(t**-4) remainder, so each point's first layout is its
+    # last unless bisection is needed. The references are 25-digit values of
+    # benchmark/make_refs.py::exact_rate, which shares no code with fgr.
+
+    @pytest.fixture(scope="class")
+    def exact_rate(self):
+        bench = os.path.join(os.path.dirname(__file__), "..", "benchmark")
+        sys.path.insert(0, bench)
+        try:
+            from make_refs import exact_rate
+        finally:
+            sys.path.remove(bench)
+        return exact_rate
+
+    def one_round(self, model, em, t, cfg):
+        omega_max = truncation_frequency(model, em, t, cfg)
+        first = _build_panels(model, em, t, omega_max)[0].size
+        res = decay_rate_numeric(model, em, t, cfg)
+        assert res.panels_used == first
+        return res
+
+    def test_edge_block_converges_in_one_round(self):
+        # the late eta = 0.5 point that once needed a fourfold wider zero block
+        res = self.one_round(bb(0.5), EM, 77736.50302387758, CFG)
+        assert abs(res.value - 0.09894920211783992) <= res.error_estimate
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    def test_no_envelope_run_starts_at_zero(self, exact_rate, rel_tol):
+        # eta = 0: a run left of the transition that began at 1.1e-16 instead
+        # of 0 skipped the S(0)/t edge term, missing its estimate 1,280-fold
+        model, t = BroadbandReservoir(1e-3, 0.0, 57.39741625910708), 126577.15353015346
+        res = self.one_round(model, EM, t, QuadratureConfig(rel_tol=rel_tol))
+        reference = exact_rate(model, EM, t)
+        assert abs(res.value - reference) <= res.error_estimate
+
+    def test_strict_tolerance_in_one_round(self, exact_rate):
+        # an eta = 2 point where the divided-difference bound on the dropped
+        # oscillation could not be brought under rel_tol 1e-12
+        model, t = bb(2.0, omega_x=590.716), 80.296
+        res = self.one_round(model, EM, t, QuadratureConfig(rel_tol=1e-12))
+        assert abs(res.value - exact_rate(model, EM, t)) <= res.error_estimate
+
+    def test_far_detuned_line(self, exact_rate):
+        # the Lorentzian peak lies 15,915 lobes below the transition, outside
+        # its block: without a block of its own the far-field bound is 3x
+        # the value
+        model, em = NarrowbandReservoir(g=1e-3, kappa=1e-5, omega_c=1.0), EmitterSpec(2.0)
+        t = 1.0 / model.kappa
+        res = self.one_round(model, em, t, CFG)
+        assert abs(res.value - exact_rate(model, em, t)) <= res.error_estimate
 
 
 class TestRefinement:
-    # every other tier-1 point converges in the first round; these two
-    # reach the refinement branches of decay_rate_numeric
-
-    def test_widened_zero_block(self):
-        # late eta = 0.5 point where the dropped oscillation dominates the
-        # first round, so the zero-aligned block grows fourfold
-        model, t = bb(0.5), 77736.50302387758
-        omega_max = truncation_frequency(model, EM, t, CFG)
-        first = _build_panels(model, EM, t, omega_max, _ZERO_CAP)[0].size
-        res = decay_rate_numeric(model, EM, t, CFG)
-        assert res.panels_used > 2 * first
-        # 25-digit mpmath value of the time-domain identity
-        reference = 0.09894920211783992
-        assert res.value == pytest.approx(reference, rel=1e-8)
-        assert abs(res.value - reference) <= res.error_estimate
+    # every other tier-1 point converges in the first round; these reach the
+    # refinement branches of decay_rate_numeric
 
     def test_bisection(self):
         model = NarrowbandReservoir(g=1e-3, kappa=0.05, omega_c=1.0)
         cfg = QuadratureConfig(rel_tol=1e-12)
         t = 0.02
         omega_max = truncation_frequency(model, EM, t, cfg)
-        first = _build_panels(model, EM, t, omega_max, _ZERO_CAP)[0].size
+        first = _build_panels(model, EM, t, omega_max)[0].size
         res = decay_rate_numeric(model, EM, t, cfg)
         assert first < res.panels_used < 2 * first
         oracle = decay_rate_numeric_oracle(model, EM, t, cfg)
@@ -377,7 +442,7 @@ class TestRefinement:
             cutoff = PowerLorentzCutoff(mu=1.6)
         model, t = bb(2.0, cutoff=cutoff), 10.0
         omega_max = truncation_frequency(model, EM, t, CFG)
-        first = _build_panels(model, EM, t, omega_max, _ZERO_CAP)[0].size
+        first = _build_panels(model, EM, t, omega_max)[0].size
         with pytest.raises(ConvergenceError, match="tail bound") as excinfo:
             decay_rate_numeric(model, EM, t, CFG)
         assert excinfo.value.result.panels_used == first
