@@ -24,7 +24,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legder, legvander
 
 from .analytic import classify_regime
 from .errors import ConvergenceError, RegimeSeparationError
@@ -35,6 +34,7 @@ from .reservoir import (
     ExponentialCutoff,
     NarrowbandReservoir,
     PowerLorentzCutoff,
+    _line_shape,
     _require_finite,
     evaluate_rsc,
     golden_rule_rate,
@@ -50,9 +50,11 @@ __all__ = [
     "truncation_frequency",
 ]
 
-# whole lobes kept on each side of the transition, and of a narrowband
-# line's centre, before the far field is left to envelope runs
-_ZERO_CAP = 10_000
+# the ladder of block half-widths, in whole lobes kept on each side of the
+# transition and of a narrowband line's centre before the far field is
+# left to envelope runs: each point takes the first whose envelope runs
+# bound their dropped oscillation within its tolerance, or the last
+_CAPS = (32, 128, 512, 2048, 10_000)
 
 # whole lobes kept next to omega = 0 when the block around the transition
 # stops short of it, so that no envelope run ends at the branch point there
@@ -65,10 +67,29 @@ _PANELS_PER_DECADE = 8
 # a 16-node Gauss rule integrates this far below 1e-12 relative
 _PHASE_CAP = 4.0
 
+
+def _gauss_legendre(n):
+    # The n-node Gauss-Legendre rule in plain numpy (numpy.polynomial and
+    # LAPACK would cost the process about 2.5 MB): Newton's method on the
+    # Legendre recurrence from the asymptotic roots, then weights
+    # 2/((1 - x**2) P_n'(x)**2), symmetrised and scaled to sum to 2. Both
+    # are within 3e-15 relative of 40-digit values for n = 8 and 16.
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(10):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (p0 - x * p1) / (1.0 - x * x)
+        x = x - p1 / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    w += w[::-1]
+    return 0.5 * (x - x[::-1]), w * (2.0 / w.sum())
+
+
 # the Gauss-Legendre pair of every panel: the 16-node value, and its
 # difference from the 8-node value as the refinement error
-_GL_HI = leggauss(16)
-_GL_LO = leggauss(8)
+_GL_HI = _gauss_legendre(16)
+_GL_LO = _gauss_legendre(8)
 
 # Panel kinds. A phase panel lies in half-lobe m of the profile, where the
 # phase x = (omega - omega0)*t/2 runs over [m*pi/2, (m+1)*pi/2]; its edges
@@ -89,16 +110,30 @@ def _half_lobe_rule(rule):
 
 _HALF_LOBE_RULES = (_half_lobe_rule(_GL_HI), _half_lobe_rule(_GL_LO))
 
-# rows that take a 16-node panel's values to derivatives 0 to 3 (per unit
-# half-width) of their interpolant at -1, at each node and at 1
-_GL_DIFF = np.stack(
-    [
-        legvander(np.r_[-1.0, _GL_HI[0], 1.0], 15 - k)
-        @ legder(np.eye(16), k)
-        @ np.linalg.inv(legvander(_GL_HI[0], 15))
-        for k in range(4)
-    ]
-)
+
+def _derivative_rows(x, order):
+    # rows that take the values at nodes x to derivatives 0 to order (per
+    # unit half-width) of their interpolant at -1, at each node and at 1:
+    # barycentric interpolation rows times powers of the nodes'
+    # differentiation matrix
+    gap = x[:, None] - x[None, :]
+    np.fill_diagonal(gap, 1.0)
+    lam = 1.0 / np.prod(gap, axis=1)
+    d1 = (lam[None, :] / lam[:, None]) / gap
+    np.fill_diagonal(d1, 0.0)
+    np.fill_diagonal(d1, -d1.sum(axis=1))
+
+    def at(y):
+        c = lam / (y - x)
+        return c / c.sum()
+
+    rows = [np.vstack([at(-1.0), np.eye(x.size), at(1.0)])]
+    for _ in range(order):
+        rows.append(rows[-1] @ d1)
+    return np.stack(rows)
+
+
+_GL_DIFF = _derivative_rows(_GL_HI[0], 3)
 
 # nodes per vectorised pass over phase panels or oracle nodes, so that the
 # arrays of one pass stay in cache
@@ -127,7 +162,7 @@ class QuadratureConfig:
             raise ValueError("tail_epsilon must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegrationResult:
     """Decay-rate value with its accuracy metadata.
 
@@ -147,10 +182,14 @@ class IntegrationResult:
 
 def _rate_floor(reservoir, emitter, t):
     # conservative lower scale for the decay rate, used to make the tail
-    # truncation relative; the rate interpolates between the short-time
-    # slope law and the golden-rule value
-    a = zeno_slope(reservoir)
+    # truncation and the far-field budget relative; the rate interpolates
+    # between the short-time slope law and the golden-rule value
     g0 = golden_rule_rate(reservoir, emitter)
+    try:
+        a = zeno_slope(reservoir)
+    except ValueError:
+        # a power-Lorentz RSC whose mass diverges has no finite slope
+        return 0.1 * g0
     return 0.1 * min(a * t, g0)
 
 
@@ -310,20 +349,53 @@ def _phase_omega(w0, t, m, u):
     return (w0 + (math.pi / t) * m) + (2.0 / t) * u
 
 
-def _build_panels(reservoir, emitter, t, omega_max):
+def _phase_rsc(reservoir, w0, t, m, u):
+    # The RSC at local phase u of half-lobe m. A Lorentzian line takes its
+    # detuning d = omega - omega_c from the half-lobe k nearest its centre,
+    # so that rounding omega costs eps of d rather than eps*omega_c, which
+    # is eps*omega_c/kappa of the line's value.
+    if isinstance(reservoir, NarrowbandReservoir):
+        wc = reservoir.omega_c
+        k = round((wc - w0) * t / math.pi)
+        d = (_phase_omega(w0, t, k, 0.0) - wc) + ((math.pi / t) * (m - k) + (2.0 / t) * u)
+        return _line_shape(reservoir, d)
+    return evaluate_rsc(reservoir, _phase_omega(w0, t, m, u))
+
+
+def _first_layout(reservoir, emitter, t, omega_max, rel_tol):
+    """The panels of a point's first round: blocks of the smallest cap in
+    _CAPS whose envelope runs bound their dropped oscillation by a quarter
+    of rel_tol times the rate floor. A cap that holds every lobe gives the
+    layout of any larger one, so it ends the ladder unprobed."""
+    lobes = max(zero_counts(t, emitter.omega0, omega_max))
+    budget = 0.25 * rel_tol * _rate_floor(reservoir, emitter, t)
+    for cap in _CAPS:
+        panels = _build_panels(reservoir, emitter, t, omega_max, cap)
+        if cap >= min(lobes, _CAPS[-1]):
+            return panels
+        a, b, _, kind = panels
+        smooth = kind == _SMOOTH
+        sa, sb = a[smooth], b[smooth]
+        _, vals = _panel_values(_envelope(reservoir, emitter, t), sa, sb, _GL_HI)
+        if _far_field(t, emitter.omega0, sa, sb, vals, kind[-1] == _SMOOTH)[1] <= budget:
+            return panels
+
+
+def _build_panels(reservoir, emitter, t, omega_max, cap):
     """Panel arrays (a, b, m, kind), left to right (see the panel kinds):
-    merged blocks of whole lobes, envelope runs between them, and profile
-    stubs beyond the outermost kernel zeros."""
+    merged blocks of whole lobes, at most cap on each side of the transition
+    and of a narrowband line, envelope runs between them, and profile stubs
+    beyond the outermost kernel zeros."""
     w0 = emitter.omega0
     k_left, k_right = zero_counts(t, w0, omega_max)
     # blocks as ranges [lo, hi] of zero indices k, the zero k at w0 + 2*pi*k/t
-    blocks = [(-min(k_left, _ZERO_CAP), min(k_right, _ZERO_CAP))]
-    if k_left > _ZERO_CAP:
+    blocks = [(-min(k_left, cap), min(k_right, cap))]
+    if k_left > cap:
         blocks.append((-k_left, _EDGE_LOBES - k_left))
     if isinstance(reservoir, NarrowbandReservoir):
         kc = round((reservoir.omega_c - w0) * t / (2.0 * math.pi))
         if not blocks[0][0] <= kc <= blocks[0][1]:
-            blocks.append((max(kc - _ZERO_CAP, -k_left), min(kc + _ZERO_CAP, k_right)))
+            blocks.append((max(kc - cap, -k_left), min(kc + cap, k_right)))
     merged = []
     for lo, hi in sorted(blocks):
         if merged and lo <= merged[-1][1]:
@@ -418,8 +490,7 @@ def _phase_pass(reservoir, w0, t, a, b, m, rule):
     mc = m[:, None]
     x2 = _HALF_PI * mc + u
     x2 *= x2
-    vals = evaluate_rsc(reservoir, _phase_omega(w0, t, mc, u).reshape(-1))
-    vals = vals.reshape(x2.shape) / x2
+    vals = _phase_rsc(reservoir, w0, t, mc, u) / x2
     odd = (m & 1).astype(bool)
     out = np.where(odd, vals @ table[1], vals @ table[0])
     if partial:
@@ -453,16 +524,52 @@ def _integrand(reservoir, emitter, t):
     return f
 
 
+def _envelope(reservoir, emitter, t):
+    # S = 2*R/(t*delta**2), the envelope that smooth panels integrate
+    w0 = emitter.omega0
+
+    def f(w):
+        d = w - w0
+        return 2.0 * evaluate_rsc(reservoir, w) / (t * d * d)
+
+    return f
+
+
+def _far_field(t, w0, sa, sb, vals, to_omega_max):
+    """The far field of the envelope runs over smooth panels [sa, sb] whose
+    16-node envelope values are vals: its terms, and the bound on their rest.
+
+    A run drops -int S cos(delta*t). Integrating by parts twice between
+    kernel zeros, where sin(delta*t) = 0, gives it as -[S']/t^2 plus at most
+    (|S'''| at the ends + total variation of S''')/t^4. Where the last run
+    ends at omega_max (to_omega_max), the S*sin/t and S'*cos/t^2 terms keep
+    their sine and cosine there, and |S''|/t^3 joins the bound. The
+    derivatives are those of each panel's 16-node interpolant.
+    """
+    if not sa.size:
+        return [], 0.0
+    d = np.einsum("kpj,nj->knp", _GL_DIFF, vals)
+    d *= (2.0 / (sb - sa))[None, :, None] ** np.arange(4)[:, None, None]
+    runs = np.nonzero(sa[1:] != sb[:-1])[0] + 1
+    first, last = np.append(0, runs), np.append(runs - 1, sa.size - 1)
+    far = ((d[1, first, 0] - d[1, last, -1]) / (t * t)).tolist()
+    tv = [np.sum(np.abs(np.diff(r.reshape(-1)))) for r in np.split(d[3], runs)]
+    d3 = np.abs(d[3, first, 0]) + np.abs(d[3, last, -1]) + tv
+    bound = float(np.sum(d3)) / t**4
+    if to_omega_max:
+        x = (sb[-1] - w0) * t
+        s0, s1, s2 = d[:3, -1, -1].tolist()
+        far.append(s1 * (1.0 - math.cos(x)) / (t * t) - s0 * math.sin(x) / t)
+        bound += abs(s2) / t**3
+    return far, bound
+
+
 def _evaluate(reservoir, emitter, t, a, b, m, kind):
     w0 = emitter.omega0
     integrand = _integrand(reservoir, emitter, t)
 
     def f_full(w):
         return integrand(w)[0]
-
-    def f_smooth(w):
-        d = w - w0
-        return 2.0 * evaluate_rsc(reservoir, w) / (t * d * d)
 
     panel_hi = np.empty(a.size)
     panel_lo = np.empty(a.size)
@@ -480,27 +587,10 @@ def _evaluate(reservoir, emitter, t, a, b, m, kind):
     smooth = kind == _SMOOTH
     if smooth.any():
         sa, sb = a[smooth], b[smooth]
+        f_smooth = _envelope(reservoir, emitter, t)
         panel_hi[smooth], vals = _panel_values(f_smooth, sa, sb, _GL_HI)
         panel_lo[smooth], _ = _panel_values(f_smooth, sa, sb, _GL_LO)
-        # An envelope run drops -int S cos(delta*t). Integrating by parts
-        # twice between kernel zeros, where sin(delta*t) = 0, gives it as
-        # -[S']/t^2 plus at most (|S'''| at the ends + total variation of
-        # S''')/t^4. At omega_max the S*sin/t and S'*cos/t^2 terms keep their
-        # sine and cosine, and |S''|/t^3 joins the bound. The derivatives are
-        # those of each panel's 16-node interpolant.
-        d = np.einsum("kpj,nj->knp", _GL_DIFF, vals)
-        d *= (2.0 / (sb - sa))[None, :, None] ** np.arange(4)[:, None, None]
-        runs = np.nonzero(sa[1:] != sb[:-1])[0] + 1
-        first, last = np.append(0, runs), np.append(runs - 1, sa.size - 1)
-        far = ((d[1, first, 0] - d[1, last, -1]) / (t * t)).tolist()
-        tv = [np.sum(np.abs(np.diff(r.reshape(-1)))) for r in np.split(d[3], runs)]
-        d3 = np.abs(d[3, first, 0]) + np.abs(d[3, last, -1]) + tv
-        osc = float(np.sum(d3)) / t**4
-        if kind[-1] == _SMOOTH:
-            x = (sb[-1] - w0) * t
-            s0, s1, s2 = d[:3, -1, -1].tolist()
-            far.append(s1 * (1.0 - math.cos(x)) / (t * t) - s0 * math.sin(x) / t)
-            osc += abs(s2) / t**3
+        far, osc = _far_field(t, w0, sa, sb, vals, kind[-1] == _SMOOTH)
 
     value = math.fsum(np.append(panel_hi, far).tolist())
     deltas = np.abs(panel_hi - panel_lo)
@@ -517,7 +607,7 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
     tolerance within the panel budget.
     """
     cfg, omega_max, tail = _setup(reservoir, emitter, t, cfg)
-    a, b, m, kind = _build_panels(reservoir, emitter, t, omega_max)
+    a, b, m, kind = _first_layout(reservoir, emitter, t, omega_max, cfg.rel_tol)
     best = None
     for _ in range(_MAX_ROUNDS):
         value, refine_err, osc, deltas = _evaluate(reservoir, emitter, t, a, b, m, kind)

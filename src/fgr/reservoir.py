@@ -210,13 +210,18 @@ def evaluate_rsc(reservoir, omega):
         out = reservoir.coupling * reservoir.omega_x * x**reservoir.eta
         out = out * reservoir.cutoff.profile(x)
     elif isinstance(reservoir, NarrowbandReservoir):
-        d = w - reservoir.omega_c
-        out = (reservoir.kappa / math.pi) * reservoir.g**2 / (d * d + reservoir.kappa**2)
+        out = _line_shape(reservoir, w - reservoir.omega_c)
     else:
         raise TypeError(f"unsupported reservoir type: {type(reservoir).__name__}")
     if np.ndim(omega) == 0:
         return float(out)
     return out
+
+
+def _line_shape(reservoir, d):
+    # the Breit-Wigner RSC of a narrowband reservoir at d = omega - omega_c,
+    # for callers that can form d more exactly than omega
+    return (reservoir.kappa / math.pi) * reservoir.g**2 / (d * d + reservoir.kappa**2)
 
 
 def golden_rule_rate(reservoir, emitter):

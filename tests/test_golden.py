@@ -33,8 +33,8 @@ FIGURE_DIGESTS = {
 }
 
 RATE_DIGESTS = {
-    "narrow": "fb937d1e4b3fe5229de3e82d635602b0e1d453ebd0ffee0cea10c36ed0d7b0b3",
-    "broad": "c8474048f0912924494a696bfafd945c9dcc8f315cf140cc19ed316ef4fce678",
+    "narrow": "03890d6402fa50bfabc275f99f94e53f6d07a981e49fef8f9263fad63898a456",
+    "broad": "16ee9ea00fec85a15f95700a97afed241f2646581659f621542c2e8d51681f56",
 }
 
 

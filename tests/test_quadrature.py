@@ -12,12 +12,14 @@ import pytest
 from fgr import quadrature
 from fgr.errors import ConvergenceError
 from fgr.quadrature import (
+    _CAPS,
     _CHUNK,
     _PHASE,
     _SMOOTH,
     IntegrationResult,
     QuadratureConfig,
     _build_panels,
+    _first_layout,
     _phase_omega,
     _tail_mass,
     decay_rate_numeric,
@@ -37,6 +39,24 @@ from fgr.reservoir import (
 
 EM = EmitterSpec(1.0)
 CFG = QuadratureConfig()
+
+
+@pytest.fixture(scope="module")
+def exact_rate():
+    # 25-digit mpmath rates from benchmark/make_refs.py, which shares no
+    # code with fgr
+    bench = os.path.join(os.path.dirname(__file__), "..", "benchmark")
+    sys.path.insert(0, bench)
+    try:
+        from make_refs import exact_rate
+    finally:
+        sys.path.remove(bench)
+    return exact_rate
+
+
+def first_layout_size(model, em, t, cfg):
+    omega_max = truncation_frequency(model, em, t, cfg)
+    return _first_layout(model, em, t, omega_max, cfg.rel_tol)[0].size
 
 
 def bb(eta, omega_x=250.0, coupling=1e-3, cutoff=None):
@@ -329,7 +349,8 @@ class TestPanels:
             (NarrowbandReservoir(g=1e-3, kappa=5e-4, omega_c=1.0), EM, 14467.883254733497),
             # more lobes left of the transition than the cap: a block at omega = 0
             (bb(0.5), EM, 77736.50302387758),
-            # a far-detuned line: its block merges with the transition's
+            # a far-detuned line: at the largest cap its block merges with
+            # the transition's
             (NarrowbandReservoir(g=1e-3, kappa=1e-5, omega_c=1.0), EmitterSpec(2.0), 1e5),
             # ... or stands apart from it
             (NarrowbandReservoir(g=1e-3, kappa=1e-3, omega_c=5.0), EM, 1e5),
@@ -337,8 +358,13 @@ class TestPanels:
         ids=["resonant-high-q", "edge-block", "line-block-merged", "line-block-apart"],
     )
     def test_panels_tile_the_domain(self, model, em, t):
+        # at the smallest and the largest block half-width
         omega_max = truncation_frequency(model, em, t, CFG)
-        a, b, m, kind = _build_panels(model, em, t, omega_max)
+        for cap in (_CAPS[0], _CAPS[-1]):
+            self.check_tiling(model, em, t, omega_max, cap)
+
+    def check_tiling(self, model, em, t, omega_max, cap):
+        a, b, m, kind = _build_panels(model, em, t, omega_max, cap)
         # phase panels carry local phase edges; compare them as frequencies
         phase = kind == _PHASE
         assert phase.any()
@@ -367,21 +393,10 @@ class TestFarField:
     # Envelope runs carry the far field -int S cos(delta*t) as a boundary
     # term plus an O(t**-4) remainder, so each point's first layout is its
     # last unless bisection is needed. The references are 25-digit values of
-    # benchmark/make_refs.py::exact_rate, which shares no code with fgr.
-
-    @pytest.fixture(scope="class")
-    def exact_rate(self):
-        bench = os.path.join(os.path.dirname(__file__), "..", "benchmark")
-        sys.path.insert(0, bench)
-        try:
-            from make_refs import exact_rate
-        finally:
-            sys.path.remove(bench)
-        return exact_rate
+    # benchmark/make_refs.py::exact_rate.
 
     def one_round(self, model, em, t, cfg):
-        omega_max = truncation_frequency(model, em, t, cfg)
-        first = _build_panels(model, em, t, omega_max)[0].size
+        first = first_layout_size(model, em, t, cfg)
         res = decay_rate_numeric(model, em, t, cfg)
         assert res.panels_used == first
         return res
@@ -416,6 +431,96 @@ class TestFarField:
         res = self.one_round(model, em, t, CFG)
         assert abs(res.value - exact_rate(model, em, t)) <= res.error_estimate
 
+    def test_line_detuning_formed_from_its_lobe(self, exact_rate):
+        # the same line at rel_tol 1e-12: with omega - omega_c formed from a
+        # rounded omega, each node near the line carried eps*omega_c/kappa of
+        # relative error, and the value missed its estimate 2.7-fold
+        model, em = NarrowbandReservoir(g=1e-3, kappa=1e-5, omega_c=1.0), EmitterSpec(2.0)
+        t = 1.0 / model.kappa
+        res = self.one_round(model, em, t, QuadratureConfig(rel_tol=1e-12))
+        assert abs(res.value - exact_rate(model, em, t)) <= res.error_estimate
+
+    @pytest.mark.parametrize(
+        "model,em,t",
+        [
+            (bb(0.5), EM, 77736.50302387758),
+            (NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=4.36), EmitterSpec(14.83), 8515.0),
+        ],
+        ids=["edge-block", "detuned-line"],
+    )
+    def test_tolerance_sets_the_cap(self, exact_rate, model, em, t):
+        # at rel_tol 1e-8 a block a tenth of the largest bounds the far field
+        # (an eta = 0.5 point with 40,160 panels at the largest cap, and a
+        # line with kappa*t = 8515 that needs no block of 60,288 panels);
+        # rel_tol 1e-12 takes a wider one
+        omega_max = truncation_frequency(model, em, t, CFG)
+        top = _build_panels(model, em, t, omega_max, _CAPS[-1])[0].size
+        reference = exact_rate(model, em, t)
+        used = []
+        for rel_tol in (1e-8, 1e-12):
+            res = self.one_round(model, em, t, QuadratureConfig(rel_tol=rel_tol))
+            assert abs(res.value - reference) <= res.error_estimate
+            used.append(res.panels_used)
+        assert used[0] < 0.1 * top
+        assert used[0] < used[1] <= top
+
+
+def property_points(seed=12):
+    """A seeded grid of (id, model, emitter, t), all with omega0*t <= 1e5.
+
+    Twelve exponential-cutoff points with eta <= 4 and omega_x/omega0 in
+    [10, 1e4], and twelve Lorentzian lines with Q <= 1000: resonant, detuned
+    by 5 to 100 kappa, or with omega0 in [0.05, 4]*omega_c. The last four of
+    each family lie where a fixed 200-lobe block failed at rel_tol 1e-12:
+    eta >= 1.4 at omega0*t <= 3, and detuned lines with kappa*t in [3.6, 240].
+    """
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(12):
+        hard = i >= 8
+        eta = rng.uniform(1.4 if hard else 0.0, 4.0)
+        omega_x = 10.0 ** rng.uniform(1.0, 4.0)
+        w0t = 10.0 ** (rng.uniform(-0.5, 0.5) if hard else rng.uniform(-3.0, 5.0))
+        points.append((f"bb-{i}", bb(eta, omega_x=omega_x), EM, w0t))
+    for i in range(12):
+        q = 10.0 ** rng.uniform(0.0, 3.0)
+        model = NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=2.0 * q)
+        if i < 3:
+            omega0 = model.omega_c
+        elif i < 8 and i % 2:
+            omega0 = model.omega_c * rng.uniform(0.05, 4.0)
+        else:
+            omega0 = model.omega_c + rng.uniform(5.0, 100.0)
+        kt = 10.0 ** (rng.uniform(math.log10(3.6), math.log10(240.0)) if i >= 8
+                      else rng.uniform(-3.0, 3.0))
+        t = min(kt / model.kappa, 1e5 / omega0)
+        points.append((f"nb-{i}", model, EmitterSpec(omega0), t))
+    return points
+
+
+PROPERTY_POINTS = property_points()
+
+
+class TestExactProperty:
+    # every point of the seeded grid converges at both tolerances, within
+    # its own estimate of the 25-digit rate; a failure here is a finding
+    # to record, not a case to drop
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        return {}
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize(
+        "point", PROPERTY_POINTS, ids=[p[0] for p in PROPERTY_POINTS]
+    )
+    def test_within_estimate_of_exact_rate(self, exact_rate, references, point, rel_tol):
+        name, model, em, t = point
+        if name not in references:
+            references[name] = exact_rate(model, em, t)
+        res = decay_rate_numeric(model, em, t, QuadratureConfig(rel_tol=rel_tol))
+        assert abs(res.value - references[name]) <= res.error_estimate
+
 
 class TestRefinement:
     # every other tier-1 point converges in the first round; these reach the
@@ -425,8 +530,7 @@ class TestRefinement:
         model = NarrowbandReservoir(g=1e-3, kappa=0.05, omega_c=1.0)
         cfg = QuadratureConfig(rel_tol=1e-12)
         t = 0.02
-        omega_max = truncation_frequency(model, EM, t, cfg)
-        first = _build_panels(model, EM, t, omega_max)[0].size
+        first = first_layout_size(model, EM, t, cfg)
         res = decay_rate_numeric(model, EM, t, cfg)
         assert first < res.panels_used < 2 * first
         oracle = decay_rate_numeric_oracle(model, EM, t, cfg)
@@ -441,11 +545,21 @@ class TestRefinement:
         with pytest.warns(UserWarning):
             cutoff = PowerLorentzCutoff(mu=1.6)
         model, t = bb(2.0, cutoff=cutoff), 10.0
-        omega_max = truncation_frequency(model, EM, t, CFG)
-        first = _build_panels(model, EM, t, omega_max)[0].size
+        first = first_layout_size(model, EM, t, CFG)
         with pytest.raises(ConvergenceError, match="tail bound") as excinfo:
             decay_rate_numeric(model, EM, t, CFG)
         assert excinfo.value.result.panels_used == first
+
+    def test_divergent_rsc_mass_reaches_the_tail_bound(self):
+        # mu = 1.2 < (eta + 1)/2: the RSC mass diverges, so the short-time
+        # slope that the far-field budget is scaled by is infinite, but the
+        # rate is finite and the point ends as the mu = 1.6 one does
+        with pytest.warns(UserWarning):
+            cutoff = PowerLorentzCutoff(mu=1.2)
+        model, t = bb(2.0, cutoff=cutoff), 10.0
+        with pytest.raises(ConvergenceError, match="tail bound") as excinfo:
+            decay_rate_numeric(model, EM, t, CFG)
+        assert excinfo.value.result.panels_used == first_layout_size(model, EM, t, CFG)
 
 
 class TestRateCurve:

@@ -1,6 +1,8 @@
-"""tools/check_tier1.py reads the failing set from pytest's short summary."""
+"""The tools: check_tier1.py reads the failing set from pytest's short
+summary, and record_bench.py summarises runs in the BENCH_<n>.json layout."""
 
 import importlib.util
+import json
 import os
 
 CHECK = os.path.join(os.path.dirname(__file__), "..", "tools", "check_tier1.py")
@@ -26,3 +28,59 @@ def test_failing_set_reads_the_short_summary():
         "tests/test_cli.py",
     }
     assert check.failing_set("3 passed in 1.00s") == set()
+
+
+def load_tool(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRecordBench:
+    """tools/record_bench.py: its pure parts, without running a benchmark."""
+
+    def test_sides_alternate(self):
+        bench = load_tool("record_bench")
+        assert [bench.side_order(i) for i in range(3)] == [
+            ("parent", "change"),
+            ("change", "parent"),
+            ("parent", "change"),
+        ]
+
+    def test_parse_run_py_reads_the_last_line(self):
+        bench = load_tool("record_bench")
+        metrics = {name: float(i) for i, name in enumerate(bench.RUN_PY_METRICS)}
+        reported = {name: {"value": v, "unit": "s"} for name, v in metrics.items()}
+        last = json.dumps({"correct": True, "attempted": 9, "failed": 0,
+                           "metrics": dict(reported, extra={"value": 1.0, "unit": "s"})})
+        got, correct = bench.parse_run_py('{"meta": 1}\n' + last + "\n")
+        assert got == metrics and correct is True
+
+    def test_summarise_workload_in_bench_schema(self):
+        bench = load_tool("record_bench")
+        per_seed = {
+            side: {name: [3.0 + k, 1.0 + k, 2.0 + k] for name in bench.RUN_PY_METRICS}
+            for k, side in enumerate(bench.SIDES)
+        }
+        correct = {"parent": [True, True, True], "change": [True, False, True]}
+        out = bench.summarise_workload(per_seed, correct)
+        assert set(out) == {"parent", "parent_per_seed", "change", "change_per_seed"}
+        assert out["parent"]["points_per_s"] == 2.0 and out["change"]["setup_s"] == 3.0
+        assert out["parent"]["correct"] is True and out["change"]["correct"] is False
+        assert out["change_per_seed"]["peak_rss_mb"] == [4.0, 2.0, 3.0]
+
+    def test_pairs_won_follows_the_metric_direction(self):
+        bench = load_tool("record_bench")
+        parent, change = [1.0, 2.0, 3.0], [2.0, 1.0, 4.0]
+        assert bench.pairs_won(parent, change, "points_per_s") == 2
+        assert bench.pairs_won(parent, change, "point_ms_p50") == 1
+
+    def test_claim_summary(self):
+        bench = load_tool("record_bench")
+        parent, change = [10.0, 12.0, 11.0, 13.0, 9.0], [60.0, 61.0, 10.5, 62.0, 63.0]
+        got = bench.claim_summary("fig1_broadband", "points_per_s", parent, change)
+        assert got["parent_median"] == 11.0 and got["change_median"] == 61.0
+        assert got["parent_iqr"] == 3.0  # quartiles 9.5 and 12.5
+        assert got["pairs_won"] == "4/5"
