@@ -21,6 +21,7 @@ the weighted integrand and of its rounding bound.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -86,10 +87,18 @@ def _gauss_legendre(n):
     return 0.5 * (x - x[::-1]), w * (2.0 / w.sum())
 
 
-# the Gauss-Legendre pair of every panel: the 16-node value, and its
-# difference from the 8-node value as the refinement error
-_GL_HI = _gauss_legendre(16)
-_GL_LO = _gauss_legendre(8)
+def _gauss_pair():
+    # the Gauss-Legendre pair of every panel as one 24-node rule: its weight
+    # columns give the 16-node value and the 8-node one, whose difference
+    # is the refinement error, so one integrand call on 24 nodes gives both
+    (x16, w16), (x8, w8) = _gauss_legendre(16), _gauss_legendre(8)
+    w = np.zeros((24, 2))
+    w[:16, 0], w[16:, 1] = w16, w8
+    return np.concatenate([x16, x8]), w
+
+
+_GL_PAIR = _gauss_pair()
+_HI = 16  # the 16-node rule's nodes lead the pair
 
 # Panel kinds. A phase panel lies in half-lobe m of the profile, where the
 # phase x = (omega - omega0)*t/2 runs over [m*pi/2, (m+1)*pi/2]; its edges
@@ -102,13 +111,15 @@ _HALF_PI = 0.5 * math.pi
 def _half_lobe_rule(rule):
     # Over a whole half-lobe sin(x)**2 is sin(u)**2 for even m and cos(u)**2
     # for odd m, whatever m is, so the profile folds into one weight table
-    # per parity: (pi/2) * w * sin(u)**2 and (pi/2) * w * cos(u)**2.
+    # per parity: (pi/2) * w * sin(u)**2 and (pi/2) * w * cos(u)**2, the
+    # columns of the even table before those of the odd one.
     nodes, w = rule
     u = 0.25 * math.pi + 0.25 * math.pi * nodes
-    return nodes, w, u, _HALF_PI * w * np.stack([np.sin(u) ** 2, np.cos(u) ** 2])
+    table = [w * (f(u) ** 2)[:, None] for f in (np.sin, np.cos)]
+    return nodes, w, u, _HALF_PI * np.hstack(table)
 
 
-_HALF_LOBE_RULES = (_half_lobe_rule(_GL_HI), _half_lobe_rule(_GL_LO))
+_HALF_LOBE_RULE = _half_lobe_rule(_GL_PAIR)
 
 
 def _derivative_rows(x, order):
@@ -133,7 +144,7 @@ def _derivative_rows(x, order):
     return np.stack(rows)
 
 
-_GL_DIFF = _derivative_rows(_GL_HI[0], 3)
+_GL_DIFF = _derivative_rows(_GL_PAIR[0][:_HI], 3)
 
 # nodes per vectorised pass over phase panels or oracle nodes, so that the
 # arrays of one pass stay in cache
@@ -162,22 +173,53 @@ class QuadratureConfig:
             raise ValueError("tail_epsilon must be > 0")
 
 
-@dataclass(frozen=True, slots=True)
+# value, error_estimate, panels_used, truncation_frequency: 28 bytes, so
+# that with the bytes object's header a record is one 64-byte block
+_RESULT = struct.Struct("=ddId")
+
+
 class IntegrationResult:
-    """Decay-rate value with its accuracy metadata.
+    """Decay-rate value with its accuracy metadata, immutable.
 
     ``panels_used`` counts quadrature panels for the panel scheme and
     integrand evaluations for the transform scheme.
+
+    The four fields are held as one packed record: a result that is kept
+    takes about 104 bytes, where four boxed fields took 193. A caller that
+    keeps every result it is handed, as the benchmark's per-point records
+    do, grows by that much per point.
     """
 
-    value: float
-    error_estimate: float
-    panels_used: int
-    truncation_frequency: float
+    __slots__ = ("_record",)
 
-    def __post_init__(self):
-        if self.value < 0.0 or self.error_estimate < 0.0:
+    def __init__(self, value, error_estimate, panels_used, truncation_frequency):
+        if value < 0.0 or error_estimate < 0.0:
             raise ValueError("value and error_estimate must be nonnegative")
+        self._record = _RESULT.pack(
+            value, error_estimate, panels_used, truncation_frequency
+        )
+
+    def _fields(self):
+        return _RESULT.unpack(self._record)
+
+    value = property(lambda self: self._fields()[0])
+    error_estimate = property(lambda self: self._fields()[1])
+    panels_used = property(lambda self: self._fields()[2])
+    truncation_frequency = property(lambda self: self._fields()[3])
+
+    def __eq__(self, other):
+        if type(other) is not IntegrationResult:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            "IntegrationResult(value={!r}, error_estimate={!r}, panels_used={!r}, "
+            "truncation_frequency={!r})".format(*self._fields())
+        )
 
 
 def _rate_floor(reservoir, emitter, t):
@@ -287,41 +329,83 @@ def _tail_bound(reservoir, emitter, t, omega_max):
     return bound
 
 
-def _geom_edges(lo, hi, per_decade=_PANELS_PER_DECADE):
+def _geom_edges(lo, hi, step):
+    # edges from lo to hi (0 < lo < hi), geometric at _PANELS_PER_DECADE per
+    # decade until a step would pass `step`, then uniform at most that wide
     if hi <= lo:
         return np.array([lo, hi])
-    n = max(1, int(math.ceil(math.log10(hi / lo) * per_decade)))
-    return lo * (hi / lo) ** np.linspace(0.0, 1.0, n + 1)
+    top = min(hi, max(lo, step / (10.0 ** (1.0 / _PANELS_PER_DECADE) - 1.0)))
+    edges = np.array([lo])
+    if top > lo:
+        n = max(1, int(math.ceil(math.log10(top / lo) * _PANELS_PER_DECADE)))
+        edges = lo * (top / lo) ** (np.arange(n + 1) / n)
+        edges[-1] = top
+    if hi > top:
+        n = int(math.ceil((hi - top) / step))
+        edges = np.append(edges, top + (hi - top) * (np.arange(1, n + 1) / n))
+        edges[-1] = hi
+    return edges
 
 
-def _rsc_width_cap(reservoir):
-    # panel width below which the RSC is comfortably analytic for a
-    # 16-node Gauss rule
+def _rsc_cap(reservoir):
+    """The panel width at which the RSC is comfortably analytic for a
+    16-node Gauss rule, as (p, alpha, lo, hi): a panel whose nearest point
+    lies d from p may be clip(alpha*d, lo, hi) wide. With lo = 0 a panel
+    that reaches p is held to hi alone, since no width would do there."""
     if isinstance(reservoir, BroadbandReservoir):
-        scale = (
-            2.0 * reservoir.omega_x
-            if isinstance(reservoir.cutoff, ExponentialCutoff)
-            else reservoir.omega_x
-        )
-        eta = reservoir.eta
+        exponential = isinstance(reservoir.cutoff, ExponentialCutoff)
+        scale = (2.0 if exponential else 1.0) * reservoir.omega_x
         # non-integer exponents put a branch point at omega = 0, so panel
         # widths must shrink in proportion to the distance from it
-        fractional = abs(eta - round(eta)) > 1e-12
+        if abs(reservoir.eta - round(reservoir.eta)) > 1e-12:
+            return 0.0, 0.6, 0.0, scale
+        return 0.0, 1.0, scale, scale
+    # a line's poles lie kappa off the real axis at omega_c, so half of
+    # kappa there keeps even the 8-node rule well inside their ellipse
+    return reservoir.omega_c, 1.0, 0.5 * reservoir.kappa, math.inf
 
-        def cap(a, b):
-            c = np.full_like(a, scale)
-            if fractional:
-                c = np.minimum(c, np.where(a > 0.0, 0.6 * a, np.inf))
-            return c
 
-    else:
-        k, wc = reservoir.kappa, reservoir.omega_c
+def _side_cuts(d0, d3, cap):
+    # the distances from p that cut [d0, d3] on one side of it, ascending:
+    # equal steps of at most lo up to lo/alpha, then equal ratios of at most
+    # 1 + alpha up to hi/alpha, then equal steps of at most hi
+    _, alpha, lo, hi = cap
+    d1 = min(max(lo / alpha, d0), d3)
+    d2 = min(max(hi / alpha, d1), d3)
+    cuts = []
+    stretches = ((d0, d1, lo, False), (d1, d2, alpha, True), (d2, d3, hi, False))
+    for s, e, step, geometric in stretches:
+        if e <= s:
+            continue
+        n = math.log(e / s) / math.log1p(step) if geometric else (e - s) / step
+        n = max(1, math.ceil(n))
+        f = np.arange(1, n + 1) / n
+        d = s * (e / s) ** f if geometric else s + (e - s) * f
+        d[-1] = e
+        cuts.append(d)
+    return np.concatenate(cuts)[:-1]  # the last cut is d3 itself
 
-        def cap(a, b):
-            dist = np.maximum(0.0, np.maximum(a - wc, wc - b))
-            return np.maximum(k, dist)
 
-    return cap
+def _graded_points(edges, cap):
+    """Points that split every panel between the sorted edges wider than
+    the width cap (see _rsc_cap) at its point nearest p, in order, with the
+    panel each falls in. A panel splits at p, and each side of it by
+    _side_cuts: each part meets the cap at its near end, and none is a
+    sliver. A layout has few such panels, so each is cut on its own."""
+    p, alpha, lo, hi = cap
+    a, b = edges[:-1], edges[1:]
+    near = np.maximum(0.0, np.maximum(a - p, p - b))
+    limit = np.clip(alpha * near, lo, hi)
+    if lo == 0.0:
+        limit[near == 0.0] = hi
+    wide = np.nonzero(b - a > limit)[0]
+    points = [edges[:0]]
+    for ai, bi in zip(a[wide].tolist(), b[wide].tolist()):
+        left = p - _side_cuts(max(0.0, p - bi), p - ai, cap)[::-1] if ai < p else []
+        right = p + _side_cuts(max(0.0, ai - p), bi - p, cap) if bi > p else []
+        points.append(np.concatenate([left, [p] if ai < p < bi else [], right]))
+    counts = [x.size for x in points[1:]]
+    return np.concatenate(points), np.repeat(wide, counts)
 
 
 def _bisect(mask, a, b, *carried):
@@ -334,14 +418,6 @@ def _bisect(mask, a, b, *carried):
     b[np.roll(second, -1)] = mid
     a[second] = mid
     return (a, b) + tuple(c[idx] for c in carried)
-
-
-def _refine_width(a, b, m, too_wide):
-    while True:
-        mask = too_wide(a, b, m)
-        if not mask.any():
-            return a, b, m
-        a, b, m = _bisect(mask, a, b, m)
 
 
 def _phase_omega(w0, t, m, u):
@@ -363,7 +439,8 @@ def _phase_rsc(reservoir, w0, t, m, u):
 
 
 def _first_layout(reservoir, emitter, t, omega_max, rel_tol):
-    """The panels of a point's first round: blocks of the smallest cap in
+    """The panels of a point's first round, and the envelope terms of its
+    probe (see _envelope_terms) or None: blocks of the smallest cap in
     _CAPS whose envelope runs bound their dropped oscillation by a quarter
     of rel_tol times the rate floor. A cap that holds every lobe gives the
     layout of any larger one, so it ends the ladder unprobed."""
@@ -372,20 +449,21 @@ def _first_layout(reservoir, emitter, t, omega_max, rel_tol):
     for cap in _CAPS:
         panels = _build_panels(reservoir, emitter, t, omega_max, cap)
         if cap >= min(lobes, _CAPS[-1]):
-            return panels
+            return panels, None
         a, b, _, kind = panels
-        smooth = kind == _SMOOTH
-        sa, sb = a[smooth], b[smooth]
-        _, vals = _panel_values(_envelope(reservoir, emitter, t), sa, sb, _GL_HI)
-        if _far_field(t, emitter.omega0, sa, sb, vals, kind[-1] == _SMOOTH)[1] <= budget:
-            return panels
+        terms = _envelope_terms(reservoir, emitter, t, a, b, kind)
+        if terms[2] <= budget:
+            return panels, terms
 
 
 def _build_panels(reservoir, emitter, t, omega_max, cap):
     """Panel arrays (a, b, m, kind), left to right (see the panel kinds):
     merged blocks of whole lobes, at most cap on each side of the transition
     and of a narrowband line, envelope runs between them, and profile stubs
-    beyond the outermost kernel zeros."""
+    beyond the outermost kernel zeros. Runs and stubs step at most the RSC's
+    widest cap (stubs also _PHASE_CAP/t), and the points of _graded_points
+    split whatever panel is still too wide for the RSC, half-lobes in their
+    local phase."""
     w0 = emitter.omega0
     k_left, k_right = zero_counts(t, w0, omega_max)
     # blocks as ranges [lo, hi] of zero indices k, the zero k at w0 + 2*pi*k/t
@@ -403,21 +481,17 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
         else:
             merged.append([lo, hi])
 
-    cap_fn = _rsc_width_cap(reservoir)
-    phase_cap = _PHASE_CAP / t
+    width = _rsc_cap(reservoir)
+    step = width[3]
+    stub_step = min(step, _PHASE_CAP / t)
+    # the frequency edges of each part but its last, its kind and half-lobes
+    parts = []
 
-    parts = []  # (a, b, m, kind)
-
-    def add(kind, a, b, m, too_wide):
-        a, b, m = _refine_width(a, b, m, too_wide)
-        parts.append((a, b, m, np.full(a.size, kind)))
-
-    def add_span(kind, edges, extra_cap=np.inf):
-        def too_wide(a, b, m):
-            return (b - a) > np.minimum(cap_fn(a, b), extra_cap)
-
-        m = np.zeros(edges.size - 1, dtype=int)
-        add(kind, edges[:-1], edges[1:], m, too_wide)
+    def add(kind, edges, m=None):
+        n = edges.size - 1
+        m = np.zeros(n, dtype=int) if m is None else m
+        parts.append((edges[:-1], np.full(n, kind), m))
+        return edges[-1]
 
     def zero(k):
         # the half-lobe edge arithmetic, so that runs meet blocks exactly
@@ -426,62 +500,77 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
     def add_run(lo, hi):
         # envelope run from lo to hi, geometric in the distance from w0
         if lo < w0:
-            edges = (w0 - _geom_edges(w0 - hi, w0 - lo))[::-1]
+            edges = (w0 - _geom_edges(w0 - hi, w0 - lo, step))[::-1]
         else:
-            edges = w0 + _geom_edges(lo - w0, hi - w0)
+            edges = w0 + _geom_edges(lo - w0, hi - w0, step)
         edges[0], edges[-1] = lo, hi
-        add_span(_SMOOTH, edges)
-
-    def too_wide(a, b, m):
-        lo, hi = _phase_omega(w0, t, m, a), _phase_omega(w0, t, m, b)
-        return (b - a) * (2.0 / t) > cap_fn(lo, hi)
+        return add(_SMOOTH, edges)
 
     z_left = zero(-k_left)
     if z_left > 0.0:
-        stub = z_left * 1e-9
-        edges = np.concatenate([[0.0], _geom_edges(stub, z_left)])
-        add_span(_PROFILE, edges, phase_cap)
+        add(_PROFILE, np.append(0.0, _geom_edges(z_left * 1e-9, z_left, stub_step)))
     for i, (lo, hi) in enumerate(merged):
         if i:
             add_run(zero(merged[i - 1][1]), zero(lo))
-        # one whole half-lobe per panel where the RSC allows
-        m = np.arange(2 * lo, 2 * hi)
-        add(_PHASE, np.zeros(m.size), np.full(m.size, _HALF_PI), m, too_wide)
-    z_right = zero(merged[-1][1])
+        m = np.arange(2 * lo, 2 * hi + 1)
+        end = add(_PHASE, _phase_omega(w0, t, m, 0.0), m[:-1])
     if merged[-1][1] < k_right:
-        add_run(z_right, omega_max)
-    elif z_right < omega_max:
-        add_span(_PROFILE, _geom_edges(z_right, omega_max), phase_cap)
+        end = add_run(end, omega_max)
+    elif end < omega_max:
+        end = add(_PROFILE, _geom_edges(end, omega_max, stub_step))
+    edges, kind, m = (np.concatenate(arrays) for arrays in zip(*parts))
+    edges = np.append(edges, end)
 
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    a, b = edges[:-1].copy(), edges[1:].copy()
+    phase = kind == _PHASE
+    a[phase], b[phase] = 0.0, _HALF_PI
+    points, into = _graded_points(edges, width)
+    if not points.size:
+        return a, b, m, kind
+    # a point in a half-lobe splits it at its local phase, unless that lies
+    # within rounding of the half-lobe's edges
+    local = points.copy()
+    lobe = phase[into]
+    mp = m[into[lobe]]
+    local[lobe] = (points[lobe] - _phase_omega(w0, t, mp, 0.0)) * (0.5 * t)
+    fuzz = 2.0 * _EPS * (w0 * t + math.pi * np.abs(mp))
+    keep = np.ones(points.size, dtype=bool)
+    keep[lobe] = (local[lobe] > fuzz) & (local[lobe] < _HALF_PI - fuzz)
+    local, into = local[keep], into[keep]
+    # each point ends one part of its panel and starts the next
+    src = np.repeat(np.arange(kind.size), np.bincount(into, minlength=kind.size) + 1)
+    at = into + np.arange(1, into.size + 1)
+    a, b = a[src], b[src]
+    a[at], b[at - 1] = local, local
+    return a, b, m[src], kind[src]
 
 
-def _panel_values(f, a, b, rule):
-    x, w = rule
+def _panel_values(f, a, b):
+    # both rules' values of panels [a, b] from one call of f on their 24
+    # nodes each, and the values at the nodes
+    x, w = _GL_PAIR
     mid = 0.5 * (a + b)[:, None]
     half = 0.5 * (b - a)[:, None]
-    nodes = mid + half * x
-    vals = f(nodes.reshape(-1)).reshape(nodes.shape)
-    return (vals @ w) * half[:, 0], vals
+    vals = f((mid + half * x).reshape(-1)).reshape(a.size, x.size)
+    return (vals @ w) * half, vals
 
 
 def _phase_values(reservoir, w0, t, a, b, m):
-    """16- and 8-node values of phase panels, in chunks."""
-    values = (np.empty(a.size), np.empty(a.size))
-    per_pass = _CHUNK // _GL_HI[0].size
+    """16- and 8-node values of phase panels, as columns, in chunks."""
+    values = np.empty((a.size, 2))
+    per_pass = _CHUNK // _GL_PAIR[0].size
     for i in range(0, a.size, per_pass):
         c = slice(i, i + per_pass)
-        for out, rule in zip(values, _HALF_LOBE_RULES):
-            out[c] = _phase_pass(reservoir, w0, t, a[c], b[c], m[c], rule)
+        values[c] = _phase_pass(reservoir, w0, t, a[c], b[c], m[c])
     return values
 
 
-def _phase_pass(reservoir, w0, t, a, b, m, rule):
+def _phase_pass(reservoir, w0, t, a, b, m):
     # Each phase panel is sum_j W_j R(omega_j) / x_j**2 with
     # W_j = (b - a) * w_j * sin(x_j)**2: from the parity table on whole
     # half-lobes, from sin of the local phase on the rest. Rounding the
     # small local phase costs eps relative at any m.
-    nodes, w, u, table = rule
+    nodes, w, u, table = _HALF_LOBE_RULE
     part = (a != 0.0) | (b != _HALF_PI)
     partial = part.any()
     if partial:
@@ -492,10 +581,11 @@ def _phase_pass(reservoir, w0, t, a, b, m, rule):
     x2 *= x2
     vals = _phase_rsc(reservoir, w0, t, mc, u) / x2
     odd = (m & 1).astype(bool)
-    out = np.where(odd, vals @ table[1], vals @ table[0])
+    both = vals @ table
+    out = np.where(odd[:, None], both[:, 2:], both[:, :2])
     if partial:
         s = np.sin(u[part] + _HALF_PI * odd[part, None])
-        out[part] = ((s * s * vals[part]) @ w) * (2.0 * half[part, 0])
+        out[part] = ((s * s * vals[part]) @ w) * (2.0 * half[part])
     return out
 
 
@@ -545,17 +635,28 @@ def _far_field(t, w0, sa, sb, vals, to_omega_max):
     ends at omega_max (to_omega_max), the S*sin/t and S'*cos/t^2 terms keep
     their sine and cosine there, and |S''|/t^3 joins the bound. The
     derivatives are those of each panel's 16-node interpolant.
+
+    A run's end z is a kernel zero only to rounding: its phase (z - w0)*t
+    is off a multiple of 2*pi by at most 2*eps*(|z| + w0)*t, and so is the
+    phase of omega_max. The S*sin/t term that this leaves at each end joins
+    the bound as 2*eps*|S|*(|z| + w0).
     """
     if not sa.size:
         return [], 0.0
-    d = np.einsum("kpj,nj->knp", _GL_DIFF, vals)
+    d = np.matmul(_GL_DIFF, vals.T).transpose(0, 2, 1)
     d *= (2.0 / (sb - sa))[None, :, None] ** np.arange(4)[:, None, None]
     runs = np.nonzero(sa[1:] != sb[:-1])[0] + 1
     first, last = np.append(0, runs), np.append(runs - 1, sa.size - 1)
     far = ((d[1, first, 0] - d[1, last, -1]) / (t * t)).tolist()
-    tv = [np.sum(np.abs(np.diff(r.reshape(-1)))) for r in np.split(d[3], runs)]
-    d3 = np.abs(d[3, first, 0]) + np.abs(d[3, last, -1]) + tv
-    bound = float(np.sum(d3)) / t**4
+    # the total variation of S''' over each run: the steps along all runs'
+    # rows laid end to end, less those from one run into the next
+    steps = np.abs(np.diff(d[3].reshape(-1)))
+    steps[runs * d.shape[2] - 1] = 0.0
+    ends = np.abs(d[3, first, 0]).sum() + np.abs(d[3, last, -1]).sum()
+    bound = float(ends + steps.sum()) / t**4
+    z = np.concatenate([sa[first], sb[last]])
+    s = np.concatenate([d[0, first, 0], d[0, last, -1]])
+    bound += 2.0 * _EPS * float(np.abs(s) @ (np.abs(z) + w0))
     if to_omega_max:
         x = (sb[-1] - w0) * t
         s0, s1, s2 = d[:3, -1, -1].tolist()
@@ -564,36 +665,39 @@ def _far_field(t, w0, sa, sb, vals, to_omega_max):
     return far, bound
 
 
-def _evaluate(reservoir, emitter, t, a, b, m, kind):
+def _envelope_terms(reservoir, emitter, t, a, b, kind):
+    """Both rules' values of a layout's smooth panels, as columns, and the
+    far field of their runs with its bound (see _far_field)."""
+    smooth = kind == _SMOOTH
+    sa, sb = a[smooth], b[smooth]
+    values, vals = _panel_values(_envelope(reservoir, emitter, t), sa, sb)
+    far, bound = _far_field(
+        t, emitter.omega0, sa, sb, vals[:, :_HI], kind[-1] == _SMOOTH
+    )
+    return values, far, bound
+
+
+def _evaluate(reservoir, emitter, t, a, b, m, kind, envelope=None):
+    # envelope: the layout's _envelope_terms, if its probe computed them
     w0 = emitter.omega0
-    integrand = _integrand(reservoir, emitter, t)
-
-    def f_full(w):
-        return integrand(w)[0]
-
-    panel_hi = np.empty(a.size)
-    panel_lo = np.empty(a.size)
+    values = np.empty((a.size, 2))
     far, osc = [], 0.0
 
     phase = kind == _PHASE
     if phase.any():
-        panel_hi[phase], panel_lo[phase] = _phase_values(
-            reservoir, w0, t, a[phase], b[phase], m[phase]
-        )
+        values[phase] = _phase_values(reservoir, w0, t, a[phase], b[phase], m[phase])
     full = kind == _PROFILE
     if full.any():
-        panel_hi[full], _ = _panel_values(f_full, a[full], b[full], _GL_HI)
-        panel_lo[full], _ = _panel_values(f_full, a[full], b[full], _GL_LO)
+        integrand = _integrand(reservoir, emitter, t)
+        values[full], _ = _panel_values(lambda w: integrand(w)[0], a[full], b[full])
     smooth = kind == _SMOOTH
-    if smooth.any():
-        sa, sb = a[smooth], b[smooth]
-        f_smooth = _envelope(reservoir, emitter, t)
-        panel_hi[smooth], vals = _panel_values(f_smooth, sa, sb, _GL_HI)
-        panel_lo[smooth], _ = _panel_values(f_smooth, sa, sb, _GL_LO)
-        far, osc = _far_field(t, w0, sa, sb, vals, kind[-1] == _SMOOTH)
+    if envelope is None and smooth.any():
+        envelope = _envelope_terms(reservoir, emitter, t, a, b, kind)
+    if envelope is not None:
+        values[smooth], far, osc = envelope
 
-    value = math.fsum(np.append(panel_hi, far).tolist())
-    deltas = np.abs(panel_hi - panel_lo)
+    value = math.fsum(np.append(values[:, 0], far).tolist())
+    deltas = np.abs(values[:, 0] - values[:, 1])
     # rounding floor: per-panel dot products carry O(eps) relative noise
     refine_err = float(np.sum(deltas)) + 5e-16 * abs(value)
     return value, refine_err, osc, deltas
@@ -607,10 +711,14 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
     tolerance within the panel budget.
     """
     cfg, omega_max, tail = _setup(reservoir, emitter, t, cfg)
-    a, b, m, kind = _first_layout(reservoir, emitter, t, omega_max, cfg.rel_tol)
+    (a, b, m, kind), envelope = _first_layout(
+        reservoir, emitter, t, omega_max, cfg.rel_tol
+    )
     best = None
     for _ in range(_MAX_ROUNDS):
-        value, refine_err, osc, deltas = _evaluate(reservoir, emitter, t, a, b, m, kind)
+        value, refine_err, osc, deltas = _evaluate(
+            reservoir, emitter, t, a, b, m, kind, envelope
+        )
         err = refine_err + osc + tail
         result = IntegrationResult(
             value=value,
@@ -635,6 +743,7 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
         split = np.zeros(a.size, dtype=bool)
         split[order[:n_split]] = True
         a, b, m, kind = _bisect(split, a, b, m, kind)
+        envelope = None
 
     msg = (
         f"decay-rate quadrature reached {best.panels_used} panels with error "

@@ -33,8 +33,8 @@ FIGURE_DIGESTS = {
 }
 
 RATE_DIGESTS = {
-    "narrow": "03890d6402fa50bfabc275f99f94e53f6d07a981e49fef8f9263fad63898a456",
-    "broad": "16ee9ea00fec85a15f95700a97afed241f2646581659f621542c2e8d51681f56",
+    "narrow": "2399cc62d32e1ff352b762e8b5fc5169275b0f06e9cbca94d375394efad3b6ef",
+    "broad": "69e2a09c425e9dcf3f06dcc6b43c6d32732982b93ec5a4ff7f8d949c690e45eb",
 }
 
 

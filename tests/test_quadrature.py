@@ -14,13 +14,17 @@ from fgr.errors import ConvergenceError
 from fgr.quadrature import (
     _CAPS,
     _CHUNK,
+    _EPS,
     _PHASE,
+    _PHASE_CAP,
+    _PROFILE,
     _SMOOTH,
     IntegrationResult,
     QuadratureConfig,
     _build_panels,
     _first_layout,
     _phase_omega,
+    _rsc_cap,
     _tail_mass,
     decay_rate_numeric,
     decay_rate_numeric_oracle,
@@ -56,7 +60,8 @@ def exact_rate():
 
 def first_layout_size(model, em, t, cfg):
     omega_max = truncation_frequency(model, em, t, cfg)
-    return _first_layout(model, em, t, omega_max, cfg.rel_tol)[0].size
+    panels, _ = _first_layout(model, em, t, omega_max, cfg.rel_tol)
+    return panels[0].size
 
 
 def bb(eta, omega_x=250.0, coupling=1e-3, cutoff=None):
@@ -86,6 +91,17 @@ class TestConfigValidation:
     def test_result_invariants(self):
         with pytest.raises(ValueError):
             IntegrationResult(value=-1.0, error_estimate=0.0, panels_used=1, truncation_frequency=1.0)
+
+    def test_result_keeps_its_fields_exactly(self):
+        # the fields are packed into one record; every bit comes back
+        fields = (math.nextafter(0.1, 1.0), 5e-324, 2**32 - 1, math.inf)
+        res = IntegrationResult(*fields)
+        got = (res.value, res.error_estimate, res.panels_used, res.truncation_frequency)
+        assert got == fields and type(got[2]) is int
+        assert res == IntegrationResult(*fields) and hash(res) == hash(IntegrationResult(*fields))
+        assert res != IntegrationResult(0.1, 5e-324, 2**32 - 1, math.inf)
+        with pytest.raises(AttributeError):
+            res.value = 1.0
 
 
 class TestZenoLimit:
@@ -354,8 +370,20 @@ class TestPanels:
             (NarrowbandReservoir(g=1e-3, kappa=1e-5, omega_c=1.0), EmitterSpec(2.0), 1e5),
             # ... or stands apart from it
             (NarrowbandReservoir(g=1e-3, kappa=1e-3, omega_c=5.0), EM, 1e5),
+            # an early fractional eta: half-lobes wider than the cap 0.6*omega
+            # that grows away from the branch point at omega = 0
+            (bb(0.5), EM, 6.7e-4),
+            # a line with kappa*t < pi inside the stub below the first zero
+            (NarrowbandReservoir(g=1e-3, kappa=0.05, omega_c=1.0), EM, 0.02),
         ],
-        ids=["resonant-high-q", "edge-block", "line-block-merged", "line-block-apart"],
+        ids=[
+            "resonant-high-q",
+            "edge-block",
+            "line-block-merged",
+            "line-block-apart",
+            "fractional-early",
+            "line-in-stub",
+        ],
     )
     def test_panels_tile_the_domain(self, model, em, t):
         # at the smallest and the largest block half-width
@@ -368,8 +396,10 @@ class TestPanels:
         # phase panels carry local phase edges; compare them as frequencies
         phase = kind == _PHASE
         assert phase.any()
+        width = np.where(phase, (b - a) * (2.0 / t), b - a)
         a = np.where(phase, _phase_omega(em.omega0, t, m, a), a)
         b = np.where(phase, _phase_omega(em.omega0, t, m, b), b)
+        self.check_caps(model, em, t, a, b, width, kind)
         assert a[0] == 0.0
         assert b[-1] == pytest.approx(omega_max, rel=1e-9)
         assert np.all(b > a)
@@ -387,6 +417,41 @@ class TestPanels:
         if isinstance(model, NarrowbandReservoir):
             # the line centre lies inside a phase block
             assert np.any(phase & (a <= model.omega_c) & (b >= model.omega_c))
+
+    def check_caps(self, model, em, t, a, b, width, kind):
+        # Each panel [a, b] is at most clip(alpha*d, lo, hi) wide, d the
+        # distance of its nearest point from p (a panel that reaches p with
+        # lo = 0 only hi wide), and a profile panel at most _PHASE_CAP/t:
+        # by construction, up to the rounding of a half-lobe's frequencies.
+        p, alpha, lo, hi = _rsc_cap(model)
+        near = np.maximum(0.0, np.maximum(a - p, p - b))
+        cap = np.clip(alpha * near, lo, hi)
+        if lo == 0.0:
+            cap[near == 0.0] = hi
+        slack = 16.0 * _EPS * (np.abs(b) + em.omega0)
+        assert np.all(width <= cap * (1.0 + 1e-12) + slack)
+        profile = kind == _PROFILE
+        assert np.all(width[profile] <= _PHASE_CAP / t * (1.0 + 1e-12))
+
+    def test_fractional_early_point_stays_small(self):
+        # Cutting a too-wide panel into equal parts gives all of it the cap
+        # at its near end, the smallest of the cap 0.6*omega there; that made
+        # this point 7,899 panels. The layout that bisected each panel until
+        # it fit had 123 here.
+        res = decay_rate_numeric(bb(0.5), EM, 6.7e-4, CFG)
+        assert res.panels_used < 2 * 123
+
+    def test_line_in_stub_value(self):
+        # the line-in-stub point above, which the layout that bisected each
+        # panel refined and this one converges in its first round
+        model = NarrowbandReservoir(g=1e-3, kappa=0.05, omega_c=1.0)
+        cfg = QuadratureConfig(rel_tol=1e-12)
+        res = decay_rate_numeric(model, EM, 0.02, cfg)
+        oracle = decay_rate_numeric_oracle(model, EM, 0.02, cfg)
+        assert res.value == pytest.approx(oracle.value, rel=1e-10)
+        # 25-digit mpmath value of the closed-form Lorentzian identity
+        reference = 1.9678612671256706e-08
+        assert abs(res.value - reference) <= res.error_estimate
 
 
 class TestFarField:
@@ -439,6 +504,25 @@ class TestFarField:
         t = 1.0 / model.kappa
         res = self.one_round(model, em, t, QuadratureConfig(rel_tol=1e-12))
         assert abs(res.value - exact_rate(model, em, t)) <= res.error_estimate
+
+    @pytest.mark.parametrize(
+        "eta,omega_x,reference",
+        [
+            (1.5, 100.0, 0.000622066656882241),
+            (0.5, 250.0, 0.09894929283575281),
+            (4.0, 1e4, 1.0282957080130803e-14),
+        ],
+        ids=["eta1.5", "eta0.5", "eta4"],
+    )
+    def test_run_ends_are_zeros_to_rounding(self, eta, omega_x, reference):
+        # At omega0*t = 1e12 a run end's phase (z - omega0)*t is off a
+        # multiple of 2*pi by about eps*omega0*t, so each end leaves an
+        # S*sin(delta*t)/t term of about 2R*eps*omega0*t/(2*pi*c)**2; without
+        # its bound these points missed by 3.25, 2.42 and 2.76 times the
+        # estimate. The references are exact_rate's, at 40 digits for eta = 4
+        # (25 digits lose 6.7e-13 relative there).
+        res = decay_rate_numeric(bb(eta, omega_x=omega_x), EM, 1e12, CFG)
+        assert abs(res.value - reference) <= res.error_estimate
 
     @pytest.mark.parametrize(
         "model,em,t",
@@ -500,26 +584,61 @@ def property_points(seed=12):
 
 PROPERTY_POINTS = property_points()
 
+# benchmark/make_refs.py::exact_rate(model, emitter, t) at its 25 digits for
+# each point of PROPERTY_POINTS, pasted as repr floats: printing
+# {name: exact_rate(model, em, t)} over property_points() gives this table
+PROPERTY_REFERENCES = {
+    "bb-0": 0.3313059777618677,
+    "bb-1": 0.08564595862006567,
+    "bb-2": 3.2961175371199935e-05,
+    "bb-3": 0.000158172753256153,
+    "bb-4": 0.056803968167223155,
+    "bb-5": 6.897785907523317e-05,
+    "bb-6": 0.005404604380643518,
+    "bb-7": 3.0101912359188717e-07,
+    "bb-8": 0.002278673985439304,
+    "bb-9": 0.00578080387423292,
+    "bb-10": 0.0013643030783972046,
+    "bb-11": 0.0016144148587831765,
+    "nb-0": 1.995726196936993,
+    "nb-1": 1.5072450927485983,
+    "nb-2": 0.0851901603316908,
+    "nb-3": 0.010442958424571162,
+    "nb-4": 0.0005476795062776494,
+    "nb-5": 0.00019346036903255525,
+    "nb-6": 0.0029353817729841354,
+    "nb-7": 1.3010686251680983e-06,
+    "nb-8": 0.0002640745362609922,
+    "nb-9": 0.0007555758359410427,
+    "nb-10": 0.0005168260426170003,
+    "nb-11": 0.00023694252062227578,
+}
+
 
 class TestExactProperty:
     # every point of the seeded grid converges at both tolerances, within
     # its own estimate of the 25-digit rate; a failure here is a finding
     # to record, not a case to drop
 
-    @pytest.fixture(scope="class")
-    def references(self):
-        return {}
+    def test_table_covers_the_grid(self):
+        assert list(PROPERTY_REFERENCES) == [p[0] for p in PROPERTY_POINTS]
+
+    @pytest.mark.parametrize("name", ["bb-0", "nb-0"])
+    def test_table_is_exact_rate(self, exact_rate, name):
+        # one live reference per family, so the table stays the one
+        # exact_rate gives
+        _, model, em, t = next(p for p in PROPERTY_POINTS if p[0] == name)
+        reference = PROPERTY_REFERENCES[name]
+        assert exact_rate(model, em, t) == pytest.approx(reference, rel=1e-14)
 
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
     @pytest.mark.parametrize(
         "point", PROPERTY_POINTS, ids=[p[0] for p in PROPERTY_POINTS]
     )
-    def test_within_estimate_of_exact_rate(self, exact_rate, references, point, rel_tol):
+    def test_within_estimate_of_exact_rate(self, point, rel_tol):
         name, model, em, t = point
-        if name not in references:
-            references[name] = exact_rate(model, em, t)
         res = decay_rate_numeric(model, em, t, QuadratureConfig(rel_tol=rel_tol))
-        assert abs(res.value - references[name]) <= res.error_estimate
+        assert abs(res.value - PROPERTY_REFERENCES[name]) <= res.error_estimate
 
 
 class TestRefinement:
@@ -527,16 +646,18 @@ class TestRefinement:
     # refinement branches of decay_rate_numeric
 
     def test_bisection(self):
-        model = NarrowbandReservoir(g=1e-3, kappa=0.05, omega_c=1.0)
+        # a resonant Q = 100 line at kappa*t = 0.1 (the line-in-stub point
+        # of TestPanels, which this test once used, now converges at once)
+        model = NarrowbandReservoir(g=1e-3, kappa=5e-3, omega_c=1.0)
         cfg = QuadratureConfig(rel_tol=1e-12)
-        t = 0.02
+        t = 20.0
         first = first_layout_size(model, EM, t, cfg)
         res = decay_rate_numeric(model, EM, t, cfg)
         assert first < res.panels_used < 2 * first
         oracle = decay_rate_numeric_oracle(model, EM, t, cfg)
         assert res.value == pytest.approx(oracle.value, rel=1e-10)
         # 25-digit mpmath value of the closed-form Lorentzian identity
-        reference = 1.9678612671256706e-08
+        reference = 1.9349612765140062e-05
         assert abs(res.value - reference) <= res.error_estimate
 
     def test_tail_bound_above_tolerance_stops_refinement(self):
