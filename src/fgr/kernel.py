@@ -71,17 +71,33 @@ def zero_counts(t, omega0, omega_max):
     spacing = 2.0 * math.pi / t
     # the floor of a quotient can miss by one either way once k is large;
     # settle each count on the zeros as kernel_zeros computes them
-    n_left = max(0, int(omega0 // spacing))
-    while omega0 - spacing * (n_left + 1) >= 0.0:
-        n_left += 1
-    while n_left and omega0 - spacing * n_left < 0.0:
-        n_left -= 1
-    n_right = max(0, int((omega_max - omega0) // spacing))
-    while omega0 + spacing * (n_right + 1) <= omega_max:
-        n_right += 1
-    while n_right and omega0 + spacing * n_right > omega_max:
-        n_right -= 1
+    n_left = _settle(int(omega0 // spacing), lambda k: omega0 - spacing * k >= 0.0)
+    n_right = _settle(
+        int((omega_max - omega0) // spacing),
+        lambda k: omega0 + spacing * k <= omega_max,
+    )
     return n_left, n_right
+
+
+def _settle(k, ok):
+    """The largest n >= 0 with ok(n), or 0, where ok holds up to some n and
+    fails past it, from a guess k: steps that double away from k bracket n
+    and bisection closes the bracket, so that a count settles in O(log k)
+    steps also where consecutive k are no longer distinct floats."""
+    lo = hi = max(0, k)
+    step = 1
+    if ok(lo):
+        while ok(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = lo + step
+    else:
+        while hi > step and not ok(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(0, hi - step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
 
 
 def kernel_zeros(t, omega0, omega_max):

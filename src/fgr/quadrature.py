@@ -90,7 +90,7 @@ def _gauss_legendre(n):
 def _gauss_pair():
     # the Gauss-Legendre pair of every panel as one 24-node rule: its weight
     # columns give the 16-node value and the 8-node one, whose difference
-    # is the refinement error, so one integrand call on 24 nodes gives both
+    # is its error estimate, so one integrand call on 24 nodes gives both
     (x16, w16), (x8, w8) = _gauss_legendre(16), _gauss_legendre(8)
     w = np.zeros((24, 2))
     w[:16, 0], w[16:, 1] = w16, w8
@@ -152,23 +152,18 @@ _CHUNK = 1 << 13
 
 _EPS = float(np.finfo(float).eps)
 
-_MAX_ROUNDS = 12
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the decay-rate integrator."""
+    """Tolerances for the decay-rate integrator."""
 
     rel_tol: float = 1e-8
-    max_panels: int = 200_000
     tail_epsilon: float = 1e-12
 
     def __post_init__(self):
         _require_finite(self)
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be > 0")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be >= 1")
         if not self.tail_epsilon > 0.0:
             raise ValueError("tail_epsilon must be > 0")
 
@@ -260,8 +255,10 @@ def truncation_frequency(reservoir, emitter, t, cfg):
                 x = min(a + math.sqrt(2.0 * a * log_inv_eps) + log_inv_eps, 700.0)
                 omega_max = max(omega_max, wx * x)
         else:
+            # eps**(1/p) where it stays below 1e3, compared in logarithms
+            # since it overflows as p rises to 0
             p = reservoir.eta + 1.0 - 2.0 * reservoir.cutoff.mu
-            if p < -1e-9:
+            if p < -1e-9 and math.log(eps) / p < math.log(1e3):
                 omega_max = min(wx * eps ** (1.0 / p), 1e3 * wx)
             else:
                 omega_max = 1e3 * wx
@@ -361,8 +358,9 @@ def _rsc_cap(reservoir):
             return 0.0, 0.6, 0.0, scale
         return 0.0, 1.0, scale, scale
     # a line's poles lie kappa off the real axis at omega_c, so half of
-    # kappa there keeps even the 8-node rule well inside their ellipse
-    return reservoir.omega_c, 1.0, 0.5 * reservoir.kappa, math.inf
+    # kappa there keeps even the 8-node rule well inside their ellipse;
+    # away from it widths grow by the same ratio as from a branch point
+    return reservoir.omega_c, 0.6, 0.5 * reservoir.kappa, math.inf
 
 
 def _side_cuts(d0, d3, cap):
@@ -408,18 +406,6 @@ def _graded_points(edges, cap):
     return np.concatenate(points), np.repeat(wide, counts)
 
 
-def _bisect(mask, a, b, *carried):
-    """Halve the panels under mask; both halves take their parent's place."""
-    idx = np.repeat(np.arange(a.size), np.where(mask, 2, 1))
-    a, b = a[idx], b[idx]
-    second = np.zeros(idx.size, dtype=bool)
-    second[1:] = idx[1:] == idx[:-1]
-    mid = 0.5 * (a[second] + b[second])
-    b[np.roll(second, -1)] = mid
-    a[second] = mid
-    return (a, b) + tuple(c[idx] for c in carried)
-
-
 def _phase_omega(w0, t, m, u):
     # the frequency at local phase u of half-lobe m, formed only for the RSC
     return (w0 + (math.pi / t) * m) + (2.0 / t) * u
@@ -439,20 +425,18 @@ def _phase_rsc(reservoir, w0, t, m, u):
 
 
 def _first_layout(reservoir, emitter, t, omega_max, rel_tol):
-    """The panels of a point's first round, and the envelope terms of its
-    probe (see _envelope_terms) or None: blocks of the smallest cap in
-    _CAPS whose envelope runs bound their dropped oscillation by a quarter
-    of rel_tol times the rate floor. A cap that holds every lobe gives the
-    layout of any larger one, so it ends the ladder unprobed."""
+    """A point's panels and their envelope terms (see _envelope_terms):
+    blocks of the smallest cap in _CAPS whose envelope runs bound their
+    dropped oscillation by a quarter of rel_tol times the rate floor. A cap
+    that holds every lobe gives the layout of any larger one, so it ends
+    the ladder whatever its bound, as the last cap does."""
     lobes = max(zero_counts(t, emitter.omega0, omega_max))
     budget = 0.25 * rel_tol * _rate_floor(reservoir, emitter, t)
     for cap in _CAPS:
         panels = _build_panels(reservoir, emitter, t, omega_max, cap)
-        if cap >= min(lobes, _CAPS[-1]):
-            return panels, None
         a, b, _, kind = panels
         terms = _envelope_terms(reservoir, emitter, t, a, b, kind)
-        if terms[2] <= budget:
+        if terms[2] <= budget or cap >= min(lobes, _CAPS[-1]):
             return panels, terms
 
 
@@ -595,6 +579,11 @@ def _setup(reservoir, emitter, t, cfg):
     if cfg is None:
         cfg = QuadratureConfig()
     check_time(t)
+    # past this the half-lobe indices (omega - omega0)*t/pi near omega0 and
+    # a line's centre are no longer exact floats
+    w = max(emitter.omega0, getattr(reservoir, "omega_c", 0.0))
+    if w * t >= math.pi * 2.0**53:
+        raise ValueError(f"t = {t} is too late: omega*t must stay below pi*2**53")
     _validate_integrable(reservoir)
     omega_max = truncation_frequency(reservoir, emitter, t, cfg)
     return cfg, omega_max, _tail_bound(reservoir, emitter, t, omega_max)
@@ -641,8 +630,6 @@ def _far_field(t, w0, sa, sb, vals, to_omega_max):
     phase of omega_max. The S*sin/t term that this leaves at each end joins
     the bound as 2*eps*|S|*(|z| + w0).
     """
-    if not sa.size:
-        return [], 0.0
     d = np.matmul(_GL_DIFF, vals.T).transpose(0, 2, 1)
     d *= (2.0 / (sb - sa))[None, :, None] ** np.arange(4)[:, None, None]
     runs = np.nonzero(sa[1:] != sb[:-1])[0] + 1
@@ -669,6 +656,8 @@ def _envelope_terms(reservoir, emitter, t, a, b, kind):
     """Both rules' values of a layout's smooth panels, as columns, and the
     far field of their runs with its bound (see _far_field)."""
     smooth = kind == _SMOOTH
+    if not smooth.any():
+        return np.empty((0, 2)), [], 0.0
     sa, sb = a[smooth], b[smooth]
     values, vals = _panel_values(_envelope(reservoir, emitter, t), sa, sb)
     far, bound = _far_field(
@@ -677,12 +666,12 @@ def _envelope_terms(reservoir, emitter, t, a, b, kind):
     return values, far, bound
 
 
-def _evaluate(reservoir, emitter, t, a, b, m, kind, envelope=None):
-    # envelope: the layout's _envelope_terms, if its probe computed them
+def _evaluate(reservoir, emitter, t, a, b, m, kind, envelope):
+    # the value of a layout whose _envelope_terms are envelope, and its
+    # error estimate short of the tail: the two rules' difference on every
+    # panel, a rounding floor and the far field's bound
     w0 = emitter.omega0
     values = np.empty((a.size, 2))
-    far, osc = [], 0.0
-
     phase = kind == _PHASE
     if phase.any():
         values[phase] = _phase_values(reservoir, w0, t, a[phase], b[phase], m[phase])
@@ -690,68 +679,43 @@ def _evaluate(reservoir, emitter, t, a, b, m, kind, envelope=None):
     if full.any():
         integrand = _integrand(reservoir, emitter, t)
         values[full], _ = _panel_values(lambda w: integrand(w)[0], a[full], b[full])
-    smooth = kind == _SMOOTH
-    if envelope is None and smooth.any():
-        envelope = _envelope_terms(reservoir, emitter, t, a, b, kind)
-    if envelope is not None:
-        values[smooth], far, osc = envelope
+    values[kind == _SMOOTH], far, osc = envelope
 
     value = math.fsum(np.append(values[:, 0], far).tolist())
-    deltas = np.abs(values[:, 0] - values[:, 1])
     # rounding floor: per-panel dot products carry O(eps) relative noise
-    refine_err = float(np.sum(deltas)) + 5e-16 * abs(value)
-    return value, refine_err, osc, deltas
+    refine_err = float(np.sum(np.abs(values[:, 0] - values[:, 1])))
+    return value, refine_err + 5e-16 * abs(value) + osc
 
 
 def decay_rate_numeric(reservoir, emitter, t, cfg=None):
     """Decay rate at time t by zero-aligned Gauss-Legendre panels.
 
-    Returns an IntegrationResult; raises ConvergenceError (carrying the
-    best result) if the error estimate cannot be brought below the
-    tolerance within the panel budget.
+    Each point is one layout (see _first_layout), evaluated once. Returns
+    an IntegrationResult, or raises ConvergenceError carrying it if its
+    error estimate exceeds rel_tol times its value.
     """
     cfg, omega_max, tail = _setup(reservoir, emitter, t, cfg)
     (a, b, m, kind), envelope = _first_layout(
         reservoir, emitter, t, omega_max, cfg.rel_tol
     )
-    best = None
-    for _ in range(_MAX_ROUNDS):
-        value, refine_err, osc, deltas = _evaluate(
-            reservoir, emitter, t, a, b, m, kind, envelope
-        )
-        err = refine_err + osc + tail
-        result = IntegrationResult(
-            value=value,
-            error_estimate=err,
-            panels_used=a.size,
-            truncation_frequency=omega_max,
-        )
-        if best is None or err < best.error_estimate:
-            best = result
-        if err <= cfg.rel_tol * abs(value):
-            return result
-        if a.size >= cfg.max_panels or tail > cfg.rel_tol * abs(value):
-            # refinement cannot lower the tail bound
-            break
-        # bisect the panels responsible for the bulk of the refinement error
-        order = np.argsort(deltas)[::-1]
-        cum = np.cumsum(deltas[order])
-        n_split = int(np.searchsorted(cum, 0.9 * cum[-1])) + 1
-        n_split = min(n_split, cfg.max_panels - a.size)
-        if n_split <= 0:
-            break
-        split = np.zeros(a.size, dtype=bool)
-        split[order[:n_split]] = True
-        a, b, m, kind = _bisect(split, a, b, m, kind)
-        envelope = None
-
-    msg = (
-        f"decay-rate quadrature reached {best.panels_used} panels with error "
-        f"estimate {best.error_estimate:.3e} (value {best.value:.6e})"
+    value, err = _evaluate(reservoir, emitter, t, a, b, m, kind, envelope)
+    err += tail
+    result = IntegrationResult(
+        value=value,
+        error_estimate=err,
+        panels_used=a.size,
+        truncation_frequency=omega_max,
     )
-    if tail > cfg.rel_tol * abs(best.value):
+    limit = cfg.rel_tol * abs(value)
+    if err <= limit:
+        return result
+    msg = (
+        f"decay-rate quadrature reached {a.size} panels with error "
+        f"estimate {err:.3e} (value {value:.6e})"
+    )
+    if tail > limit:
         msg += f"; the tail bound {tail:.3e} alone exceeds the tolerance"
-    raise ConvergenceError(msg, result=best)
+    raise ConvergenceError(msg, result=result)
 
 
 def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None, max_level=20):
@@ -783,10 +747,12 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None, max_level=20):
             u = np.arange(i, min(i + step * _CHUNK, top + 1), step) * h
             with np.errstate(over="ignore"):
                 z = 0.5 * math.pi * np.sinh(u)
-                x = np.tanh(z)
                 weight = 0.5 * math.pi * np.cosh(u) / np.cosh(z) ** 2
+                # omega = half*(1 + tanh(z)), formed without the cancellation
+                # of 1 + tanh(z) near omega = 0, which cost eps*half of omega
+                w = omega_max / (1.0 + np.exp(-2.0 * z))
             ok = np.isfinite(weight) & (weight > 0.0)
-            w = half * (x[ok] + 1.0)
+            w = w[ok]
             np.clip(w, 0.0, omega_max, out=w)
             weight = weight[ok]
             fw, rsc = f(w)

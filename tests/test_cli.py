@@ -110,7 +110,8 @@ class TestConfigParsing:
             ("quadrature", "abs_tol", 0.0, "config.quadrature"),
             ("quadrature", "rel_tol", "1e999", "config.quadrature.rel_tol"),
             ("quadrature", "rel_tol", '"1e-8"', "config.quadrature.rel_tol"),
-            ("quadrature", "max_panels", 1.5, "config.quadrature.max_panels"),
+            ("quadrature", "max_panels", 64, "config.quadrature"),
+            ("time_grid", "points_per_decade", 1.5, "config.time_grid.points_per_decade"),
             ("time_grid", "t_mid", 1.0, "config.time_grid"),
             (None, "onset_epsilon", "true", "config.onset_epsilon"),
             (None, "onset_epsilon", '"0.5"', "config.onset_epsilon"),
@@ -118,7 +119,8 @@ class TestConfigParsing:
             (None, "quadrture", "{}", "config"),
         ],
         ids=[
-            "nodes_per_panel-unknown", "abs_tol-unknown", "rel_tol-inf", "rel_tol-string", "max_panels-float",
+            "nodes_per_panel-unknown", "abs_tol-unknown", "rel_tol-inf", "rel_tol-string", "max_panels-unknown",
+            "points_per_decade-float",
             "time_grid-unknown", "onset_epsilon-bool", "onset_epsilon-string",
             "onset_epsilon-inf", "top_level-unknown",
         ],
@@ -211,7 +213,7 @@ class TestCmdRate:
 
     def test_partial_convergence_exit_code(self, tmp_path):
         data = json.loads(json.dumps(BROAD_CONFIG))
-        data["quadrature"] = {"rel_tol": 1e-16, "max_panels": 64}
+        data["quadrature"] = {"rel_tol": 1e-16}
         out = tmp_path / "curve.csv"
         data["output"] = {"path": str(out), "format": "csv"}
         code = cmd_rate(RunConfig.from_json_dict(data))
@@ -220,6 +222,20 @@ class TestCmdRate:
             rows = list(csv.DictReader(fh))
         assert all(r["flagged"] == "true" for r in rows)
         assert all(float(r["gamma_ratio"]) > 0.0 for r in rows)
+
+    def test_heavy_tail_near_the_mass_edge_is_flagged(self, tmp_path):
+        # eta just below 2*mu - 1: integrable, but the tail beyond the cut
+        # is heavy, so every row is written and flagged
+        data = json.loads(json.dumps(BROAD_CONFIG))
+        data["model"].update(eta=2.19, cutoff={"kind": "power_lorentz", "mu": 1.6})
+        out = tmp_path / "curve.csv"
+        data["output"] = {"path": str(out), "format": "csv"}
+        with pytest.warns(UserWarning):
+            code = main(["rate", "-c", write_config(tmp_path, data)])
+        assert code == EXIT_PARTIAL
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5 and all(r["flagged"] == "true" for r in rows)
 
 
 class TestCmdOnset:

@@ -33,7 +33,7 @@ FIGURE_DIGESTS = {
 }
 
 RATE_DIGESTS = {
-    "narrow": "2399cc62d32e1ff352b762e8b5fc5169275b0f06e9cbca94d375394efad3b6ef",
+    "narrow": "5d9b189f7d6d5f2ae7fdfef15a044b0aef1627e1bd9dd2b3d51518a7e6a8b39b",
     "broad": "69e2a09c425e9dcf3f06dcc6b43c6d32732982b93ec5a4ff7f8d949c690e45eb",
 }
 

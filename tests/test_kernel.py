@@ -1,13 +1,14 @@
 """Spectral-profile accuracy, invariants, and zero listing."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from fgr.kernel import kernel_zeros, spectral_profile
+from fgr.kernel import kernel_zeros, spectral_profile, zero_counts
 
 
 def profile_reference(detuning, t):
@@ -114,6 +115,18 @@ class TestKernelZeros:
             assert out.size == k + 1, k
             assert out[-1] == wmax
             assert kernel_zeros(t, w0, np.nextafter(wmax, 0.0)).size == k
+
+    @pytest.mark.parametrize("t", [1e20, 1e30])
+    def test_counts_settle_where_zeros_are_not_distinct_floats(self, t):
+        # consecutive k give the same float zero here; each count is still
+        # the last k whose zero lies in range, found in a few steps
+        w0, wmax = 1.0, 9400.0
+        spacing = 2.0 * math.pi / t
+        start = time.perf_counter()
+        n_left, n_right = zero_counts(t, w0, wmax)
+        assert time.perf_counter() - start < 1.0
+        assert w0 - spacing * n_left >= 0.0 > w0 - spacing * (n_left + 1)
+        assert w0 + spacing * n_right <= wmax < w0 + spacing * (n_right + 1)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

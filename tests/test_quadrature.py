@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -78,15 +79,11 @@ def nb_resonant(q, kappa=1.0, g=1.0):
 class TestConfigValidation:
     def test_defaults_valid(self):
         cfg = QuadratureConfig()
-        assert cfg.rel_tol == 1e-8 and cfg.max_panels == 200_000
+        assert cfg.rel_tol == 1e-8
 
     def test_rejects_no_tolerance(self):
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=0.0)
-
-    def test_rejects_bad_panel_counts(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_panels=0)
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):
@@ -249,6 +246,21 @@ class TestInvariances:
             results[level] = excinfo.value.result
         assert results[8].error_estimate >= abs(results[8].value - results[7].value)
 
+    @pytest.mark.parametrize(
+        "model,em,t,reference",
+        [
+            (bb(0.5), EM, 30.0, 0.09871843110693507),
+            (NarrowbandReservoir(g=1e-3, kappa=0.05, omega_c=1.0), EM, 0.02, 1.9678612671256706e-08),
+            (*nb_resonant(q=1000.0), 1e-3, 0.0009996234699997635),
+        ],
+        ids=["eta0.5-w0t30", "narrowband-kt1e-3", "narrowband-q1000-kt1e-3"],
+    )
+    def test_oracle_abscissae_near_zero_keep_their_digits(self, model, em, t, reference):
+        # at rel_tol 1e-12 these missed their estimates by up to 2.1x while
+        # each node's omega = half*(1 + tanh(z)) lost eps*half to cancellation
+        res = decay_rate_numeric_oracle(model, em, t, QuadratureConfig(rel_tol=1e-12))
+        assert abs(res.value - reference) <= res.error_estimate
+
     # late fig1 points, where rounding the global phase (omega - omega0)*t/2
     # of the sinc kernel would cost about eps*omega0*t; the references are
     # the 25-digit mpmath values of benchmark/refs (grid offset 1)
@@ -288,8 +300,26 @@ class TestErrors:
         with pytest.raises(ValueError, match="diverges"):
             decay_rate_numeric(r, EM, 1.0, CFG)
 
+    def test_rejects_times_past_exact_half_lobe_indices(self):
+        # omega0*t >= pi*2**53: half-lobe indices are no longer exact floats
+        for integrator in (decay_rate_numeric, decay_rate_numeric_oracle):
+            with pytest.raises(ValueError, match="t = 1e[+]19"):
+                integrator(bb(0.5), EM, 1e19, CFG)
+        # a line's centre counts too: omega_c*t = 3e16 at omega0*t = 1.5e15
+        model, _ = nb_resonant(q=10.0)
+        with pytest.raises(ValueError, match="too late"):
+            decay_rate_numeric(model, EM, 1.5e15, CFG)
+
+    def test_latest_accepted_time(self):
+        # omega0*t = 2.5e16, just below the limit: the value the integrator
+        # gave before the limit existed, without a RuntimeWarning
+        res = decay_rate_numeric(bb(0.5), EM, 2.5e16, CFG)
+        assert res == IntegrationResult(
+            0.09894929280922665, 3.5565116973142965e-10, 40314, 9407.755278982137
+        )
+
     def test_convergence_error_carries_best_result(self):
-        cfg = QuadratureConfig(rel_tol=1e-16, max_panels=64)
+        cfg = QuadratureConfig(rel_tol=1e-16)
         with pytest.raises(ConvergenceError) as excinfo:
             decay_rate_numeric(bb(2.0), EM, 1.0, cfg)
         best = excinfo.value.result
@@ -309,6 +339,29 @@ class TestTruncation:
         r = bb(1.0, cutoff=PowerLorentzCutoff(mu=4.0))
         w = truncation_frequency(r, EM, 1.0, CFG)
         assert w <= 1e3 * r.omega_x + 1e-9
+
+    def test_power_lorentz_limit_below_the_cap_is_eps_to_one_over_p(self):
+        # wherever eps**(1/p) stays finite the limit is the capped power,
+        # bit for bit; as p = eta + 1 - 2*mu rises to 0 it is the cap
+        for mu in (4.0, 8.0):
+            for eta in np.linspace(0.0, 2.0 * mu - 1.0, 41)[:-1]:
+                r = bb(float(eta), cutoff=PowerLorentzCutoff(mu=mu))
+                p = eta + 1.0 - 2.0 * mu
+                expected = min(r.omega_x * CFG.tail_epsilon ** (1.0 / p), 1e3 * r.omega_x)
+                assert truncation_frequency(r, EM, 1.0, CFG) == expected
+        with pytest.warns(UserWarning):
+            cutoff = PowerLorentzCutoff(mu=1.6)
+        # p = -0.01: eps**(1/p) would overflow
+        r = bb(2.19, cutoff=cutoff)
+        assert truncation_frequency(r, EM, 1.0, CFG) == 1e3 * r.omega_x
+
+    def test_mass_edge_ends_on_the_tail_bound(self):
+        # just below eta = 2*mu - 1 the tail beyond 1e3*omega_x is heavy:
+        # the point ends as a tail-bound ConvergenceError
+        with pytest.warns(UserWarning):
+            cutoff = PowerLorentzCutoff(mu=1.6)
+        with pytest.raises(ConvergenceError, match="tail bound"):
+            decay_rate_numeric(bb(2.19, cutoff=cutoff), EM, 10.0, CFG)
 
     def test_exponential_tail_mass_bounds_gammainc(self):
         # the closed-form tail mass against the exact upper incomplete gamma
@@ -641,19 +694,86 @@ class TestExactProperty:
         assert abs(res.value - PROPERTY_REFERENCES[name]) <= res.error_estimate
 
 
+def sweep_points(seed=11, n=600):
+    """A seeded sweep of (family, model, emitter, t), one family in turn.
+
+    Exponential cutoff: eta in [0, 4], omega_x/omega0 in [10, 1e4],
+    omega0*t in [1e-4, 2e5]. Lorentzian: Q in [1, 1e3], resonant, detuned
+    by 5 to 100 kappa, or with omega0 in [0.05, 4]*omega_c; kappa*t in
+    [1e-3, 1e3] with omega0*t <= 2e5. Power-Lorentz: mu in {1.6, 2, 4, 8},
+    eta < min(4, 2*mu + 1), half of them (where it lies below 4) within
+    1e-3 to 1 of eta = 2*mu - 1, where the RSC mass starts to diverge;
+    omega0*t in [1e-3, 1e5].
+    """
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(n):
+        family = ("exponential", "lorentzian", "power_lorentz")[i % 3]
+        if family == "lorentzian":
+            q = 10.0 ** rng.uniform(0.0, 3.0)
+            model = NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=2.0 * q)
+            kind = rng.integers(3)
+            if kind == 0:
+                omega0 = model.omega_c
+            elif kind == 1:
+                omega0 = model.omega_c + rng.uniform(5.0, 100.0)
+            else:
+                omega0 = model.omega_c * rng.uniform(0.05, 4.0)
+            t = min(10.0 ** rng.uniform(-3.0, 3.0), 2e5 / omega0)
+            points.append((family, model, EmitterSpec(omega0), t))
+            continue
+        omega_x = 10.0 ** rng.uniform(1.0, 4.0)
+        if family == "exponential":
+            model = bb(rng.uniform(0.0, 4.0), omega_x=omega_x)
+            t = 10.0 ** rng.uniform(-4.0, math.log10(2e5))
+        else:
+            mu = float(rng.choice([1.6, 2.0, 4.0, 8.0]))
+            edge = 2.0 * mu - 1.0
+            if edge < 4.0 and rng.uniform() < 0.5:
+                eta = edge + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 0.0)
+            else:
+                eta = rng.uniform(0.0, min(4.0, 2.0 * mu + 1.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                cutoff = PowerLorentzCutoff(mu=mu)
+            model = bb(eta, omega_x=omega_x, cutoff=cutoff)
+            t = 10.0 ** rng.uniform(-3.0, 5.0)
+        points.append((family, model, EM, t))
+    return points
+
+
+class TestSeededSweep:
+    # each point is one layout: no exponential or Lorentzian point may be
+    # flagged, a power-Lorentz point only on its tail bound, and nothing
+    # raises but ConvergenceError
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    def test_only_heavy_tails_are_flagged(self, rel_tol):
+        cfg = QuadratureConfig(rel_tol=rel_tol)
+        flagged = []
+        for family, model, em, t in sweep_points():
+            try:
+                decay_rate_numeric(model, em, t, cfg)
+            except ConvergenceError as exc:
+                if family != "power_lorentz" or "tail bound" not in str(exc):
+                    flagged.append((family, model, em, t, str(exc)))
+        assert flagged == []
+
+
 class TestRefinement:
-    # every other tier-1 point converges in the first round; these reach the
-    # refinement branches of decay_rate_numeric
+    # each point is one layout, evaluated once: a line that panels widening
+    # by ratio 2 away from its centre leave short of rel_tol 1e-12, and
+    # heavy tails whose bound beyond omega_max no layout can lower
 
     def test_bisection(self):
-        # a resonant Q = 100 line at kappa*t = 0.1 (the line-in-stub point
-        # of TestPanels, which this test once used, now converges at once)
+        # a resonant Q = 100 line at kappa*t = 0.1: with widths growing by
+        # ratio 1.6 away from the line its one layout meets rel_tol 1e-12
         model = NarrowbandReservoir(g=1e-3, kappa=5e-3, omega_c=1.0)
         cfg = QuadratureConfig(rel_tol=1e-12)
         t = 20.0
         first = first_layout_size(model, EM, t, cfg)
         res = decay_rate_numeric(model, EM, t, cfg)
-        assert first < res.panels_used < 2 * first
+        assert res.panels_used == first
         oracle = decay_rate_numeric_oracle(model, EM, t, cfg)
         assert res.value == pytest.approx(oracle.value, rel=1e-10)
         # 25-digit mpmath value of the closed-form Lorentzian identity
@@ -662,7 +782,7 @@ class TestRefinement:
 
     def test_tail_bound_above_tolerance_stops_refinement(self):
         # a heavy power-Lorentz tail: the bound beyond omega_max alone
-        # exceeds rel_tol*value, and no refinement can lower it
+        # exceeds rel_tol*value, and no panel can lower it
         with pytest.warns(UserWarning):
             cutoff = PowerLorentzCutoff(mu=1.6)
         model, t = bb(2.0, cutoff=cutoff), 10.0
@@ -728,7 +848,7 @@ class TestRateCurve:
         assert curve.regime_labels == ("zeno", "crossover", "fermi")
 
     def test_flagged_points_kept(self):
-        cfg = QuadratureConfig(rel_tol=1e-16, max_panels=64)
+        cfg = QuadratureConfig(rel_tol=1e-16)
         r = bb(2.0)
         curve = rate_curve(r, EM, [0.5, 1.0], cfg)
         assert bool(np.all(curve.flagged))
