@@ -484,7 +484,14 @@ def _verify_cases():
 
 
 def cmd_verify(stream=None):
-    """Run the oracle-equivalence and regime-consistency checks."""
+    """Run the oracle-equivalence and regime-consistency checks.
+
+    Each oracle point is computed by the panel integrator and by the
+    contour reference (``decay_rate_numeric_oracle``), which share no
+    panel, rule or domain, and passes if they agree to _VERIFY_THRESHOLD
+    relative. The short-time and golden-rule limits are then checked on
+    the panel integrator's values.
+    """
     stream = stream or sys.stdout
     cfg = QuadratureConfig(rel_tol=_VERIFY_REL_TOL)
     cases = _verify_cases()

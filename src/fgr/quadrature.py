@@ -11,11 +11,10 @@ phase: the sinc^2 factor of a whole half-lobe is a fixed weight table per
 parity, and the frequency is formed only as the argument of the reservoir
 spectrum.
 
-A structurally independent double-exponential (tanh-sinh) scheme over the
-same truncated domain serves as a cross-check oracle. Its levels are
-nested, each halving the step of the last, so a level evaluates only the
-nodes new to it, in one chunked pass that adds them to running sums of
-the weighted integrand and of its rounding bound.
+An independent reference shares no panel, rule or domain with it: it
+writes the rate as the golden rule plus an integral along a ray into the
+lower half plane, where the profile's oscillation decays, and integrates
+that smooth ray in float64 on two geometric grids.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .reservoir import (
     PowerLorentzCutoff,
     _line_shape,
     _require_finite,
+    _rsc_complex,
     evaluate_rsc,
     golden_rule_rate,
     zeno_slope,
@@ -146,8 +146,8 @@ def _derivative_rows(x, order):
 
 _GL_DIFF = _derivative_rows(_GL_PAIR[0][:_HI], 3)
 
-# nodes per vectorised pass over phase panels or oracle nodes, so that the
-# arrays of one pass stay in cache
+# nodes per vectorised pass over phase panels, so that the arrays of one
+# pass stay in cache
 _CHUNK = 1 << 13
 
 _EPS = float(np.finfo(float).eps)
@@ -177,7 +177,7 @@ class IntegrationResult:
     """Decay-rate value with its accuracy metadata, immutable.
 
     ``panels_used`` counts quadrature panels for the panel scheme and
-    integrand evaluations for the transform scheme.
+    integrand evaluations for the contour reference.
 
     The four fields are held as one packed record: a result that is kept
     takes about 104 bytes, where four boxed fields took 193. A caller that
@@ -308,18 +308,22 @@ def _tail_mass(reservoir, omega_max):
     return math.inf
 
 
+def _heavy_tail(reservoir, emitter, t, end):
+    # the power-Lorentz tail bound where the RSC mass diverges: the profile's
+    # 4/(t*delta**2) envelope keeps the integral beyond end finite
+    lam, eta, wx = reservoir.coupling, reservoir.eta, reservoir.omega_x
+    q = 2.0 * reservoir.cutoff.mu + 1.0 - eta
+    rel = 1.0 - emitter.omega0 / end
+    return 4.0 * lam * (end / wx) ** (-q) / (t * rel * rel * q)
+
+
 def _tail_bound(reservoir, emitter, t, omega_max):
     # bound on 2*pi * integral of profile*RSC above omega_max: the smaller
     # of the flat-profile bound t*M and the far-detuning envelope bound
     w0 = emitter.omega0
     mass = _tail_mass(reservoir, omega_max)
     if mass == math.inf and isinstance(reservoir.cutoff, PowerLorentzCutoff):
-        # RSC mass diverges but profile decay keeps the integral finite
-        lam, eta, wx = reservoir.coupling, reservoir.eta, reservoir.omega_x
-        q = 2.0 * reservoir.cutoff.mu + 1.0 - eta
-        x = omega_max / wx
-        rel = 1.0 - w0 / omega_max
-        return 4.0 * lam * x ** (-q) / (t * rel * rel * q)
+        return _heavy_tail(reservoir, emitter, t, omega_max)
     bound = t * mass
     if omega_max > w0:
         bound = min(bound, 4.0 * mass / (t * (omega_max - w0) ** 2))
@@ -574,8 +578,7 @@ def _phase_pass(reservoir, w0, t, a, b, m):
 
 
 def _setup(reservoir, emitter, t, cfg):
-    # shared by both integrators: defaults, argument checks, the truncated
-    # domain and the bound on the tail beyond it
+    # shared by both integrators: defaults and argument checks
     if cfg is None:
         cfg = QuadratureConfig()
     check_time(t)
@@ -585,20 +588,17 @@ def _setup(reservoir, emitter, t, cfg):
     if w * t >= math.pi * 2.0**53:
         raise ValueError(f"t = {t} is too late: omega*t must stay below pi*2**53")
     _validate_integrable(reservoir)
-    omega_max = truncation_frequency(reservoir, emitter, t, cfg)
-    return cfg, omega_max, _tail_bound(reservoir, emitter, t, omega_max)
+    return cfg
 
 
 def _integrand(reservoir, emitter, t):
-    # 2*pi * profile * RSC, the decay-rate integrand over frequency, and
-    # the RSC factor itself
+    # 2*pi * profile * RSC, the decay-rate integrand over frequency
     w0 = emitter.omega0
 
     def f(w):
         out = 2.0 * math.pi * spectral_profile(w - w0, t)
-        rsc = evaluate_rsc(reservoir, w)
-        out *= rsc
-        return out, rsc
+        out *= evaluate_rsc(reservoir, w)
+        return out
 
     return f
 
@@ -678,7 +678,7 @@ def _evaluate(reservoir, emitter, t, a, b, m, kind, envelope):
     full = kind == _PROFILE
     if full.any():
         integrand = _integrand(reservoir, emitter, t)
-        values[full], _ = _panel_values(lambda w: integrand(w)[0], a[full], b[full])
+        values[full], _ = _panel_values(integrand, a[full], b[full])
     values[kind == _SMOOTH], far, osc = envelope
 
     value = math.fsum(np.append(values[:, 0], far).tolist())
@@ -694,7 +694,9 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
     an IntegrationResult, or raises ConvergenceError carrying it if its
     error estimate exceeds rel_tol times its value.
     """
-    cfg, omega_max, tail = _setup(reservoir, emitter, t, cfg)
+    cfg = _setup(reservoir, emitter, t, cfg)
+    omega_max = truncation_frequency(reservoir, emitter, t, cfg)
+    tail = _tail_bound(reservoir, emitter, t, omega_max)
     (a, b, m, kind), envelope = _first_layout(
         reservoir, emitter, t, omega_max, cfg.rel_tol
     )
@@ -714,81 +716,233 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
         f"estimate {err:.3e} (value {value:.6e})"
     )
     if tail > limit:
-        msg += f"; the tail bound {tail:.3e} alone exceeds the tolerance"
+        msg += (
+            f"; the tail bound {tail:.3e} alone exceeds the tolerance "
+            f"(lower tail_epsilon, now {cfg.tail_epsilon:g})"
+        )
     raise ConvergenceError(msg, result=result)
 
 
-def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None, max_level=20):
-    """Same integral via a tanh-sinh transform over the truncated domain.
+def _ray_angle(reservoir):
+    """The angle theta below the real axis of the reference's ray.
 
-    Structurally independent of the panel scheme (no zero-aligned panels);
-    intended for cross-checks and the verification command. Level l, from
-    6 to max_level (an integer >= 7), has the nodes j*2**-l and holds every
-    node of level l - 1, so each level after 6 evaluates only its odd j.
+    pi/4, unless |R| would grow along it: on the ray an exponent p raises
+    |R| near its peak by about cos(theta)**-p over the real axis, so the
+    exponential cutoff (p = eta) and the power-Lorentz one (p = mu) take
+    theta = 1/sqrt(p) where that is smaller. A Lorentzian line's pole
+    omega_c - i*kappa, at angle phi below the axis, is crossed with pi/4 to
+    spare: theta = phi + pi/4, which may pass -i. So the ray keeps at least
+    min(theta, pi/4) from every pole and branch point.
     """
-    if not isinstance(max_level, (int, np.integer)) or max_level < 7:
-        raise ValueError(f"max_level must be an integer >= 7, got {max_level!r}")
-    cfg, omega_max, tail = _setup(reservoir, emitter, t, cfg)
-    f = _integrand(reservoir, emitter, t)
+    if isinstance(reservoir, NarrowbandReservoir):
+        return math.atan2(reservoir.kappa, reservoir.omega_c) + 0.25 * math.pi
+    cutoff = reservoir.cutoff
+    p = reservoir.eta if isinstance(cutoff, ExponentialCutoff) else cutoff.mu
+    return min(0.25 * math.pi, 1.0 / math.sqrt(p)) if p > 0.0 else 0.25 * math.pi
+
+
+def _rounding_ulps(reservoir):
+    # the relative rounding of one node's integrand, in ulps: 8 for its
+    # arithmetic, plus what the powers in the RSC make of the rounding of
+    # their bases (see reservoir._rsc_complex): the base of the p-th power,
+    # p = max(eta, 1), carries about 2 + Re(x)/p ulps, and Re(x) is near
+    # eta at the exponential cutoff's peak, so about 3*eta in all; about
+    # 2*(eta + mu) for the power-Lorentz cutoff; for a line, whose pole
+    # lies pi/4 off the ray, at most 2/sin(pi/4)
+    if isinstance(reservoir, NarrowbandReservoir):
+        return 12.0
+    if isinstance(reservoir.cutoff, ExponentialCutoff):
+        return 8.0 + 3.0 * reservoir.eta
+    return 8.0 + 2.0 * (reservoir.eta + reservoir.cutoff.mu)
+
+
+def _phi2(w):
+    # (e**w - 1 - w)/w**2 elementwise, by its Taylor series for |w| < 1/2,
+    # where the difference cancels
+    out = np.empty_like(w)
+    small = np.abs(w) < 0.5
+    big = w[~small]
+    out[~small] = (np.expm1(big) - big) / (big * big)
+    ws, acc = w[small], 0.0
+    for k in range(18, -1, -1):
+        acc = acc * ws + 1.0 / math.factorial(k + 2)
+    out[small] = acc
+    return out
+
+
+def _line_residue(reservoir, emitter, t):
+    """The golden rule and a line's residue term, together.
+
+    The pole of (1 - e**(-i*delta*t))/delta**2 at omega0 gives the golden
+    rule 2*pi*R(omega0); the line's pole p = omega_c - i*kappa, which the
+    ray crosses, adds (2/t)*g**2*Re[(1 - e**(-i*z))/d**2] with d = p -
+    omega0, z = d*t. The two cancel to O(kappa*t) on the Zeno side, so they
+    are formed together, exactly, as 2*g**2*t*Re phi2(-i*z) with phi2(w) =
+    (e**w - 1 - w)/w**2. This is also the residue term of the subtracted
+    kernel, whose pole at omega0 is removed.
+    """
+    w = complex(-reservoir.kappa * t, -(reservoir.omega_c - emitter.omega0) * t)
+    return 2.0 * reservoir.g**2 * t * _phi2(np.array([w]))[0].real
+
+
+def _ray_mass(reservoir, end, theta):
+    """The mass of |R| along the ray beyond |omega| = end, or inf; a line
+    needs end > |p|.
+
+    For the exponential cutoff cos(theta)**-(eta+1) times the real axis's
+    beyond end*cos(theta); for the power-Lorentz one the real axis's, since
+    |1 + x**2| >= |x|**2 for theta <= pi/4; for a line
+    kappa*g**2/(pi*(end - |p|)), as |omega - p| >= |omega| - |p|.
+    """
+    if isinstance(reservoir, NarrowbandReservoir):
+        p = abs(complex(reservoir.omega_c, reservoir.kappa))
+        return reservoir.kappa * reservoir.g**2 / (math.pi * (end - p))
+    if isinstance(reservoir.cutoff, ExponentialCutoff):
+        c = math.cos(theta)
+        return _tail_mass(reservoir, end * c) / c ** (reservoir.eta + 1.0)
+    return _tail_mass(reservoir, end)
+
+
+def _contour_edges(lo, hi, per_decade, cap, zone):
+    # panel edges from lo to hi (0 < lo < hi): geometric at per_decade, but
+    # below zone no panel is wider than cap
+    ratio = 10.0 ** (1.0 / per_decade)
+    a = min(max(cap / (ratio - 1.0), lo), hi)
+    b = min(max(zone, a), hi)
+    parts = [np.array([lo])]
+    for u, v, geometric in ((lo, a, True), (a, b, False), (b, hi, True)):
+        if v > u:
+            n = math.log10(v / u) * per_decade if geometric else (v - u) / cap
+            n = max(1, math.ceil(n))
+            f = np.arange(1, n + 1) / n
+            part = u * (v / u) ** f if geometric else u + (v - u) * f
+            part[-1] = v
+            parts.append(part)
+    return np.concatenate(parts)
+
+
+def _panel_sums(f, edges):
+    # 16-node Gauss-Legendre over the panels between edges: the sum of f,
+    # the sum of |f| and the number of evaluations
+    x, w = _GL_PAIR[0][:_HI], _GL_PAIR[1][:_HI, 0]
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    vals = f(0.5 * (a + b) + half * x) * (half * w)
+    return vals.sum(), float(np.abs(vals).sum()), vals.size
+
+
+# the panels start this far from omega = 0, relative to min(omega0, 1/t)
+_REF_HEAD = 1e-15
+# the most decades the ray is extended by beyond its first end
+_REF_DECADES = 40
+
+
+def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
+    """Same rate by a contour identity: an independent float64 reference.
+
+    Along the ray omega = s*e**(-i*theta) (see _ray_angle), with
+    delta = omega - omega0,
+
+        Gamma(t) = 2*pi*R(omega0)
+                   + (2/t)*Re int_ray R(omega)*(1 - e**(-i*delta*t))/delta**2 domega,
+
+    and a Lorentzian line adds its pole's residue, merged with the golden
+    rule (see _line_residue). Off the real axis the profile's oscillation
+    decays, so the ray carries only the smooth off-resonant part. It is
+    integrated with 16-node Gauss-Legendre panels, geometric in s, at n
+    and at 2n panels per decade, out to an end whose tail bound is within
+    1e-3*rel_tol of the value. The error estimate is the two grids'
+    difference, the tail bound and a rounding term eps*ulps*(|residue
+    terms| + sum of |w*f|) (see _rounding_ulps).
+
+    Where that estimate misses rel_tol, as the rounding term does on the
+    Zeno side (Gamma(t) << 2*pi*R(omega0)), the ray is integrated again
+    with the pole at omega0 subtracted from the kernel: (2/t)*(1 -
+    e**(-i*delta*t))/delta**2 less 2i/delta is 2*t*phi2(-i*delta*t), which
+    is t at delta = 0, needs no residue and does not cancel at small t.
+    The smaller estimate is kept. This needs a finite RSC mass.
+
+    ``panels_used`` counts integrand evaluations and ``truncation_frequency``
+    is |omega| at the ray's end. Raises ConvergenceError carrying the
+    result if its estimate exceeds rel_tol times its value.
+    """
+    cfg = _setup(reservoir, emitter, t, cfg)
     w0 = emitter.omega0
-    half = 0.5 * omega_max
-    tol = max(min(cfg.rel_tol, 1e-9), 1e-14)
-    # weighted sums over every node so far: of f, of f's first-order phase
-    # rounding per unit eps*t, and of |f|
-    total = phase = arith = 0.0
-    hits = evals = 0
-    for level in range(6, max_level + 1):
-        h = 0.5**level
-        # level 6 takes every j in [-top, top], each later level the odd j
-        top = math.floor(6.9 / h)
-        step = 1 if level == 6 else 2
-        first = -top if step == 1 or top % 2 else 1 - top
-        for i in range(first, top + 1, step * _CHUNK):
-            u = np.arange(i, min(i + step * _CHUNK, top + 1), step) * h
-            with np.errstate(over="ignore"):
-                z = 0.5 * math.pi * np.sinh(u)
-                weight = 0.5 * math.pi * np.cosh(u) / np.cosh(z) ** 2
-                # omega = half*(1 + tanh(z)), formed without the cancellation
-                # of 1 + tanh(z) near omega = 0, which cost eps*half of omega
-                w = omega_max / (1.0 + np.exp(-2.0 * z))
-            ok = np.isfinite(weight) & (weight > 0.0)
-            w = w[ok]
-            np.clip(w, 0.0, omega_max, out=w)
-            weight = weight[ok]
-            fw, rsc = f(w)
-            # The global phase x = (omega - omega0)*t/2 of a node is formed
-            # with an error up to eps*(omega*t/2 + |x|), which moves
-            # f = t*sinc(x)**2*R(omega) by t*R*|d sinc**2/dx| per unit of
-            # phase, and |d sinc**2/dx| is at most both 2|x|/3 and 4/x**2.
-            # 8*eps*|f| covers the rest of each node's arithmetic.
-            x = np.abs(w - w0)
-            x *= 0.5 * t
-            shift = w * (0.5 * t)
-            shift += x
-            shift *= np.minimum(x * (2.0 / 3.0), 4.0 / np.maximum(x, 1.0) ** 2)
-            shift *= rsc
-            total += float(np.dot(weight, fw))
-            phase += float(np.dot(weight, shift))
-            arith += float(np.dot(weight, np.abs(fw)))
-            evals += w.size
-        value = half * h * total
-        if level > 6:
-            delta = abs(value - prev)
-            hits = hits + 1 if delta <= tol * max(abs(value), 1e-300) else 0
-            if hits >= 2:
+    theta = _ray_angle(reservoir)
+    e = complex(math.cos(theta), -math.sin(theta))
+    n = max(8, math.ceil(4.0 / math.sin(min(theta, 0.25 * math.pi))))
+    lo = _REF_HEAD * min(w0, 1.0 / t)
+    # e**(-i*delta*t) falls below e**-40 beyond zone
+    zone = 40.0 / (t * math.sin(theta))
+    ulps = _rounding_ulps(reservoir)
+    if isinstance(reservoir, NarrowbandReservoir):
+        poles = (_line_residue(reservoir, emitter, t),) * 2
+        scale = abs(complex(reservoir.omega_c, reservoir.kappa))
+    else:
+        poles = (golden_rule_rate(reservoir, emitter), 0.0)
+        scale = reservoir.omega_x
+
+    def standard(s):
+        omega = s * e
+        d = omega - w0
+        rsc = _rsc_complex(reservoir, omega)
+        return rsc * np.expm1(-1j * t * d) * (-2.0 * e / t) / (d * d)
+
+    def subtracted(s):
+        omega = s * e
+        rsc = _rsc_complex(reservoir, omega)
+        return rsc * _phi2(-1j * t * (omega - w0)) * (2.0 * t * e)
+
+    def along_ray(kernel, pole, envelope):
+        # (value, error estimate, evaluations, end) of one kernel; envelope(d)
+        # bounds |kernel|/|R| where |delta| >= d
+        grids = ((n, lo), (2 * n, 0.1 * lo))
+        sums = np.zeros((2, 2), dtype=complex)
+        evals, start, end = 0, 0.0, 4.0 * max(w0, scale)
+        for _ in range(_REF_DECADES):
+            for i, (k, head) in enumerate(grids):
+                edges = _contour_edges(start or head, end, k, 32.0 / (k * t), zone)
+                if not start:
+                    edges = np.append(0.0, edges)
+                total, size, count = _panel_sums(kernel, edges)
+                sums[i] += (total, size)
+                evals += count
+            value = pole + sums[1, 0].real
+            mass = _ray_mass(reservoir, end, theta)
+            if mass == math.inf:
+                tail = _heavy_tail(reservoir, emitter, t, end)
+            else:
+                tail = envelope(end - w0) * mass
+            if tail <= 1e-3 * cfg.rel_tol * abs(value):
                 break
-        prev = value
+            start, end = end, 10.0 * end
+        err = abs((sums[1, 0] - sums[0, 0]).real) + tail
+        err += _EPS * ulps * (abs(pole) + sums[1, 1].real)
+        return value, err, evals, end
+
+    # |1 - e**(-i*delta*t)| <= 2 and |phi2| <= min(1/2, (1 + 2/|w|)/|w|) off
+    # the real axis, where Re w = Re(-i*delta*t) <= 0
+    value, err, evals, end = along_ray(standard, poles[0], lambda d: 4.0 / (t * d * d))
+    if err > cfg.rel_tol * abs(value) and math.isfinite(_ray_mass(reservoir, end, theta)):
+        zeno = along_ray(
+            subtracted, poles[1], lambda d: min(t, 2.0 / d + 4.0 / (t * d * d))
+        )
+        evals += zeno[2]
+        if zeno[1] < err:
+            value, err, _, end = zeno
 
     result = IntegrationResult(
         value=max(value, 0.0),
-        error_estimate=delta + tail + half * h * _EPS * (t * phase + 8.0 * arith),
+        error_estimate=err,
         panels_used=evals,
-        truncation_frequency=omega_max,
+        truncation_frequency=end,
     )
-    if hits >= 2:
+    if err <= cfg.rel_tol * abs(value):
         return result
     raise ConvergenceError(
-        f"tanh-sinh scheme not converged at level {max_level}", result=result
+        f"contour reference reached |omega| = {end:.3e} with {evals} evaluations "
+        f"and error estimate {err:.3e} (value {value:.6e})",
+        result=result,
     )
 
 

@@ -224,6 +224,35 @@ def _line_shape(reservoir, d):
     return (reservoir.kappa / math.pi) * reservoir.g**2 / (d * d + reservoir.kappa**2)
 
 
+def _rsc_complex(reservoir, omega):
+    # The RSC continued analytically to complex omega, on the principal
+    # branch of each power, so that on the real axis it is evaluate_rsc to
+    # rounding. A line is continued everywhere; the broadband families for
+    # |arg omega| <= pi/4, where Re (omega/omega_x)**2 > -1 keeps the
+    # power-Lorentz factor on its branch.
+    w = np.asarray(omega, dtype=complex)
+    if isinstance(reservoir, NarrowbandReservoir):
+        return _line_shape(reservoir, w - reservoir.omega_c)
+    # each part on its own: complex division rounds x twice, and e**-x
+    # turns that into |x| ulps
+    x = w.real / reservoir.omega_x + 1j * (w.imag / reservoir.omega_x)
+    # |x|**eta * |F(x)| is taken as (|x|**(eta/p) * |F(x)|**(1/p))**p with
+    # p = max(eta, 1), whose base stays finite where |x|**eta would overflow
+    # (near the exponential cutoff's peak at eta*omega_x for eta >~ 130)
+    eta = reservoir.eta
+    p = max(eta, 1.0)
+    if isinstance(reservoir.cutoff, ExponentialCutoff):
+        root, phase = np.exp(-x.real / p), -x.imag
+    else:
+        y = 1.0 + x * x
+        mu = reservoir.cutoff.mu
+        root, phase = np.abs(y) ** (-mu / p), -mu * np.angle(y)
+    modulus = (np.abs(x) ** (eta / p) * root) ** p
+    return (reservoir.coupling * reservoir.omega_x) * modulus * np.exp(
+        1j * (eta * np.angle(x) + phase)
+    )
+
+
 def golden_rule_rate(reservoir, emitter):
     """Long-time decay rate 2*pi*R(omega0), exact for the given model."""
     return 2.0 * math.pi * evaluate_rsc(reservoir, emitter.omega0)

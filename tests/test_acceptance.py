@@ -290,7 +290,7 @@ def test_criterion_8_property_suites():
     norm_ok = norm_dev <= 1e-8
     details.append(f"kernel normalization dev {norm_dev:.2e}")
 
-    # transform-scheme agreement on the 20-point sample grid
+    # contour-reference agreement on the 20-point sample grid
     cases = _verify_cases()
     assert len(cases) == 20
     oracle_dev = 0.0

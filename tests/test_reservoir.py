@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -24,6 +25,7 @@ from fgr.reservoir import (
     ExponentialCutoff,
     NarrowbandReservoir,
     PowerLorentzCutoff,
+    _rsc_complex,
     cutoff_constant,
     evaluate_rsc,
     golden_rule_rate,
@@ -90,6 +92,55 @@ class TestEvaluateRsc:
         omegas = np.geomspace(1e-6, 1e4, 300)
         assert np.all(evaluate_rsc(reservoir, omegas) >= 0.0)
         assert evaluate_rsc(reservoir, 0.0) >= 0.0
+
+
+def _continued_models():
+    with pytest.warns(UserWarning):
+        heavy = PowerLorentzCutoff(mu=1.6)
+    return [
+        BroadbandReservoir(coupling=1e-3, eta=0.5, omega_x=250.0),
+        BroadbandReservoir(coupling=1e-3, eta=2.0, omega_x=250.0, cutoff=PowerLorentzCutoff(4.0)),
+        BroadbandReservoir(coupling=1e-3, eta=1.5, omega_x=250.0, cutoff=heavy),
+        NarrowbandReservoir(g=0.7, kappa=0.3, omega_c=5.0),
+    ]
+
+
+class TestContinuedRsc:
+    # the RSC continued to complex omega, which the contour reference
+    # integrates along a ray into the lower half plane
+
+    @pytest.mark.parametrize("index", range(4), ids=["exp", "pl4", "pl1.6", "line"])
+    def test_equals_evaluate_rsc_on_the_real_axis(self, index):
+        model = _continued_models()[index]
+        omega = np.concatenate([[0.0], np.geomspace(1e-12, 1e5, 401)])
+        got = _rsc_complex(model, omega)
+        assert np.all(got.imag == 0.0)
+        # to rounding: the continuation takes |x|**eta*|F| as a p-th power
+        np.testing.assert_allclose(got.real, evaluate_rsc(model, omega), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("index", range(4), ids=["exp", "pl4", "pl1.6", "line"])
+    def test_principal_branch_off_the_axis(self, index):
+        # against the same formula in mpmath, whose powers take the
+        # principal branch, on rays down to -pi/4 and at a steeper -1.4
+        model = _continued_models()[index]
+        with mp.workdps(30):
+            for arg in (-0.1, -0.5, -math.pi / 4, -1.4):
+                if arg < -math.pi / 4 and not isinstance(model, NarrowbandReservoir):
+                    continue
+                for r in (1e-3, 0.9, 5.0, 300.0, 1e4):
+                    w = mp.mpc(r * math.cos(arg), r * math.sin(arg))
+                    if isinstance(model, NarrowbandReservoir):
+                        d = w - model.omega_c
+                        want = model.kappa / mp.pi * model.g**2 / (d * d + model.kappa**2)
+                    else:
+                        x = w / model.omega_x
+                        want = model.coupling * model.omega_x * mp.power(x, model.eta)
+                        if isinstance(model.cutoff, ExponentialCutoff):
+                            want *= mp.exp(-x)
+                        else:
+                            want *= mp.power(1 + x * x, -model.cutoff.mu)
+                    got = _rsc_complex(model, complex(w))
+                    assert abs(got - complex(want)) <= 1e-13 * abs(complex(want)), (arg, r)
 
 
 class TestGoldenRuleRate:
