@@ -193,6 +193,9 @@ _TAGS = {
     **{cls: ("kind", tag) for tag, cls in CUTOFF_KINDS.items()},
 }
 
+# the log of a float a little below the largest one, e**709 = 8.2e307
+_LOG_HUGE = 709.0
+
 
 def evaluate_rsc(reservoir, omega):
     """Reservoir coupling spectrum at omega (scalar or array), omega >= 0.
@@ -201,14 +204,24 @@ def evaluate_rsc(reservoir, omega):
     continuous in omega.
     """
     w = np.asarray(omega, dtype=float)
-    if np.any(w < 0.0):
+    if (w < 0.0).any():
         raise ValueError("omega must be >= 0")
     if isinstance(reservoir, BroadbandReservoir):
         x = w / reservoir.omega_x
+        scale = reservoir.coupling * reservoir.omega_x
+        eta = reservoir.eta
         # coupling * omega * (omega/omega_x)**(eta-1) rewritten with a single
         # power so that eta < 1 stays finite at omega = 0
-        out = reservoir.coupling * reservoir.omega_x * x**reservoir.eta
-        out = out * reservoir.cutoff.profile(x)
+        if eta * math.log(x.max(initial=1.0)) + math.log(max(scale, 1.0)) < _LOG_HUGE:
+            out = scale * x**eta * reservoir.cutoff.profile(x)
+        else:
+            # scale * x**eta may overflow (for the exponential cutoff at
+            # eta >~ 130 below the quadrature's omega_max, past 235*omega_x
+            # at eta = 130): where the product is not finite, take the
+            # continued RSC's root form, which stays finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = scale * x**eta * reservoir.cutoff.profile(x)
+            out = np.where(np.isfinite(out), out, _rsc_complex(reservoir, w).real)
     elif isinstance(reservoir, NarrowbandReservoir):
         out = _line_shape(reservoir, w - reservoir.omega_c)
     else:

@@ -1,6 +1,7 @@
 """Decay-rate quadrature: limits, invariances, oracle equivalence, budgets."""
 
 import json
+import logging
 import math
 import os
 import sys
@@ -10,7 +11,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from test_cli import BROAD_CONFIG, NARROW_CONFIG
+
 from fgr import quadrature
+from fgr.cli import _FIG1_ETAS, RunConfig, TimeGridSpec
 from fgr.errors import ConvergenceError
 from fgr.quadrature import (
     _CAPS,
@@ -60,7 +64,8 @@ def exact_rate():
 
 def first_layout_size(model, em, t, cfg):
     omega_max = truncation_frequency(model, em, t, cfg)
-    panels, _ = _first_layout(model, em, t, omega_max, cfg.rel_tol)
+    floor = quadrature._rate_floor(model, em, t)
+    panels, _ = _first_layout(model, em, t, omega_max, cfg.rel_tol, floor)
     return panels[0].size
 
 
@@ -84,9 +89,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=0.0)
 
-    def test_result_invariants(self):
-        with pytest.raises(ValueError):
-            IntegrationResult(value=-1.0, error_estimate=0.0, panels_used=1, truncation_frequency=1.0)
+    @pytest.mark.parametrize("value,error", [(-1.0, 0.0), (math.nan, 0.0), (1.0, math.nan)])
+    def test_result_invariants(self, value, error):
+        with pytest.raises(ValueError, match="nonnegative numbers"):
+            IntegrationResult(value=value, error_estimate=error, panels_used=1, truncation_frequency=1.0)
 
     def test_result_keeps_its_fields_exactly(self):
         # the fields are packed into one record; every bit comes back
@@ -146,6 +152,16 @@ class TestOracleEquivalence:
         a = decay_rate_numeric(model, em, kt / model.kappa, CFG)
         b = decay_rate_numeric_oracle(model, em, kt / model.kappa, CFG)
         assert abs(a.value - b.value) / a.value < 1e-8
+
+    @pytest.mark.parametrize("w0t", [0.01, 1.0, 100.0, 1e4])
+    @pytest.mark.parametrize("eta", [130.0, 150.0, 165.0])
+    def test_broadband_large_eta(self, eta, w0t):
+        # (omega/omega_x)**eta overflows below omega_max here, which made
+        # the main integrator's value nan
+        r = bb(eta)
+        a = decay_rate_numeric(r, EM, w0t, CFG)
+        b = decay_rate_numeric_oracle(r, EM, w0t, CFG)
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
     def test_power_lorentz_cutoff(self):
         r = bb(1.5, cutoff=PowerLorentzCutoff(mu=4.0))
@@ -571,6 +587,74 @@ class TestFarField:
             used.append(res.panels_used)
         assert used[0] < 0.1 * top
         assert used[0] < used[1] <= top
+
+
+def fig1_points():
+    """(model, emitter, t) over `fgr figure fig1`'s default grid."""
+    grid = TimeGridSpec(1e-4, 1e5, 16).times()
+    return [(bb(eta), EM, float(t)) for eta in _FIG1_ETAS for t in grid]
+
+
+def config_points(config):
+    """(model, emitter, t) over a CLI config's grid, and its rel_tol."""
+    run = RunConfig.from_json_dict(config)
+    points = [(run.model, run.emitter, float(t)) for t in run.time_grid.times()]
+    return points, run.quadrature.rel_tol
+
+
+class TestCapLadder:
+    # A broadband point does not build the caps whose block edges alone put
+    # the far-field bound over budget. The ladder that builds and probes
+    # each cap in turn is the reference: every cap below the one a point
+    # takes must fail that full probe, so both take the same cap.
+
+    def check_ladder(self, monkeypatch, points, rel_tol):
+        # the number of layouts built
+        built = []
+        build = quadrature._build_panels
+
+        def counted(*args):
+            built.append(args[-1])
+            return build(*args)
+
+        monkeypatch.setattr(quadrature, "_build_panels", counted)
+        cfg = QuadratureConfig(rel_tol=rel_tol)
+        for model, em, t in points:
+            omega_max = truncation_frequency(model, em, t, cfg)
+            floor = quadrature._rate_floor(model, em, t)
+            _first_layout(model, em, t, omega_max, rel_tol, floor)
+            taken = built[-1]
+            for cap in _CAPS[: _CAPS.index(taken)]:
+                a, b, _, kind = build(model, em, t, omega_max, cap)
+                bound = quadrature._envelope_terms(model, em, t, a, b, kind)[2]
+                assert bound > 0.25 * rel_tol * floor, (model, t, cap, taken)
+        return len(built)
+
+    def test_fig1(self, monkeypatch):
+        # the full ladder builds 961 layouts for these 725 points
+        assert self.check_ladder(monkeypatch, fig1_points(), 1e-8) <= 800
+
+    @pytest.mark.parametrize("config", [BROAD_CONFIG, NARROW_CONFIG], ids=["broad", "narrow"])
+    def test_golden_configs(self, monkeypatch, config):
+        self.check_ladder(monkeypatch, *config_points(config))
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    def test_property_points(self, monkeypatch, rel_tol):
+        self.check_ladder(monkeypatch, [p[1:] for p in PROPERTY_POINTS], rel_tol)
+
+    def test_cap_decision_logged(self, caplog):
+        # eta = 3 at a fig1 time: the edge bound skips 128, the probe
+        # rejects 32 and takes 512
+        t = 7.498942093324558
+        with caplog.at_level(logging.INFO, logger="fgr"):
+            decay_rate_numeric(bb(3.0), EM, t, CFG)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="fgr"):
+            decay_rate_numeric(bb(3.0), EM, t, CFG)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"t={t!r}, 11226 lobes: took cap 512; skipped by the edge bound: [128]; "
+            "probed and rejected: [32]"
+        ]
 
 
 def property_points(seed=12):

@@ -1,6 +1,7 @@
 """Reservoir model values against closed forms and quadrature oracles."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -78,6 +79,24 @@ class TestEvaluateRsc:
         assert vec.shape == omegas.shape
         for w, v in zip(omegas, vec):
             assert v == evaluate_rsc(bb, float(w))
+
+    @pytest.mark.parametrize("eta", [130.0, 165.0])
+    def test_large_eta_power_overflow(self, eta):
+        # (omega/omega_x)**eta overflows past omega_x*exp(709.8/eta), about
+        # 235*omega_x at eta = 130; the RSC there is still a normal float.
+        # Below, the values keep the bits of the one-power formula.
+        bb = BroadbandReservoir(coupling=1e-3, eta=eta, omega_x=250.0)
+        omegas = 250.0 * np.array([1e-3, 1.0, eta, 230.0, 300.0, 700.0, 1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate_rsc(bb, omegas)
+        x = omegas / 250.0
+        n = int(np.sum(eta * np.log(x) < 700.0))
+        scale = bb.coupling * bb.omega_x
+        assert np.array_equal(got[:n], scale * x[:n] ** eta * np.exp(-x[:n]))
+        for xi, value in zip(x[n:], got[n:]):
+            exact = scale * mp.mpf(xi) ** eta * mp.exp(-mp.mpf(xi))
+            assert value == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize(
         "reservoir",
