@@ -76,8 +76,9 @@ class BroadbandRateParts:
     regime: Regime
 
     def __post_init__(self):
-        if self.resonant_part < 0.0 or self.tail_part < 0.0:
-            raise ValueError("rate parts must be nonnegative")
+        # written so that NaN fails too
+        if not all(0.0 <= p < math.inf for p in (self.resonant_part, self.tail_part)):
+            raise ValueError("rate parts must be finite and nonnegative")
 
     @property
     def total(self):
@@ -126,6 +127,15 @@ def _is_eta_one(eta):
     return abs(eta - 1.0) < _ETA_ONE_TOL
 
 
+def _cutoff_power(reservoir, emitter, p):
+    # (omega_x/omega0)**p, p = eta -/+ 1: past the floats from eta ~ 130 at 250*omega0
+    try:
+        return (reservoir.omega_x / emitter.omega0) ** p
+    except OverflowError:
+        msg = f"eta={reservoir.eta} takes (omega_x/omega0)**{p:g} past the largest float"
+        raise ValueError(msg) from None
+
+
 def broadband_resonant_part(reservoir, emitter, t, regime):
     """Resonant contribution to the broadband rate in the given regime.
 
@@ -166,15 +176,14 @@ def broadband_tail_part(reservoir, emitter, t, regime):
     g0 = golden_rule_rate_approx(reservoir, emitter)
     c = cutoff_constant(reservoir.cutoff)
     if regime is Regime.CUTOFF:
-        return (c / (2.0 * math.pi * (eta + 1.0))) * (wx / w0) ** (eta + 1.0) * (
-            w0 * t
-        ) * g0
+        power = _cutoff_power(reservoir, emitter, eta + 1.0)
+        return (c / (2.0 * math.pi * (eta + 1.0))) * power * (w0 * t) * g0
     if regime in (Regime.INTERMEDIATE, Regime.RESONANT):
         if _is_eta_one(eta):
             return (c / math.pi) * math.log(wx / w0) / (w0 * t) * g0
         return (
             (c / (math.pi * (eta - 1.0)))
-            * (wx / w0) ** (eta - 1.0)
+            * _cutoff_power(reservoir, emitter, eta - 1.0)
             / (w0 * t)
             * g0
         )
@@ -206,7 +215,8 @@ def onset_time_broadband(reservoir, emitter):
     if eta < 1.0:
         return 1.0 / w0
     c = cutoff_constant(reservoir.cutoff)
-    return (c / (math.pi * (eta - 1.0))) * (wx / w0) ** (eta - 1.0) / w0
+    power = _cutoff_power(reservoir, emitter, eta - 1.0)
+    return (c / (math.pi * (eta - 1.0))) * power / w0
 
 
 def narrowband_rate_resonant(reservoir, t):

@@ -7,8 +7,8 @@ deterministic: identical configs produce byte-identical files.
 Config schema (version 1)::
 
     {
-      "schema_version": 1,
-      "unit": "omega0" | "rad_per_s",
+      "schema_version": 1,          # optional, the integer 1
+      "unit": "omega0" | "rad_per_s",   # optional, omega0 by default
       "model": {"type": TYPE, ...},   # TYPE and its fields, see below
       "emitter": {"omega0": ...},
       "time_grid": {"t_min": ..., "t_max": ..., "points_per_decade": ...},
@@ -19,8 +19,11 @@ Config schema (version 1)::
 
 Model types and their fields: broadband with coupling, eta, omega_x and
 "cutoff": {"kind": KIND, ...}, where KIND is exponential (no fields) or
-power_lorentz (mu); narrowband with g, kappa, omega_c. All numbers must be
-finite, and every object refuses keys that name none of its fields. The
+power_lorentz (mu); narrowband with g, kappa, omega_c. Every object, the
+top level included, is read by the fields of its record (``RunConfig``
+for the top level): a key that names none of them is refused, and a field
+may be left out only where it has a default and is not tagged, so the
+model and its cutoff are always required. All numbers must be finite. The
 output format is csv for ``rate`` and json for ``onset``; when it is
 omitted the command's own format is used.
 
@@ -36,7 +39,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +48,7 @@ from .analytic import (
     onset_time_broadband,
     onset_time_narrowband,
 )
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 from .onset import empirical_onset
 from .quadrature import (
     QuadratureConfig,
@@ -55,11 +58,10 @@ from .quadrature import (
     rate_curve,
 )
 from .reservoir import (
-    CUTOFF_KINDS,
-    MODEL_TYPES,
     BroadbandReservoir,
     EmitterSpec,
     NarrowbandReservoir,
+    from_json,
     golden_rule_rate,
     zeno_slope,
 )
@@ -85,81 +87,6 @@ _FIG3_DETUNINGS = (0.0, 0.4, 1.0, 2.0, 5.0)  # in units of kappa
 # difference between them that passes
 _VERIFY_REL_TOL = 1e-8
 _VERIFY_THRESHOLD = 1e-6
-
-
-class ConfigError(ValueError):
-    """Configuration validation failure with a dotted field path."""
-
-    def __init__(self, path, message):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-
-
-# accepted JSON types and their description, per requested kind
-_KINDS = {
-    float: ((int, float), "a number"),
-    int: (int, "an integer"),
-    str: (str, "a string"),
-    dict: (dict, "an object"),
-}
-
-
-def _require(mapping, key, path, kind):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    value = mapping[key]
-    types, description = _KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"{path}.{key}", f"expected {description}, got {value!r}")
-    return float(value) if kind is float else value
-
-
-# JSON kind of a section field, from its annotation (a string, since
-# annotations are postponed); "X | None" also admits null
-_FIELD_KINDS = {"float": float, "int": int, "str": str}
-
-
-def _refuse_unknown(data, cls, path, tag_key=None):
-    unknown = set(data) - {f.name for f in fields(cls)} - {tag_key}
-    if unknown:
-        raise ConfigError(path, f"unknown fields {sorted(unknown)}")
-
-
-def _from_fields(cls, data, path, tag_key=None):
-    # a config section from its dataclass fields: a field may be left out
-    # exactly when it has a default (the cutoff is always required, as an
-    # object tagged by its kind), and a key that names no field is refused
-    _refuse_unknown(data, cls, path, tag_key)
-    kwargs = {}
-    for f in fields(cls):
-        if f.name == "cutoff":
-            cutoff_d = _require(data, f.name, path, dict)
-            kwargs[f.name] = _tagged(cutoff_d, "kind", CUTOFF_KINDS, f"{path}.{f.name}")
-        elif f.name in data or (f.default is MISSING and f.default_factory is MISSING):
-            kind, optional, _ = f.type.partition(" | None")
-            if not (optional and data.get(f.name) is None):
-                kwargs[f.name] = _require(data, f.name, path, _FIELD_KINDS[kind])
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        # constructors name the field they refuse first
-        name = str(exc).split(" ", 1)[0]
-        field_path = f"{path}.{name}" if name in kwargs else path
-        raise ConfigError(field_path, str(exc)) from exc
-
-
-def _tagged(data, key, table, path):
-    # inverse of to_dict(): the class that data[key] names in the tag table
-    tag = _require(data, key, path, str)
-    if tag not in table:
-        raise ConfigError(
-            f"{path}.{key}", f"unknown {key} {tag!r}, expected one of {sorted(table)}"
-        )
-    return _from_fields(table[tag], data, path, tag_key=key)
-
-
-def _section(data, key, path, cls):
-    return _from_fields(cls, _require(data, key, path, dict), f"{path}.{key}")
 
 
 @dataclass(frozen=True)
@@ -197,66 +124,25 @@ class RunConfig:
     model: BroadbandReservoir | NarrowbandReservoir
     emitter: EmitterSpec
     time_grid: TimeGridSpec
-    quadrature: QuadratureConfig
+    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
     onset_epsilon: float | None = None
     output: OutputSpec | None = None
     unit: str = "omega0"
     schema_version: int = 1
 
+    def __post_init__(self):
+        if self.schema_version != 1:
+            raise ValueError(f"schema_version must be 1, got {self.schema_version!r}")
+        if self.unit not in ("omega0", "rad_per_s"):
+            raise ValueError(f"unit must be omega0 or rad_per_s, got {self.unit!r}")
+        if self.onset_epsilon is not None and not 0.0 < self.onset_epsilon < math.inf:
+            raise ValueError(
+                f"onset_epsilon must be finite and > 0, got {self.onset_epsilon}"
+            )
+
     @classmethod
     def from_json_dict(cls, data, path="config"):
-        if not isinstance(data, dict):
-            raise ConfigError(path, "top level must be an object")
-        _refuse_unknown(data, cls, path)
-        version = data.get("schema_version", 1)
-        if version != 1:
-            raise ConfigError(f"{path}.schema_version", f"unsupported version {version}")
-        unit = data.get("unit", "omega0")
-        if unit not in ("omega0", "rad_per_s"):
-            raise ConfigError(f"{path}.unit", f"unknown unit {unit!r}")
-
-        onset_epsilon = data.get("onset_epsilon")
-        if onset_epsilon is not None:
-            onset_epsilon = _require(data, "onset_epsilon", path, float)
-            if not 0.0 < onset_epsilon < math.inf:
-                raise ConfigError(
-                    f"{path}.onset_epsilon",
-                    f"must be finite and > 0, got {onset_epsilon}",
-                )
-        model_d = _require(data, "model", path, dict)
-        return cls(
-            model=_tagged(model_d, "type", MODEL_TYPES, f"{path}.model"),
-            emitter=_section(data, "emitter", path, EmitterSpec),
-            time_grid=_section(data, "time_grid", path, TimeGridSpec),
-            quadrature=(
-                _section(data, "quadrature", path, QuadratureConfig)
-                if "quadrature" in data
-                else QuadratureConfig()
-            ),
-            onset_epsilon=onset_epsilon,
-            output=(
-                _section(data, "output", path, OutputSpec)
-                if data.get("output") is not None
-                else None
-            ),
-            unit=unit,
-            schema_version=1,
-        )
-
-    def to_json_dict(self):
-        out = {
-            "schema_version": self.schema_version,
-            "unit": self.unit,
-            "model": self.model.to_dict(),
-            "emitter": asdict(self.emitter),
-            "time_grid": asdict(self.time_grid),
-            "quadrature": asdict(self.quadrature),
-        }
-        if self.onset_epsilon is not None:
-            out["onset_epsilon"] = self.onset_epsilon
-        if self.output is not None:
-            out["output"] = asdict(self.output)
-        return out
+        return from_json(cls, data, path)
 
     def output_path(self, fmt, default):
         """Where a command that writes ``fmt`` puts its output."""
@@ -336,11 +222,9 @@ def cmd_onset(config, epsilon=None, stream=None):
         t_f_analytic = onset_time_narrowband(model)
     else:
         t_f_analytic = onset_time_broadband(model, emitter)
-    eps = epsilon if epsilon is not None else config.onset_epsilon
-    if eps is None:
-        eps = _default_epsilon(model)
-    if not 0.0 < eps < math.inf:
-        raise ConfigError("epsilon", f"must be finite and > 0, got {eps}")
+    if epsilon is not None:
+        config = replace(config, onset_epsilon=epsilon)
+    eps = config.onset_epsilon or _default_epsilon(model)
 
     curve = rate_curve(model, emitter, config.time_grid.times(), config.quadrature)
     t_emp = empirical_onset(curve, eps)

@@ -3,6 +3,14 @@
 from __future__ import annotations
 
 
+class ConfigError(ValueError):
+    """Configuration validation failure with a dotted field path."""
+
+    def __init__(self, path, message):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
 class ConvergenceError(RuntimeError):
     """Raised when a quadrature did not reach the requested tolerance.
 

@@ -110,8 +110,8 @@ def kernel_zeros(t, omega0, omega_max):
     Returns a strictly increasing float array.
     """
     check_time(t)
-    if not math.isfinite(omega0):
-        raise ValueError(f"omega0 must be finite, got {omega0}")
+    if not (omega0 > 0.0 and math.isfinite(omega0)):
+        raise ValueError(f"omega0 must be finite and > 0, got {omega0}")
     if not (omega_max > 0.0 and math.isfinite(omega_max)):
         raise ValueError(f"omega_max must be finite and > 0, got {omega_max}")
     k_left, k_right = zero_counts(t, omega0, omega_max)

@@ -44,11 +44,11 @@ _ANTI_ZENO_THRESHOLD = 1e-2
 class RateCurve:
     """Sampled decay-rate ratio curve with metadata.
 
-    times must be strictly increasing and positive; ratios are
-    rate/golden-rule-rate, nonnegative. flagged marks points whose
-    quadrature did not converge. model_metadata carries a description of
-    the model, including ``t_scale`` (1/kappa or 1/omega0), used by
-    coverage checks.
+    times must be finite, positive and strictly increasing; ratios are
+    rate/golden-rule-rate, finite and nonnegative, as are the error
+    estimates. flagged marks points whose quadrature did not converge.
+    model_metadata carries a description of the model, including
+    ``t_scale`` (1/kappa or 1/omega0), used by coverage checks.
     """
 
     times: np.ndarray
@@ -70,10 +70,13 @@ class RateCurve:
             raise ValueError("curve arrays must be nonempty and of equal length")
         if len(self.regime_labels) != times.size:
             raise ValueError("one regime label per point required")
-        if not np.all(times > 0.0) or not np.all(np.diff(times) > 0.0):
-            raise ValueError("times must be positive and strictly increasing")
-        if np.any(ratios < 0.0):
-            raise ValueError("ratios must be nonnegative")
+        # written so that NaN fails too
+        if not (np.all(np.diff(times, prepend=0.0) > 0.0) and times[-1] < math.inf):
+            raise ValueError("times must be finite, positive and strictly increasing")
+        if not np.all((ratios >= 0.0) & (ratios < math.inf)):
+            raise ValueError("ratios must be finite and nonnegative")
+        if not np.all((errors >= 0.0) & (errors < math.inf)):
+            raise ValueError("error estimates must be finite and nonnegative")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "error_estimates", errors)

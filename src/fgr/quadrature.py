@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .reservoir import (
     _rsc_complex,
     evaluate_rsc,
     golden_rule_rate,
+    to_json,
     zeno_slope,
 )
 
@@ -181,57 +181,26 @@ class QuadratureConfig:
             raise ValueError("tail_epsilon must be > 0")
 
 
-# value, error_estimate, panels_used, truncation_frequency: 28 bytes, so
-# that with the bytes object's header a record is one 64-byte block
-_RESULT = struct.Struct("=ddId")
-
-
+@dataclass(frozen=True, slots=True)
 class IntegrationResult:
-    """Decay-rate value with its accuracy metadata, immutable.
+    """Decay-rate value with its accuracy metadata.
 
     ``panels_used`` counts quadrature panels for the panel scheme and
     integrand evaluations for the contour reference.
-
-    The four fields are held as one packed record: a result that is kept
-    takes about 104 bytes, where four boxed fields took 193. A caller that
-    keeps every result it is handed, as the benchmark's per-point records
-    do, grows by that much per point.
     """
 
-    __slots__ = ("_record",)
+    value: float
+    error_estimate: float
+    panels_used: int
+    truncation_frequency: float
 
-    def __init__(self, value, error_estimate, panels_used, truncation_frequency):
+    def __post_init__(self):
         # written so that NaN fails too
-        if not (value >= 0.0 and error_estimate >= 0.0):
+        if not (self.value >= 0.0 and self.error_estimate >= 0.0):
             raise ValueError(
                 "value and error_estimate must be nonnegative numbers, got "
-                f"value={value!r}, error_estimate={error_estimate!r}"
+                f"value={self.value!r}, error_estimate={self.error_estimate!r}"
             )
-        self._record = _RESULT.pack(
-            value, error_estimate, panels_used, truncation_frequency
-        )
-
-    def _fields(self):
-        return _RESULT.unpack(self._record)
-
-    value = property(lambda self: self._fields()[0])
-    error_estimate = property(lambda self: self._fields()[1])
-    panels_used = property(lambda self: self._fields()[2])
-    truncation_frequency = property(lambda self: self._fields()[3])
-
-    def __eq__(self, other):
-        if type(other) is not IntegrationResult:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            "IntegrationResult(value={!r}, error_estimate={!r}, panels_used={!r}, "
-            "truncation_frequency={!r})".format(*self._fields())
-        )
 
 
 def _rate_floor(reservoir, emitter, t):
@@ -1016,9 +985,10 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
         if zeno[1] < err:
             value, err, _, end = zeno
 
+    # the sums are numpy scalars; a result holds Python numbers
     result = IntegrationResult(
-        value=max(value, 0.0),
-        error_estimate=err,
+        value=max(float(value), 0.0),
+        error_estimate=float(err),
         panels_used=evals,
         truncation_frequency=end,
     )
@@ -1053,8 +1023,8 @@ def curve_from_ratios(reservoir, emitter, times, ratios, errors, flagged=None):
         error_estimates=errors,
         regime_labels=tuple(_regime_label(reservoir, emitter, float(t)) for t in times),
         model_metadata={
-            "model": reservoir.to_dict(),
-            "emitter": asdict(emitter),
+            "model": to_json(reservoir),
+            "emitter": to_json(emitter),
             "t_scale": 1.0 / reservoir.scale_frequency(emitter),
         },
         flagged=flagged,
@@ -1077,7 +1047,10 @@ def rate_curve(reservoir, emitter, time_grid, cfg=None):
         raise ValueError("time_grid must be positive and strictly increasing")
 
     gamma0 = golden_rule_rate(reservoir, emitter)
-    values = np.empty(times.size)
+    if not gamma0 > 0.0:
+        # (omega0/omega_x)**eta underflows from eta ~ 135 at omega_x = 250*omega0
+        raise ValueError(f"the golden-rule rate of {reservoir} at {emitter} is {gamma0}")
+    ratios = np.empty(times.size)
     errors = np.empty(times.size)
     flagged = np.zeros(times.size, dtype=bool)
     for i, t in enumerate(times):
@@ -1088,8 +1061,8 @@ def rate_curve(reservoir, emitter, time_grid, cfg=None):
         except ConvergenceError as exc:
             res = exc.result
             flagged[i] = True
-        values[i] = res.value
-        errors[i] = res.error_estimate
-    return curve_from_ratios(
-        reservoir, emitter, times, values / gamma0, errors / gamma0, flagged
-    )
+        # Python floats, whose division overflows to inf without a warning
+        ratios[i], errors[i] = res.value / gamma0, res.error_estimate / gamma0
+        if not (ratios[i] < math.inf and errors[i] < math.inf):
+            raise ValueError(f"Gamma/Gamma0 overflows at t={t} for {reservoir}")
+    return curve_from_ratios(reservoir, emitter, times, ratios, errors, flagged)

@@ -4,16 +4,23 @@ Two model families are supported: a power-law broadband spectrum with a
 high-frequency cutoff, and a Breit-Wigner (Lorentzian) narrowband spectrum.
 All frequencies are angular frequencies in one consistent user-chosen unit;
 rates are angular-frequency valued (no hbar anywhere).
+
+Every record the package reads or writes is a frozen dataclass; ``to_json``
+and ``from_json`` are their one JSON codec, with the tags of ``TAGS``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import typing
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
+
+from .errors import ConfigError
 
 __all__ = [
     "ExponentialCutoff",
@@ -24,6 +31,9 @@ __all__ = [
     "EmitterSpec",
     "MODEL_TYPES",
     "CUTOFF_KINDS",
+    "TAGS",
+    "to_json",
+    "from_json",
     "evaluate_rsc",
     "golden_rule_rate",
     "golden_rule_rate_approx",
@@ -44,12 +54,7 @@ class _Tagged:
     """Models and cutoffs serialise as their tag, then every field."""
 
     def to_dict(self):
-        key, tag = _TAGS[type(self)]
-        out = {key: tag}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = value.to_dict() if isinstance(value, _Tagged) else value
-        return out
+        return to_json(self)
 
 
 @dataclass(frozen=True)
@@ -185,13 +190,79 @@ class EmitterSpec:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
 
 
-# the tag tables of the serialised form (see ``to_dict``)
+# the tag tables of the serialised form (see ``to_json``)
 MODEL_TYPES = {"broadband": BroadbandReservoir, "narrowband": NarrowbandReservoir}
 CUTOFF_KINDS = {"exponential": ExponentialCutoff, "power_lorentz": PowerLorentzCutoff}
-_TAGS = {
+TAGS = {
     **{cls: ("type", tag) for tag, cls in MODEL_TYPES.items()},
     **{cls: ("kind", tag) for tag, cls in CUTOFF_KINDS.items()},
 }
+
+# how a refusal names what each scalar annotation admits
+_SCALARS = {float: "a number", int: "an integer", str: "a string"}
+
+# the resolved field annotations of a record class, several times dearer to
+# resolve than a record is to read
+_hints = functools.cache(typing.get_type_hints)
+
+
+def to_json(spec):
+    """The JSON object of a record: its tag from TAGS, if it has one, then
+    every field, a nested record as its own object and None as null."""
+    out = dict([TAGS[type(spec)]]) if type(spec) in TAGS else {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        out[f.name] = to_json(value) if is_dataclass(value) else value
+    return out
+
+
+def from_json(tp, value, path):
+    """The value of annotation ``tp`` read from JSON; the inverse of to_json.
+
+    ``tp`` is float (which admits an integer), int, str, a record, a union
+    of records tagged in TAGS, or one of these ``| None``; no bool passes
+    as a number. A record refuses keys that name no field and may leave out
+    only fields that have a default and are not tagged. Raises ConfigError
+    with the dotted path, below ``path``, of the value refused.
+    """
+    members = typing.get_args(tp) or (tp,)
+    if value is None and type(None) in members:
+        return None
+    members = [m for m in members if m is not type(None)]
+    cls = members[0]
+    if cls in _SCALARS:
+        admitted = (int, float) if cls is float else cls
+        if isinstance(value, bool) or not isinstance(value, admitted):
+            raise ConfigError(path, f"expected {_SCALARS[cls]}, got {value!r}")
+        return float(value) if cls is float else value
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected an object, got {value!r}")
+    key = TAGS[cls][0] if cls in TAGS else None
+    if key is not None:
+        table = {TAGS[m][1]: m for m in members}
+        tag = value.get(key)
+        if not (isinstance(tag, str) and tag in table):
+            raise ConfigError(f"{path}.{key}", f"{tag!r} is not one of {sorted(table)}")
+        cls = table[tag]
+    unknown = set(value) - {f.name for f in fields(cls)} - {key}
+    if unknown:
+        raise ConfigError(path, f"unknown fields {sorted(unknown)}")
+    kwargs = {}
+    for f in fields(cls):
+        hint = _hints(cls)[f.name]
+        if f.name in value:
+            kwargs[f.name] = from_json(hint, value[f.name], f"{path}.{f.name}")
+        elif f.default is f.default_factory is MISSING or any(
+            m in TAGS for m in typing.get_args(hint) or (hint,)
+        ):
+            raise ConfigError(f"{path}.{f.name}", "missing required field")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        # constructors name the field they refuse first
+        name = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{path}.{name}" if name in kwargs else path, str(exc)) from exc
+
 
 # the log of a float a little below the largest one, e**709 = 8.2e307
 _LOG_HUGE = 709.0

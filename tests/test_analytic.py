@@ -9,6 +9,7 @@ import pytest
 from fgr.analytic import (
     CUTOFF_MAX,
     RESONANT_MIN,
+    BroadbandRateParts,
     Regime,
     Visibility,
     broadband_rate_analytic,
@@ -147,6 +148,13 @@ class TestBroadbandTotal:
         assert parts.total == pytest.approx(golden_rule_rate_approx(r, EM), rel=1e-15)
         assert parts.tail_part == 0.0
 
+    @pytest.mark.parametrize(
+        "parts", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -1e-300)]
+    )
+    def test_parts_refuse_non_finite(self, parts):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            BroadbandRateParts(*parts, Regime.RESONANT)
+
     def test_total_at_onset_time_doubles_for_eta_above_one(self):
         for eta in (1.5, 2.0, 3.0):
             r = bb(eta)
@@ -174,6 +182,20 @@ class TestOnsetTimeBroadband:
         em = EmitterSpec(300.0)
         with pytest.raises(ValueError):
             onset_time_broadband(bb(2.0), em)
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            onset_time_broadband,
+            lambda r, em: broadband_tail_part(r, em, 1.0, Regime.INTERMEDIATE),
+            lambda r, em: broadband_tail_part(r, em, 1e-4, Regime.CUTOFF),
+        ],
+        ids=["onset_time", "tail_part-intermediate", "tail_part-cutoff"],
+    )
+    def test_overflowing_power_names_eta(self, formula):
+        # (omega_x/omega0)**(eta -/+ 1) passes the largest float at eta = 150
+        with pytest.raises(ValueError, match="eta=150.0"):
+            formula(bb(150.0), EM)
 
 
 class TestNarrowbandResonant:

@@ -29,6 +29,7 @@ from fgr.cli import (
     main,
 )
 from fgr.errors import ConvergenceError
+from fgr.reservoir import to_json
 
 NARROW_CONFIG = {
     "schema_version": 1,
@@ -59,14 +60,30 @@ def write_config(tmp_path, data, name="config.json"):
     return str(path)
 
 
+POWER_LORENTZ_MODEL = dict(BROAD_CONFIG["model"], cutoff={"kind": "power_lorentz", "mu": 4.0})
+
+
 class TestConfigParsing:
-    def test_round_trip_is_identical(self):
-        data = dict(BROAD_CONFIG)
-        data["output"] = {"path": "out.csv", "format": "csv"}
-        data["onset_epsilon"] = 0.75
-        cfg = RunConfig.from_json_dict(data)
-        again = RunConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
-        assert cfg == again
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {},
+            {"output": {"path": "out.csv", "format": "csv"}, "onset_epsilon": 0.75},
+            {"output": {"path": "out.csv"}},
+            {"output": None, "onset_epsilon": None},
+        ],
+        ids=["bare", "output-epsilon", "output-no-format", "nulls"],
+    )
+    @pytest.mark.parametrize(
+        "config",
+        [BROAD_CONFIG, dict(BROAD_CONFIG, model=POWER_LORENTZ_MODEL), NARROW_CONFIG],
+        ids=["exponential", "power_lorentz", "narrowband"],
+    )
+    def test_round_trip_is_identical(self, config, extra):
+        cfg = RunConfig.from_json_dict({**config, **extra})
+        encoded = json.loads(json.dumps(to_json(cfg)))
+        again = RunConfig.from_json_dict(encoded)
+        assert cfg == again and to_json(again) == encoded
 
     def test_missing_field_diagnostic(self):
         broken = dict(NARROW_CONFIG)
@@ -117,12 +134,17 @@ class TestConfigParsing:
             (None, "onset_epsilon", '"0.5"', "config.onset_epsilon"),
             (None, "onset_epsilon", "1e999", "config.onset_epsilon"),
             (None, "quadrture", "{}", "config"),
+            (None, "schema_version", "true", "config.schema_version"),
+            (None, "schema_version", "1.0", "config.schema_version"),
+            (None, "schema_version", "2", "config.schema_version"),
+            (None, "unit", '"furlong"', "config.unit"),
         ],
         ids=[
             "nodes_per_panel-unknown", "abs_tol-unknown", "rel_tol-inf", "rel_tol-string", "max_panels-unknown",
             "points_per_decade-float",
             "time_grid-unknown", "onset_epsilon-bool", "onset_epsilon-string",
-            "onset_epsilon-inf", "top_level-unknown",
+            "onset_epsilon-inf", "top_level-unknown", "schema_version-bool",
+            "schema_version-float", "schema_version-2", "unit-unknown",
         ],
     )
     def test_bad_field_names_its_path(self, tmp_path, section, key, value, field):
@@ -151,6 +173,19 @@ class TestConfigParsing:
         assert excinfo.value.path == "config.model.eta"
         assert main(["rate", "-c", write_config(tmp_path, data)]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rate", "onset"])
+    def test_overflowing_rate_names_eta(self, tmp_path, capsys, command):
+        # eta = 150 is accepted, but (omega_x/omega0)**(eta-1) overflows and
+        # the golden-rule rate underflows to 0: an error, not a traceback
+        data = json.loads(json.dumps(BROAD_CONFIG))
+        data["model"]["eta"] = 150.0
+        out = tmp_path / "out"
+        data["output"] = {"path": str(out)}
+        assert main([command, "-c", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "eta=150.0" in err
 
     def test_invalid_values_rejected(self):
         broken = json.loads(json.dumps(NARROW_CONFIG))

@@ -131,5 +131,9 @@ class TestKernelZeros:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             kernel_zeros(t=0.0, omega0=1.0, omega_max=2.0)
+        # zeros left of 0 would clip to a run of zeros at 0
+        for omega0 in (-10.0, 0.0):
+            with pytest.raises(ValueError, match="omega0 must be finite and > 0"):
+                kernel_zeros(t=1.0, omega0=omega0, omega_max=30.0)
         with pytest.raises(ValueError):
             kernel_zeros(t=1.0, omega0=1.0, omega_max=0.0)

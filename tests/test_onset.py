@@ -205,9 +205,21 @@ class TestRateCurveValidation:
         with pytest.raises(ValueError):
             make_curve([2.0, 1.0], [1.0, 1.0])
 
-    def test_rejects_negative_ratio(self):
-        with pytest.raises(ValueError):
-            make_curve([1.0, 2.0], [1.0, -0.1])
+    @pytest.mark.parametrize("ratio", [-0.1, math.nan, math.inf])
+    def test_rejects_negative_ratio(self, ratio):
+        # NaN fails too: a one-point NaN curve had an onset at its only time
+        with pytest.raises(ValueError, match="ratios must be finite and nonnegative"):
+            make_curve([1.0, 2.0], [1.0, ratio])
+
+    @pytest.mark.parametrize("error", [-1e-9, math.nan, math.inf])
+    def test_rejects_bad_error_estimate(self, error):
+        with pytest.raises(ValueError, match="error estimates must be finite"):
+            RateCurve(times=[1.0], ratios=[1.0], error_estimates=[error], regime_labels=("a",))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="times must be finite"):
+            make_curve([1.0, t], [1.0, 1.0])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

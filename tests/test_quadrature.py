@@ -95,7 +95,8 @@ class TestConfigValidation:
             IntegrationResult(value=value, error_estimate=error, panels_used=1, truncation_frequency=1.0)
 
     def test_result_keeps_its_fields_exactly(self):
-        # the fields are packed into one record; every bit comes back
+        # a frozen record: every bit comes back, and it compares and hashes
+        # by its fields
         fields = (math.nextafter(0.1, 1.0), 5e-324, 2**32 - 1, math.inf)
         res = IntegrationResult(*fields)
         got = (res.value, res.error_estimate, res.panels_used, res.truncation_frequency)
@@ -104,6 +105,11 @@ class TestConfigValidation:
         assert res != IntegrationResult(0.1, 5e-324, 2**32 - 1, math.inf)
         with pytest.raises(AttributeError):
             res.value = 1.0
+        # both integrators hand back Python numbers, not numpy scalars
+        for integrate in (decay_rate_numeric, decay_rate_numeric_oracle):
+            res = integrate(bb(2.0), EM, 1.0, CFG)
+            got = (res.value, res.error_estimate, res.panels_used, res.truncation_frequency)
+            assert tuple(map(type, got)) == (float, float, int, float), integrate
 
 
 class TestZenoLimit:
@@ -1004,6 +1010,14 @@ class TestRateCurve:
             assert curve.ratios[i] == direct.value / gamma0
             assert curve.error_estimates[i] == direct.error_estimate / gamma0
         assert not curve.flagged.any()
+
+    @pytest.mark.parametrize("eta", [100.0, 150.0])
+    def test_overflowing_ratio_names_eta(self, eta):
+        # at eta = 100 the ratio to the golden-rule rate overflows a float;
+        # at eta = 150 that rate itself underflows to 0. Either is refused
+        # with a ValueError, not an inf ratio or a division by zero.
+        with pytest.raises(ValueError, match=f"eta={eta}"):
+            rate_curve(bb(eta), EM, [0.1, 1.0], CFG)
 
     def test_threaded_matches_serial_bitwise(self):
         # rate_curve keeps no mutable module state, so callers that compute
