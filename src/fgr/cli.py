@@ -48,7 +48,7 @@ from .analytic import (
     onset_time_broadband,
     onset_time_narrowband,
 )
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, UnconvergedPointError
 from .onset import empirical_onset
 from .quadrature import (
     QuadratureConfig,
@@ -214,7 +214,10 @@ def cmd_rate(config):
 
 
 def cmd_onset(config, epsilon=None, stream=None):
-    """Detect the empirical onset time and report it against the formula."""
+    """Detect the empirical onset time and report it against the formula.
+
+    Exits EXIT_PARTIAL, with no empirical onset in the report, when the
+    suffix that would qualify holds flagged points."""
     stream = stream or sys.stdout
     out_path = config.output_path("json", None)
     model, emitter = config.model, config.emitter
@@ -227,7 +230,10 @@ def cmd_onset(config, epsilon=None, stream=None):
     eps = config.onset_epsilon or _default_epsilon(model)
 
     curve = rate_curve(model, emitter, config.time_grid.times(), config.quadrature)
-    t_emp = empirical_onset(curve, eps)
+    try:
+        t_emp, unconverged = empirical_onset(curve, eps), None
+    except UnconvergedPointError as exc:
+        t_emp, unconverged = None, exc
     converged = t_emp is not None and not bool(np.any(curve.flagged))
     payload = {
         "t_f_analytic": t_f_analytic,
@@ -243,6 +249,9 @@ def cmd_onset(config, epsilon=None, stream=None):
             fh.write(text)
     else:
         stream.write(text)
+    if unconverged is not None:
+        print(f"error: {unconverged}", file=sys.stderr)
+        return EXIT_PARTIAL
     return EXIT_OK if t_emp is not None else EXIT_NO_ONSET
 
 
@@ -371,10 +380,11 @@ def cmd_verify(stream=None):
     """Run the oracle-equivalence and regime-consistency checks.
 
     Each oracle point is computed by the panel integrator and by the
-    contour reference (``decay_rate_numeric_oracle``), which share no
-    panel, rule or domain, and passes if they agree to _VERIFY_THRESHOLD
-    relative. The short-time and golden-rule limits are then checked on
-    the panel integrator's values.
+    contour reference (``decay_rate_numeric_oracle``), whose panels lie on
+    a ray in the complex plane (they share only the Gauss-Legendre table,
+    the tail bounds, the argument checks and the stepping arithmetic), and
+    passes if they agree to _VERIFY_THRESHOLD relative. The short-time and
+    golden-rule limits are then checked on the panel integrator's values.
     """
     stream = stream or sys.stdout
     cfg = QuadratureConfig(rel_tol=_VERIFY_REL_TOL)

@@ -116,11 +116,14 @@ def empirical_onset(curve, epsilon):
         return None
     bad = np.nonzero(outside)[0]
     start = int(bad[-1]) + 1 if bad.size else 0
-    if np.any(curve.flagged[start:]):
+    onset = float(curve.times[start])
+    flagged = int(np.count_nonzero(curve.flagged[start:]))
+    if flagged:
         raise UnconvergedPointError(
-            "non-converged points inside the qualifying suffix"
+            f"{flagged} of the {curve.times.size - start} points of the qualifying "
+            f"suffix from t = {onset!r} are flagged as not converged"
         )
-    return float(curve.times[start])
+    return onset
 
 
 def survival_probability(t, rate):

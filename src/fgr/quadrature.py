@@ -11,10 +11,12 @@ phase: the sinc^2 factor of a whole half-lobe is a fixed weight table per
 parity, and the frequency is formed only as the argument of the reservoir
 spectrum.
 
-An independent reference shares no panel, rule or domain with it: it
-writes the rate as the golden rule plus an integral along a ray into the
-lower half plane, where the profile's oscillation decays, and integrates
-that smooth ray in float64 on two geometric grids.
+An independent reference writes the rate as the golden rule plus an
+integral along a ray into the lower half plane, where the profile's
+oscillation decays, and integrates that smooth ray in float64 on two
+geometric grids of its own. It shares with the integrator only the
+16-node Gauss-Legendre table, the tail bounds (_tail_mass, _heavy_tail),
+the argument checks (_setup) and the stepping arithmetic of _steps.
 """
 
 from __future__ import annotations
@@ -320,22 +322,33 @@ def _tail_bound(reservoir, emitter, t, omega_max):
     return bound
 
 
+def _steps(start, stretches):
+    """Panel edges from start through each stretch (end, step, geometric)
+    in turn: the fewest equal panels at most step wide, or, if geometric,
+    the fewest at equal ratios of at most 10**(1/step), step being panels
+    per decade. Each stretch's end is an edge exactly, and a stretch that
+    ends where the last one did adds none."""
+    edges = [np.array([start])]
+    for end, step, geometric in stretches:
+        if end <= start:
+            continue
+        n = math.log10(end / start) * step if geometric else (end - start) / step
+        n = max(1, math.ceil(n))
+        f = np.arange(1, n + 1) / n
+        part = start * (end / start) ** f if geometric else start + (end - start) * f
+        part[-1] = end
+        edges.append(part)
+        start = end
+    return np.concatenate(edges)
+
+
 def _geom_edges(lo, hi, step):
     # edges from lo to hi (0 < lo < hi), geometric at _PANELS_PER_DECADE per
     # decade until a step would pass `step`, then uniform at most that wide
     if hi <= lo:
         return np.array([lo, hi])
     top = min(hi, max(lo, step / (10.0 ** (1.0 / _PANELS_PER_DECADE) - 1.0)))
-    edges = np.array([lo])
-    if top > lo:
-        n = max(1, int(math.ceil(math.log10(top / lo) * _PANELS_PER_DECADE)))
-        edges = lo * (top / lo) ** (np.arange(n + 1) / n)
-        edges[-1] = top
-    if hi > top:
-        n = int(math.ceil((hi - top) / step))
-        edges = np.append(edges, top + (hi - top) * (np.arange(1, n + 1) / n))
-        edges[-1] = hi
-    return edges
+    return _steps(lo, ((top, _PANELS_PER_DECADE, True), (hi, step, False)))
 
 
 def _rsc_cap(reservoir):
@@ -357,34 +370,24 @@ def _rsc_cap(reservoir):
     return reservoir.omega_c, 0.6, 0.5 * reservoir.kappa, math.inf
 
 
-def _side_cuts(d0, d3, cap):
-    # the distances from p that cut [d0, d3] on one side of it, ascending:
-    # equal steps of at most lo up to lo/alpha, then equal ratios of at most
-    # 1 + alpha up to hi/alpha, then equal steps of at most hi
-    _, alpha, lo, hi = cap
-    d1 = min(max(lo / alpha, d0), d3)
-    d2 = min(max(hi / alpha, d1), d3)
-    cuts = []
-    stretches = ((d0, d1, lo, False), (d1, d2, alpha, True), (d2, d3, hi, False))
-    for s, e, step, geometric in stretches:
-        if e <= s:
-            continue
-        n = math.log(e / s) / math.log1p(step) if geometric else (e - s) / step
-        n = max(1, math.ceil(n))
-        f = np.arange(1, n + 1) / n
-        d = s * (e / s) ** f if geometric else s + (e - s) * f
-        d[-1] = e
-        cuts.append(d)
-    return np.concatenate(cuts)[:-1]  # the last cut is d3 itself
-
-
 def _graded_points(edges, cap):
     """Points that split every panel between the sorted edges wider than
     the width cap (see _rsc_cap) at its point nearest p, in order, with the
-    panel each falls in. A panel splits at p, and each side of it by
-    _side_cuts: each part meets the cap at its near end, and none is a
-    sliver. A layout has few such panels, so each is cut on its own."""
+    panel each falls in. A panel splits at p, and each side of it at
+    distances d from p that step by at most lo up to lo/alpha, by ratios of
+    at most 1 + alpha up to hi/alpha, then by at most hi: each part meets
+    the cap at its near end, and none is a sliver. A layout has few such
+    panels, so each is cut on its own."""
     p, alpha, lo, hi = cap
+
+    def cuts(d0, d3):
+        # the distances from p that cut [d0, d3] on one side of it, ascending
+        d1 = min(max(lo / alpha, d0), d3)
+        d2 = min(max(hi / alpha, d1), d3)
+        per_decade = 1.0 / math.log10(1.0 + alpha)
+        stretches = ((d1, lo, False), (d2, per_decade, True), (d3, hi, False))
+        return _steps(d0, stretches)[1:-1]  # d0 and d3 are p or the panel's ends
+
     a, b = edges[:-1], edges[1:]
     near = np.maximum(0.0, np.maximum(a - p, p - b))
     limit = np.clip(alpha * near, lo, hi)
@@ -393,8 +396,8 @@ def _graded_points(edges, cap):
     wide = np.nonzero(b - a > limit)[0]
     points = [edges[:0]]
     for ai, bi in zip(a[wide].tolist(), b[wide].tolist()):
-        left = p - _side_cuts(max(0.0, p - bi), p - ai, cap)[::-1] if ai < p else []
-        right = p + _side_cuts(max(0.0, ai - p), bi - p, cap) if bi > p else []
+        left = p - cuts(max(0.0, p - bi), p - ai)[::-1] if ai < p else []
+        right = p + cuts(max(0.0, ai - p), bi - p) if bi > p else []
         points.append(np.concatenate([left, [p] if ai < p < bi else [], right]))
     counts = [x.size for x in points[1:]]
     return np.concatenate(points), np.repeat(wide, counts)
@@ -857,24 +860,6 @@ def _ray_mass(reservoir, end, theta):
     return _tail_mass(reservoir, end)
 
 
-def _contour_edges(lo, hi, per_decade, cap, zone):
-    # panel edges from lo to hi (0 < lo < hi): geometric at per_decade, but
-    # below zone no panel is wider than cap
-    ratio = 10.0 ** (1.0 / per_decade)
-    a = min(max(cap / (ratio - 1.0), lo), hi)
-    b = min(max(zone, a), hi)
-    parts = [np.array([lo])]
-    for u, v, geometric in ((lo, a, True), (a, b, False), (b, hi, True)):
-        if v > u:
-            n = math.log10(v / u) * per_decade if geometric else (v - u) / cap
-            n = max(1, math.ceil(n))
-            f = np.arange(1, n + 1) / n
-            part = u * (v / u) ** f if geometric else u + (v - u) * f
-            part[-1] = v
-            parts.append(part)
-    return np.concatenate(parts)
-
-
 def _panel_sums(f, edges):
     # 16-node Gauss-Legendre over the panels between edges: the sum of f,
     # the sum of |f| and the number of evaluations
@@ -955,7 +940,12 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
         evals, start, end = 0, 0.0, 4.0 * max(w0, scale)
         for _ in range(_REF_DECADES):
             for i, (k, head) in enumerate(grids):
-                edges = _contour_edges(start or head, end, k, 32.0 / (k * t), zone)
+                # geometric at k per decade, but below zone no panel is
+                # wider than cap
+                cap, u = 32.0 / (k * t), start or head
+                a = min(max(cap / (10.0 ** (1.0 / k) - 1.0), u), end)
+                b = min(max(zone, a), end)
+                edges = _steps(u, ((a, k, True), (b, cap, False), (end, k, True)))
                 if not start:
                     edges = np.append(0.0, edges)
                 total, size, count = _panel_sums(kernel, edges)

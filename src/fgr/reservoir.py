@@ -50,15 +50,8 @@ def _require_finite(spec):
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
-class _Tagged:
-    """Models and cutoffs serialise as their tag, then every field."""
-
-    def to_dict(self):
-        return to_json(self)
-
-
 @dataclass(frozen=True)
-class ExponentialCutoff(_Tagged):
+class ExponentialCutoff:
     """exp(-omega/omega_x) high-frequency roll-off."""
 
     def profile(self, x):
@@ -67,7 +60,7 @@ class ExponentialCutoff(_Tagged):
 
 
 @dataclass(frozen=True)
-class PowerLorentzCutoff(_Tagged):
+class PowerLorentzCutoff:
     """[1 + (omega/omega_x)**2]**(-mu) high-frequency roll-off.
 
     mu > 1/2 keeps the profile integrable. Values below 4 fall outside the
@@ -96,7 +89,7 @@ CutoffKind = ExponentialCutoff | PowerLorentzCutoff
 
 
 @dataclass(frozen=True)
-class BroadbandReservoir(_Tagged):
+class BroadbandReservoir:
     """Power-law RSC: coupling * omega * (omega/omega_x)**(eta-1) * F(omega).
 
     Attributes
@@ -143,7 +136,7 @@ class BroadbandReservoir(_Tagged):
 
 
 @dataclass(frozen=True)
-class NarrowbandReservoir(_Tagged):
+class NarrowbandReservoir:
     """Breit-Wigner RSC: (kappa/pi) * g**2 / ((omega-omega_c)**2 + kappa**2).
 
     Attributes

@@ -336,6 +336,28 @@ class TestCmdOnset:
         report = json.loads(stream.getvalue())
         assert report["t_f_empirical"] is None
 
+    def test_flagged_suffix_reports_no_onset(self, tmp_path, capsys):
+        # all 6 points of this heavy tail are flagged, so the suffix that
+        # qualifies at epsilon 10 is too: no onset and exit 2
+        data = json.loads(json.dumps(BROAD_CONFIG))
+        data["model"]["cutoff"] = {"kind": "power_lorentz", "mu": 1.6}
+        data["time_grid"] = {"t_min": 5.0, "t_max": 1000.0, "points_per_decade": 2}
+        data["onset_epsilon"] = 10.0
+        out = tmp_path / "report.json"
+        data["output"] = {"path": str(out), "format": "json"}
+        with pytest.warns(UserWarning):
+            code = main(["onset", "-c", write_config(tmp_path, data)])
+        assert code == EXIT_PARTIAL
+        report = json.loads(out.read_text())
+        assert report["t_f_empirical"] is None and report["converged"] is False
+        assert report["agreement_factor"] is None
+        err = capsys.readouterr().err
+        # the first point lies outside the band, the other 5 form the suffix
+        assert err.startswith(
+            "error: 5 of the 5 points of the qualifying suffix from t = 14.42"
+        )
+        assert "Traceback" not in err
+
     def test_epsilon_override(self):
         data = json.loads(json.dumps(NARROW_CONFIG))
         data["time_grid"] = {"t_min": 1e-2, "t_max": 1e3, "points_per_decade": 8}

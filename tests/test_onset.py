@@ -92,7 +92,7 @@ class TestEmpiricalOnset:
     def test_flagged_point_in_suffix_raises(self):
         flagged = np.array([False, False, True, False])
         curve = make_curve([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 1.0, 1.0], flagged=flagged)
-        with pytest.raises(UnconvergedPointError):
+        with pytest.raises(UnconvergedPointError, match="1 of the 3 points .* t = 2.0 "):
             empirical_onset(curve, 0.1)
 
     def test_flagged_point_before_suffix_is_fine(self):

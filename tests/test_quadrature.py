@@ -500,6 +500,75 @@ class TestPanels:
         assert abs(res.value - reference) <= res.error_estimate
 
 
+def _stepping_cases():
+    # callers of quadrature._steps, by name: the profile stub from 1e-9*z
+    # to the first zero z left of omega0 at omega0*t = 10, and an envelope
+    # run from the cap-32 block's edge to omega_max there, which turns
+    # uniform at the 2*omega_x cap; the cuts of a half-lobe on both sides
+    # of p, under a made-up cap with all three stretches (no model's has:
+    # a line's h_hi is inf, and a broadband h_lo is 0 or alpha is 1); and
+    # every grid of the contour reference's ray at two points
+    t = 10.0
+    z = _phase_omega(1.0, t, -2, 0.0)
+    edge = _phase_omega(1.0, t, 64, 0.0)
+    run = (edge - 1.0, truncation_frequency(bb(1.0), EM, t, CFG) - 1.0)
+    return {
+        "stub": lambda: quadrature._geom_edges(1e-9 * z, z, min(500.0, _PHASE_CAP / t)),
+        "run-to-uniform": lambda: quadrature._geom_edges(*run, 500.0),
+        "side-cuts": lambda: quadrature._graded_points(
+            np.array([0.0, 30.0]), (10.0, 0.5, 0.1, 2.0)
+        ),
+        "ray-broadband": lambda: decay_rate_numeric_oracle(bb(2.0), EM, t, CFG),
+        "ray-line": lambda: decay_rate_numeric_oracle(*nb_resonant(10.0), 1.0, CFG),
+    }
+
+
+STEPPING_CASES = _stepping_cases()
+
+
+@pytest.mark.parametrize("case", list(STEPPING_CASES))
+def test_stepping_contract(case, monkeypatch):
+    # Every stretch (end, step, geometric) of a _steps call ends on an edge
+    # exactly and takes the fewest panels that keep it within its bound:
+    # equal steps at most step wide, or equal ratios at most 10**(1/step).
+    calls = []
+    steps = quadrature._steps
+
+    def spy(start, stretches):
+        edges = steps(start, stretches)
+        calls.append((start, stretches, edges))
+        return edges
+
+    monkeypatch.setattr(quadrature, "_steps", spy)
+    STEPPING_CASES[case]()
+    assert calls
+    kinds = set()
+    for start, stretches, edges in calls:
+        assert edges[0] == start and np.all(np.diff(edges) > 0.0)
+        i = 0
+        for end, step, geometric in stretches:
+            if end <= edges[i]:
+                continue
+            j = int(np.searchsorted(edges, end))
+            assert edges[j] == end
+            part, n = edges[i : j + 1], j - i
+            if geometric:
+                bound, ratios = 10.0 ** (1.0 / step), part[1:] / part[:-1]
+                np.testing.assert_allclose(ratios, (end / part[0]) ** (1.0 / n), rtol=1e-12)
+                assert np.all(ratios <= bound * (1.0 + 1e-14))
+                assert n == 1 or (end / part[0]) ** (1.0 / (n - 1)) > bound
+            else:
+                widths = np.diff(part)
+                np.testing.assert_allclose(widths, (end - part[0]) / n, rtol=1e-10)
+                assert np.all(widths <= step * (1.0 + 1e-12))
+                assert n == 1 or (end - part[0]) / (n - 1) > step
+            kinds.add(geometric)
+            i = j
+        assert i == edges.size - 1 and edges[-1] == max(start, stretches[-1][0])
+    # every case but the stub has uniform and geometric stretches
+    assert kinds == ({True} if case == "stub" else {True, False})
+
+
 class TestFarField:
     # Envelope runs carry the far field -int S cos(delta*t) as a boundary
     # term plus an O(t**-4) remainder, so each point's first layout is its
