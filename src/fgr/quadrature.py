@@ -351,6 +351,15 @@ def _geom_edges(lo, hi, step):
     return _steps(lo, ((top, _PANELS_PER_DECADE, True), (hi, step, False)))
 
 
+def _branch_at_zero(reservoir):
+    # a non-integer exponent eta puts a branch point of the RSC at omega = 0;
+    # a line and an integer eta are analytic there
+    return (
+        isinstance(reservoir, BroadbandReservoir)
+        and abs(reservoir.eta - round(reservoir.eta)) > 1e-12
+    )
+
+
 def _rsc_cap(reservoir):
     """The panel width at which the RSC is comfortably analytic for a
     16-node Gauss rule, as (p, alpha, lo, hi): a panel whose nearest point
@@ -359,9 +368,9 @@ def _rsc_cap(reservoir):
     if isinstance(reservoir, BroadbandReservoir):
         exponential = isinstance(reservoir.cutoff, ExponentialCutoff)
         scale = (2.0 if exponential else 1.0) * reservoir.omega_x
-        # non-integer exponents put a branch point at omega = 0, so panel
-        # widths must shrink in proportion to the distance from it
-        if abs(reservoir.eta - round(reservoir.eta)) > 1e-12:
+        # a branch point at omega = 0 makes panel widths shrink in
+        # proportion to the distance from it
+        if _branch_at_zero(reservoir):
             return 0.0, 0.6, 0.0, scale
         return 0.0, 1.0, scale, scale
     # a line's poles lie kappa off the real axis at omega_c, so half of
@@ -870,10 +879,35 @@ def _panel_sums(f, edges):
     return vals.sum(), float(np.abs(vals).sum()), vals.size
 
 
-# the panels start this far from omega = 0, relative to min(omega0, 1/t)
+# the head panel's mass relative to that of a panel min(omega0, 1/t) long
+# beside a branch point at omega = 0 (see _ray_head)
 _REF_HEAD = 1e-15
 # the most decades the ray is extended by beyond its first end
 _REF_DECADES = 40
+
+
+def _ray_scale(reservoir):
+    # where the RSC turns along the ray: omega_x, or a line's |omega_c - i*kappa|
+    if isinstance(reservoir, NarrowbandReservoir):
+        return abs(complex(reservoir.omega_c, reservoir.kappa))
+    return reservoir.omega_x
+
+
+def _ray_head(reservoir, w0, t):
+    """Where the reference's geometric grid starts: one panel spans [0, head].
+
+    Beside a branch point s**eta at omega = 0 the head panel's mass goes as
+    head**(eta + 1), so head = min(omega0, 1/t)*_REF_HEAD**(1/(eta + 1))
+    keeps it at _REF_HEAD of a panel min(omega0, 1/t) long. An integrand
+    analytic at 0 (a line, an integer eta) varies first on the least of
+    omega0, 1/t and the RSC's own scale: omega_x (the power-Lorentz poles
+    lie at +-i*omega_x) or a line's |omega_c - i*kappa|. The head is a
+    hundredth of that. It depends on the model, omega0 and t alone.
+    """
+    near = min(w0, 1.0 / t)
+    if _branch_at_zero(reservoir):
+        return near * _REF_HEAD ** (1.0 / (reservoir.eta + 1.0))
+    return 1e-2 * min(near, _ray_scale(reservoir))
 
 
 def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
@@ -888,11 +922,12 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     and a Lorentzian line adds its pole's residue, merged with the golden
     rule (see _line_residue). Off the real axis the profile's oscillation
     decays, so the ray carries only the smooth off-resonant part. It is
-    integrated with 16-node Gauss-Legendre panels, geometric in s, at n
-    and at 2n panels per decade, out to an end whose tail bound is within
-    1e-3*rel_tol of the value. The error estimate is the two grids'
-    difference, the tail bound and a rounding term eps*ulps*(|residue
-    terms| + sum of |w*f|) (see _rounding_ulps).
+    integrated with 16-node Gauss-Legendre panels, one from 0 to a head
+    sized by the integrand's nearest singularity (see _ray_head), then
+    geometric in s, at n and at 2n panels per decade, out to an end whose
+    tail bound is within 1e-3*rel_tol of the value. The error estimate is
+    the two grids' difference, the tail bound and a rounding term
+    eps*ulps*(|residue terms| + sum of |w*f|) (see _rounding_ulps).
 
     Where that estimate misses rel_tol, as the rounding term does on the
     Zeno side (Gamma(t) << 2*pi*R(omega0)), the ray is integrated again
@@ -910,16 +945,14 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     theta = _ray_angle(reservoir)
     e = complex(math.cos(theta), -math.sin(theta))
     n = max(8, math.ceil(4.0 / math.sin(min(theta, 0.25 * math.pi))))
-    lo = _REF_HEAD * min(w0, 1.0 / t)
+    lo = _ray_head(reservoir, w0, t)
     # e**(-i*delta*t) falls below e**-40 beyond zone
     zone = 40.0 / (t * math.sin(theta))
     ulps = _rounding_ulps(reservoir)
     if isinstance(reservoir, NarrowbandReservoir):
         poles = (_line_residue(reservoir, emitter, t),) * 2
-        scale = abs(complex(reservoir.omega_c, reservoir.kappa))
     else:
         poles = (golden_rule_rate(reservoir, emitter), 0.0)
-        scale = reservoir.omega_x
 
     def standard(s):
         omega = s * e
@@ -937,7 +970,7 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
         # bounds |kernel|/|R| where |delta| >= d
         grids = ((n, lo), (2 * n, 0.1 * lo))
         sums = np.zeros((2, 2), dtype=complex)
-        evals, start, end = 0, 0.0, 4.0 * max(w0, scale)
+        evals, start, end = 0, 0.0, 4.0 * max(w0, _ray_scale(reservoir))
         for _ in range(_REF_DECADES):
             for i, (k, head) in enumerate(grids):
                 # geometric at k per decade, but below zone no panel is

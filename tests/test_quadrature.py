@@ -14,7 +14,7 @@ import pytest
 from test_cli import BROAD_CONFIG, NARROW_CONFIG
 
 from fgr import quadrature
-from fgr.cli import _FIG1_ETAS, RunConfig, TimeGridSpec
+from fgr.cli import _FIG1_ETAS, RunConfig, TimeGridSpec, _verify_cases
 from fgr.errors import ConvergenceError
 from fgr.quadrature import (
     _CAPS,
@@ -1005,6 +1005,69 @@ class TestSeededSweep:
                 if family != "power_lorentz" or "tail bound" not in str(exc):
                     flagged.append((family, model, em, t, str(exc)))
         assert flagged == []
+
+
+def _oracle_outcome(model, em, t, cfg):
+    # the reference's result and whether it converged
+    try:
+        return decay_rate_numeric_oracle(model, em, t, cfg), True
+    except ConvergenceError as exc:
+        return exc.result, False
+
+
+class TestRayHead:
+    # the reference's ray starts where its integrand needs it (_ray_head):
+    # near the branch point of a fractional eta, a hundredth of the nearest
+    # scale where the integrand is analytic at omega = 0
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    def test_agrees_with_the_deep_head(self, monkeypatch, rel_tol):
+        # the head 1e-15*min(omega0, 1/t) of every model gives the same value
+        # within the summed estimates, and converges alike
+        cfg = QuadratureConfig(rel_tol=rel_tol)
+        points = [p[1:] for p in PROPERTY_POINTS] + [p[1:] for p in sweep_points()[::6]]
+        sized = [_oracle_outcome(*p, cfg) for p in points]
+        monkeypatch.setattr(
+            quadrature, "_ray_head", lambda reservoir, w0, t: 1e-15 * min(w0, 1.0 / t)
+        )
+        for p, (a, ok_a) in zip(points, sized):
+            b, ok_b = _oracle_outcome(*p, cfg)
+            assert ok_a == ok_b, p
+            assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, p
+            assert a.panels_used < b.panels_used, p
+
+    def test_verify_points_evaluation_budget(self):
+        # the 20 `fgr verify` points at rel_tol 1e-8 take 69,904 evaluations
+        # in all; with the ray started at 1e-15*min(omega0, 1/t) they took
+        # 160,528
+        cfg = QuadratureConfig(rel_tol=1e-8)
+        evals = sum(
+            decay_rate_numeric_oracle(model, em, t, cfg).panels_used
+            for _, model, em, t in _verify_cases()
+        )
+        assert evals <= 80_000
+
+    @pytest.mark.parametrize(
+        "model,branch",
+        [
+            (bb(0.5), True),
+            (bb(2.5, cutoff=PowerLorentzCutoff(mu=4.0)), True),
+            (bb(0.0), False),
+            (bb(2.0), False),
+            (bb(2.0, cutoff=PowerLorentzCutoff(mu=4.0)), False),
+            (NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=20.0), False),
+        ],
+        ids=["eta0.5", "pl-eta2.5", "eta0", "eta2", "pl-eta2", "line"],
+    )
+    def test_head_depends_on_the_branch_point(self, model, branch):
+        near = 1e-3  # min(omega0, 1/t) at omega0 = 1, t = 1e3
+        head = quadrature._ray_head(model, 1.0, 1e3)
+        assert quadrature._branch_at_zero(model) is branch
+        if branch:
+            mass = 1e-15 * near ** (model.eta + 1.0)
+            assert head ** (model.eta + 1.0) == pytest.approx(mass, rel=1e-12, abs=0.0)
+        else:
+            assert head == 1e-2 * near
 
 
 class TestRefinement:
