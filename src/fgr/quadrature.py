@@ -360,6 +360,16 @@ def _branch_at_zero(reservoir):
     )
 
 
+def _left_stub(reservoir, z, step):
+    # edges of the profile stub [0, z] below the first kernel zero z, at most
+    # step apart: graded over 9 decades toward a branch point at omega = 0,
+    # else one uniform stretch, since 16-node Gauss converges geometrically
+    # on a panel where the integrand is analytic
+    if _branch_at_zero(reservoir):
+        return np.append(0.0, _geom_edges(z * 1e-9, z, step))
+    return _steps(0.0, ((z, step, False),))
+
+
 def _rsc_cap(reservoir):
     """The panel width at which the RSC is comfortably analytic for a
     16-node Gauss rule, as (p, alpha, lo, hi): a panel whose nearest point
@@ -514,9 +524,10 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
     merged blocks of whole lobes, at most cap on each side of the transition
     and of a narrowband line, envelope runs between them, and profile stubs
     beyond the outermost kernel zeros. Runs and stubs step at most the RSC's
-    widest cap (stubs also _PHASE_CAP/t), and the points of _graded_points
-    split whatever panel is still too wide for the RSC, half-lobes in their
-    local phase."""
+    widest cap (stubs also _PHASE_CAP/t); the stub below the first zero is
+    graded toward omega = 0 only where a branch point lies there (see
+    _left_stub). The points of _graded_points split whatever panel is still
+    too wide for the RSC, half-lobes in their local phase."""
     w0 = emitter.omega0
     k_left, k_right = zero_counts(t, w0, omega_max)
     # blocks as ranges [lo, hi] of zero indices k, the zero k at w0 + 2*pi*k/t
@@ -561,7 +572,7 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
 
     z_left = zero(-k_left)
     if z_left > 0.0:
-        add(_PROFILE, np.append(0.0, _geom_edges(z_left * 1e-9, z_left, stub_step)))
+        add(_PROFILE, _left_stub(reservoir, z_left, stub_step))
     for i, (lo, hi) in enumerate(merged):
         if i:
             add_run(zero(merged[i - 1][1]), zero(lo))

@@ -33,8 +33,8 @@ FIGURE_DIGESTS = {
 }
 
 RATE_DIGESTS = {
-    "narrow": "5d9b189f7d6d5f2ae7fdfef15a044b0aef1627e1bd9dd2b3d51518a7e6a8b39b",
-    "broad": "69e2a09c425e9dcf3f06dcc6b43c6d32732982b93ec5a4ff7f8d949c690e45eb",
+    "narrow": "11aa095b6454711f864988fc3b6e530d9166948a58921ef74cba14c1be2da56e",
+    "broad": "0fc4cb2e377ff2e0bf1a9a6b481435e9cde1064106df341017c0786867d57a80",
 }
 
 

@@ -16,6 +16,7 @@ from test_cli import BROAD_CONFIG, NARROW_CONFIG
 from fgr import quadrature
 from fgr.cli import _FIG1_ETAS, RunConfig, TimeGridSpec, _verify_cases
 from fgr.errors import ConvergenceError
+from fgr.kernel import zero_counts
 from fgr.quadrature import (
     _CAPS,
     _EPS,
@@ -1068,6 +1069,135 @@ class TestRayHead:
             assert head ** (model.eta + 1.0) == pytest.approx(mass, rel=1e-12, abs=0.0)
         else:
             assert head == 1e-2 * near
+
+
+def _deep_stub(reservoir, z, step):
+    # the stub below the first kernel zero graded over 9 decades toward
+    # omega = 0 whatever the model: the layouts the tests below compare with
+    return np.append(0.0, quadrature._geom_edges(1e-9 * z, z, step))
+
+
+def _outcome(model, em, t, cfg):
+    # the main integrator's result and whether it converged
+    try:
+        return decay_rate_numeric(model, em, t, cfg), True
+    except ConvergenceError as exc:
+        return exc.result, False
+
+
+class TestLeftStub:
+    # the stub [0, z] below the first kernel zero z is graded toward
+    # omega = 0 only for a branch point there (_left_stub); a line or an
+    # integer eta takes one uniform stretch
+
+    @pytest.mark.parametrize(
+        "model,em",
+        [
+            (bb(2.0), EM),
+            (bb(1.0, cutoff=PowerLorentzCutoff(mu=4.0)), EM),
+            (NarrowbandReservoir(g=1e-3, kappa=0.05, omega_c=1.0), EM),
+            nb_resonant(10.0),
+        ],
+        ids=["exp-eta2", "pl-eta1", "line-in-stub", "line-q10"],
+    )
+    @pytest.mark.parametrize("t", [1e-4, 0.02, 1.0, 30.0, 1e4])
+    def test_analytic_stub_is_one_uniform_stretch(self, monkeypatch, model, em, t):
+        # before the graded cuts, the stub holds at most ceil(z/step) equal
+        # profile panels from 0, step = min(RSC cap, _PHASE_CAP/t)
+        monkeypatch.setattr(
+            quadrature, "_graded_points", lambda edges, cap: (edges[:0], edges[:0].astype(int))
+        )
+        omega_max = truncation_frequency(model, em, t, CFG)
+        k_left = zero_counts(t, em.omega0, omega_max)[0]
+        z = _phase_omega(em.omega0, t, -2 * k_left, 0.0)
+        step = min(_rsc_cap(model)[3], _PHASE_CAP / t)
+        for cap in (_CAPS[0], _CAPS[-1]):
+            a, b, _, kind = _build_panels(model, em, t, omega_max, cap)
+            stub = (kind == _PROFILE) & (b <= z)
+            assert 1 <= stub.sum() <= math.ceil(z / step)
+            assert a[stub][0] == 0.0 and b[stub][-1] == z
+            np.testing.assert_allclose(b[stub] - a[stub], z / stub.sum(), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "model",
+        [bb(0.5), bb(1.5, omega_x=10.0), bb(2.5, cutoff=PowerLorentzCutoff(mu=4.0))],
+        ids=["exp-eta0.5", "exp-eta1.5", "pl-eta2.5"],
+    )
+    @pytest.mark.parametrize("t", [6.7e-4, 1.0, 30.0, 77736.50302387758])
+    def test_fractional_layout_keeps_the_deep_stub(self, monkeypatch, model, t):
+        # bit for bit the layout of the 9-decade stub, which it starts with
+        omega_max = truncation_frequency(model, EM, t, CFG)
+        z = _phase_omega(1.0, t, -2 * zero_counts(t, 1.0, omega_max)[0], 0.0)
+        layouts = [_build_panels(model, EM, t, omega_max, cap) for cap in _CAPS]
+        monkeypatch.setattr(quadrature, "_left_stub", _deep_stub)
+        for cap, layout in zip(_CAPS, layouts):
+            for got, deep in zip(layout, _build_panels(model, EM, t, omega_max, cap)):
+                assert got.dtype == deep.dtype and np.array_equal(got, deep)
+        a, b, _, kind = layouts[0]
+        assert kind[0] == _PROFILE and a[0] == 0.0 and b[0] == 1e-9 * z
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    def test_agrees_with_the_deep_stub(self, monkeypatch, rel_tol):
+        # the property points, every 6th sweep point (all exponential) and
+        # as many sweep lines converge alike with the 9-decade stub of every
+        # model and agree within the summed estimates; the points analytic
+        # at omega = 0 take fewer panels, the others the same result
+        cfg = QuadratureConfig(rel_tol=rel_tol)
+        sweep = sweep_points()
+        points = [p[1:] for p in PROPERTY_POINTS + sweep[::6] + sweep[1::6]]
+        uniform = [_outcome(*p, cfg) for p in points]
+        monkeypatch.setattr(quadrature, "_left_stub", _deep_stub)
+        analytic = 0
+        for p, (a, ok_a) in zip(points, uniform):
+            b, ok_b = _outcome(*p, cfg)
+            assert ok_a == ok_b, p
+            assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, p
+            if quadrature._branch_at_zero(p[0]):
+                assert a == b, p
+            else:
+                assert a.panels_used < b.panels_used, p
+                analytic += 1
+        # the 12 property lines and the sweep lines
+        assert analytic == 12 + len(sweep[1::6])
+
+
+def integer_eta_points():
+    """(cutoff, model, t) for eta in {0, ..., 4}, both cutoffs (mu = 4),
+    omega_x/omega0 in {10, 250, 1e4}, omega0*t a decade apart from 1e-4 to
+    1e6: 330 points, all analytic at omega = 0."""
+    points = []
+    for name, cutoff in (("exponential", None), ("power_lorentz", PowerLorentzCutoff(mu=4.0))):
+        for eta in range(5):
+            for omega_x in (10.0, 250.0, 1e4):
+                model = bb(float(eta), omega_x=omega_x, cutoff=cutoff)
+                points += [(name, model, 10.0**k) for k in range(-4, 7)]
+    return points
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+def test_integer_eta_against_the_reference(monkeypatch, rel_tol):
+    # The seeded sweep draws eta continuously, so none of its broadband
+    # points takes the uniform stub; these all do. Each lies within the
+    # summed estimates of the contour reference; no exponential point is
+    # flagged, and the power-Lorentz points flagged are those the 9-decade
+    # stub flags: 14 of the 330 at rel_tol 1e-8 and 35 at 1e-12, on the
+    # tail bound of the power-Lorentz truncation (ROADMAP item 10).
+    cfg = QuadratureConfig(rel_tol=rel_tol)
+    flagged = set()
+    for i, (cutoff, model, t) in enumerate(integer_eta_points()):
+        res, ok = _outcome(model, EM, t, cfg)
+        ref, _ = _oracle_outcome(model, EM, t, cfg)
+        assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate, (model, t)
+        if not ok:
+            assert cutoff == "power_lorentz", (model, t)
+            flagged.add(i)
+    monkeypatch.setattr(quadrature, "_left_stub", _deep_stub)
+    deep = {
+        i
+        for i, (cutoff, model, t) in enumerate(integer_eta_points())
+        if cutoff == "power_lorentz" and not _outcome(model, EM, t, cfg)[1]
+    }
+    assert flagged == deep
 
 
 class TestRefinement:
