@@ -13,10 +13,11 @@ spectrum.
 
 An independent reference writes the rate as the golden rule plus an
 integral along a ray into the lower half plane, where the profile's
-oscillation decays, and integrates that smooth ray in float64 on two
-geometric grids of its own. It shares with the integrator only the
-16-node Gauss-Legendre table, the tail bounds (_tail_mass, _heavy_tail),
-the argument checks (_setup) and the stepping arithmetic of _steps.
+oscillation decays, and integrates that smooth ray in float64 on a
+geometric grid of its own. It shares with the integrator only the 16/8
+Gauss-Legendre pair and its panel evaluation (_panel_values), the tail
+bounds (_tail_mass, _heavy_tail), the argument checks (_setup) and the
+stepping arithmetic of _steps.
 """
 
 from __future__ import annotations
@@ -857,9 +858,15 @@ def _line_residue(reservoir, emitter, t):
     are formed together, exactly, as 2*g**2*t*Re phi2(-i*z) with phi2(w) =
     (e**w - 1 - w)/w**2. This is also the residue term of the subtracted
     kernel, whose pole at omega0 is removed.
+
+    Returns the term and what rounding its phase Re(z) costs: eps*|Re z|
+    times the modulus of its oscillating part 2*g**2*t*e**(-i*z)/z**2, or,
+    for |z| <= 1, where |phi2'| < 0.3 < e**(Im z), of 2*g**2*t*e**(Im z).
     """
     w = complex(-reservoir.kappa * t, -(reservoir.omega_c - emitter.omega0) * t)
-    return 2.0 * reservoir.g**2 * t * _phi2(np.array([w]))[0].real
+    c = 2.0 * reservoir.g**2 * t
+    phase = _EPS * abs(w.imag) * c * math.exp(w.real) / max(abs(w), 1.0) ** 2
+    return c * _phi2(np.array([w]))[0].real, phase
 
 
 def _ray_mass(reservoir, end, theta):
@@ -878,16 +885,6 @@ def _ray_mass(reservoir, end, theta):
         c = math.cos(theta)
         return _tail_mass(reservoir, end * c) / c ** (reservoir.eta + 1.0)
     return _tail_mass(reservoir, end)
-
-
-def _panel_sums(f, edges):
-    # 16-node Gauss-Legendre over the panels between edges: the sum of f,
-    # the sum of |f| and the number of evaluations
-    x, w = _GL_PAIR[0][:_HI], _GL_PAIR[1][:_HI, 0]
-    a, b = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (b - a)
-    vals = f(0.5 * (a + b) + half * x) * (half * w)
-    return vals.sum(), float(np.abs(vals).sum()), vals.size
 
 
 # the head panel's mass relative to that of a panel min(omega0, 1/t) long
@@ -933,12 +930,14 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     and a Lorentzian line adds its pole's residue, merged with the golden
     rule (see _line_residue). Off the real axis the profile's oscillation
     decays, so the ray carries only the smooth off-resonant part. It is
-    integrated with 16-node Gauss-Legendre panels, one from 0 to a head
-    sized by the integrand's nearest singularity (see _ray_head), then
-    geometric in s, at n and at 2n panels per decade, out to an end whose
-    tail bound is within 1e-3*rel_tol of the value. The error estimate is
-    the two grids' difference, the tail bound and a rounding term
-    eps*ulps*(|residue terms| + sum of |w*f|) (see _rounding_ulps).
+    integrated with the 16/8 Gauss-Legendre pair on panels, one from 0 to
+    a head sized by the integrand's nearest singularity (see _ray_head),
+    then geometric in s at n panels per decade, out to an end whose tail
+    bound is within 1e-3*rel_tol of the value. The value is the 16-node
+    sum; the error estimate is the sum over panels of |Re(Q16 - Q8)|, the
+    tail bound, a rounding term eps*ulps*(|residue terms| + sum of the
+    16-node |w*f|) (see _rounding_ulps) and, for a line, the rounding of
+    its residue's phase (see _line_residue).
 
     Where that estimate misses rel_tol, as the rounding term does on the
     Zeno side (Gamma(t) << 2*pi*R(omega0)), the ray is integrated again
@@ -959,11 +958,13 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     lo = _ray_head(reservoir, w0, t)
     # e**(-i*delta*t) falls below e**-40 beyond zone
     zone = 40.0 / (t * math.sin(theta))
+    cap = 32.0 / (n * t)
     ulps = _rounding_ulps(reservoir)
     if isinstance(reservoir, NarrowbandReservoir):
-        poles = (_line_residue(reservoir, emitter, t),) * 2
+        residue, phase = _line_residue(reservoir, emitter, t)
+        poles = (residue, residue)
     else:
-        poles = (golden_rule_rate(reservoir, emitter), 0.0)
+        poles, phase = (golden_rule_rate(reservoir, emitter), 0.0), 0.0
 
     def standard(s):
         omega = s * e
@@ -979,23 +980,23 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     def along_ray(kernel, pole, envelope):
         # (value, error estimate, evaluations, end) of one kernel; envelope(d)
         # bounds |kernel|/|R| where |delta| >= d
-        grids = ((n, lo), (2 * n, 0.1 * lo))
-        sums = np.zeros((2, 2), dtype=complex)
+        total, diff, size = 0j, 0.0, 0.0
         evals, start, end = 0, 0.0, 4.0 * max(w0, _ray_scale(reservoir))
         for _ in range(_REF_DECADES):
-            for i, (k, head) in enumerate(grids):
-                # geometric at k per decade, but below zone no panel is
-                # wider than cap
-                cap, u = 32.0 / (k * t), start or head
-                a = min(max(cap / (10.0 ** (1.0 / k) - 1.0), u), end)
-                b = min(max(zone, a), end)
-                edges = _steps(u, ((a, k, True), (b, cap, False), (end, k, True)))
-                if not start:
-                    edges = np.append(0.0, edges)
-                total, size, count = _panel_sums(kernel, edges)
-                sums[i] += (total, size)
-                evals += count
-            value = pole + sums[1, 0].real
+            # geometric at n per decade, but below zone no panel is wider
+            # than cap
+            u = start or lo
+            a = min(max(cap / (10.0 ** (1.0 / n) - 1.0), u), end)
+            b = min(max(zone, a), end)
+            edges = _steps(u, ((a, n, True), (b, cap, False), (end, n, True)))
+            if not start:
+                edges = np.append(0.0, edges)
+            pair, vals = _panel_values(kernel, edges[:-1], edges[1:])
+            total += pair[:, 0].sum()
+            diff += float(np.abs((pair[:, 0] - pair[:, 1]).real).sum())
+            size += float((np.abs(vals) @ _GL_PAIR[1][:, 0]) @ (0.5 * np.diff(edges)))
+            evals += vals.size
+            value = pole + total.real
             mass = _ray_mass(reservoir, end, theta)
             if mass == math.inf:
                 tail = _heavy_tail(reservoir, emitter, t, end)
@@ -1004,8 +1005,7 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
             if tail <= 1e-3 * cfg.rel_tol * abs(value):
                 break
             start, end = end, 10.0 * end
-        err = abs((sums[1, 0] - sums[0, 0]).real) + tail
-        err += _EPS * ulps * (abs(pole) + sums[1, 1].real)
+        err = diff + tail + _EPS * ulps * (abs(pole) + size) + phase
         return value, err, evals, end
 
     # |1 - e**(-i*delta*t)| <= 2 and |phi2| <= min(1/2, (1 + 2/|w|)/|w|) off

@@ -177,8 +177,8 @@ class TestOracleEquivalence:
         assert abs(a.value - b.value) / a.value < 1e-8
 
     def test_each_node_evaluated_once(self, monkeypatch):
-        # the reference's two grids and the decades its ray is extended by
-        # share no node, so each node is evaluated once
+        # the decades the reference's ray is extended by, and the two rules
+        # of its 16/8 pair, share no node, so each node is evaluated once
         calls = []
         rsc = quadrature._rsc_complex
 
@@ -189,8 +189,8 @@ class TestOracleEquivalence:
         monkeypatch.setattr(quadrature, "_rsc_complex", record)
         model, em = nb_resonant(q=1000.0)
         res = decay_rate_numeric_oracle(model, em, 1.0 / model.kappa, QuadratureConfig(rel_tol=1e-12))
-        # two grids, and at least one extension of the ray
-        assert len(calls) >= 4
+        # at least one extension of the ray
+        assert len(calls) >= 2
         omega = np.concatenate(calls)
         assert omega.size == res.panels_used
         assert np.unique(omega).size == omega.size
@@ -900,6 +900,17 @@ class TestContourReference:
         res = decay_rate_numeric_oracle(bb(eta), EM, t, QuadratureConfig(rel_tol=rel_tol))
         assert abs(res.value - value) <= res.error_estimate + error
 
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    def test_far_detuned_line(self, rel_tol):
+        # the residue's phase (omega_c - omega0)*t is about -2.4e5 here, and
+        # its rounding is most of the error; against make_refs.exact_rate at
+        # 45 digits. At rel_tol 1e-12 the reference flags the point
+        model = NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=88557.75424499437)
+        em = EmitterSpec(4408811.286910328)
+        cfg = QuadratureConfig(rel_tol=rel_tol)
+        res, _ = _oracle_outcome(model, em, 0.05566859555858959, cfg)
+        assert abs(res.value - 9.917502022217587e-13) <= res.error_estimate
+
     def test_zeno_side_takes_the_subtracted_kernel(self, monkeypatch):
         # at rel_tol 1e-12 the golden rule and the ray cancel 2,000-fold at
         # omega0*t = 4e-6, and the second pass along the ray is kept
@@ -1007,6 +1018,21 @@ class TestSeededSweep:
                     flagged.append((family, model, em, t, str(exc)))
         assert flagged == []
 
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    def test_reference_converges_and_agrees(self, rel_tol):
+        # the contour reference flags no point, and lies within the summed
+        # estimates of every point the main integrator converges on
+        cfg = QuadratureConfig(rel_tol=rel_tol)
+        flagged, apart = [], []
+        for point in sweep_points():
+            ref, ok = _oracle_outcome(*point[1:], cfg)
+            main, converged = _outcome(*point[1:], cfg)
+            if not ok:
+                flagged.append(point)
+            elif converged and abs(main.value - ref.value) > main.error_estimate + ref.error_estimate:
+                apart.append(point)
+        assert flagged == [] and apart == []
+
 
 def _oracle_outcome(model, em, t, cfg):
     # the reference's result and whether it converged
@@ -1038,15 +1064,16 @@ class TestRayHead:
             assert a.panels_used < b.panels_used, p
 
     def test_verify_points_evaluation_budget(self):
-        # the 20 `fgr verify` points at rel_tol 1e-8 take 69,904 evaluations
-        # in all; with the ray started at 1e-15*min(omega0, 1/t) they took
-        # 160,528
+        # the 20 `fgr verify` points at rel_tol 1e-8 take 32,808 evaluations
+        # in all on one grid and its 16/8 pair; on two grids, at n and 2n
+        # panels per decade, they took 69,904, and with the ray started at
+        # 1e-15*min(omega0, 1/t) 160,528
         cfg = QuadratureConfig(rel_tol=1e-8)
         evals = sum(
             decay_rate_numeric_oracle(model, em, t, cfg).panels_used
             for _, model, em, t in _verify_cases()
         )
-        assert evals <= 80_000
+        assert evals <= 36_000
 
     @pytest.mark.parametrize(
         "model,branch",
