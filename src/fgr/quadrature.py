@@ -16,8 +16,9 @@ integral along a ray into the lower half plane, where the profile's
 oscillation decays, and integrates that smooth ray in float64 on a
 geometric grid of its own. It shares with the integrator only the 16/8
 Gauss-Legendre pair and its panel evaluation (_panel_values), the tail
-bounds (_tail_mass, _heavy_tail), the argument checks (_setup) and the
-stepping arithmetic of _steps.
+bounds (_tail_mass, _heavy_tail), what rounding a line's phase costs
+(_line_phase_cost), the argument checks (_setup) and the stepping
+arithmetic of _steps.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .reservoir import (
     NarrowbandReservoir,
     PowerLorentzCutoff,
     _line_shape,
+    _power_lorentz_moment,
     _require_finite,
     _rsc_complex,
     evaluate_rsc,
@@ -80,6 +82,10 @@ _PANELS_PER_DECADE = 8
 # a 16-node Gauss rule integrates this far below 1e-12 relative
 _PHASE_CAP = 4.0
 
+# the most decades a cut is extended by beyond its first end: the contour
+# reference's ray, and the panel scheme's power-Lorentz omega_max
+_REF_DECADES = 40
+
 
 def _gauss_legendre(n):
     # The n-node Gauss-Legendre rule in plain numpy (numpy.polynomial and
@@ -111,6 +117,8 @@ def _gauss_pair():
 
 _GL_PAIR = _gauss_pair()
 _HI = 16  # the 16-node rule's nodes lead the pair
+# the pair's nodes as offsets from a panel's left end, per unit half-width
+_NODE_OFFSETS = 1.0 + _GL_PAIR[0]
 
 # Panel kinds. A phase panel lies in half-lobe m of the profile, where the
 # phase x = (omega - omega0)*t/2 runs over [m*pi/2, (m+1)*pi/2]; its edges
@@ -208,15 +216,50 @@ class IntegrationResult:
 
 def _rate_floor(reservoir, emitter, t):
     # conservative lower scale for the decay rate, used to make the tail
-    # truncation and the far-field budget relative; the rate interpolates
-    # between the short-time slope law and the golden-rule value
-    g0 = golden_rule_rate(reservoir, emitter)
+    # truncation and the far-field budget relative: a tenth of the lesser
+    # of the short-time slope law A*t and a late term, the golden rule or,
+    # for eta > 1 once t*omega_x >= 1, the off-resonant part (2/t)*M where
+    # that is larger (see _off_resonant_mass). Before t*omega_x = 1 the
+    # profile has not yet resolved the spectrum, and (2/t)*M overshoots.
+    late = golden_rule_rate(reservoir, emitter)
+    if (
+        isinstance(reservoir, BroadbandReservoir)
+        and reservoir.eta > 1.0
+        and t * reservoir.omega_x >= 1.0
+    ):
+        late = max(late, (2.0 / t) * _off_resonant_mass(reservoir, emitter))
     try:
         a = zeno_slope(reservoir)
     except ValueError:
         # a power-Lorentz RSC whose mass diverges has no finite slope
-        return 0.1 * g0
-    return 0.1 * min(a * t, g0)
+        return 0.1 * late
+    return 0.1 * min(a * t, late)
+
+
+def _off_resonant_mass(reservoir, emitter):
+    """A lower bound M on the integral of R/omega**2 over omega > 2*omega0,
+    where 1/delta**2 >= 1/omega**2, for eta > 1, or 0.
+
+    In x = omega/omega_x the integral is coupling times that of
+    x**(eta-2)*F(x) over x > x0 = 2*omega0/omega_x. Over x > 0 it is the
+    cutoff's moment m(eta-2): Gamma(eta-1) for the exponential cutoff, the
+    Beta-function value of _power_lorentz_moment for the power-Lorentz one;
+    as F <= 1, below x0 it is at most x0**(eta-1)/(eta-1). So M =
+    coupling*[m(eta-2) - x0**(eta-1)/(eta-1)], the second term compared in
+    logarithms, since it overflows where x0 > 1 and eta is large.
+    """
+    eta, cutoff = reservoir.eta, reservoir.cutoff
+    if isinstance(cutoff, ExponentialCutoff):
+        moment = math.gamma(eta - 1.0)
+    else:
+        moment = _power_lorentz_moment(eta - 2.0, cutoff.mu)
+    if not moment > 0.0:
+        return 0.0
+    x0 = 2.0 * emitter.omega0 / reservoir.omega_x
+    log_ratio = (eta - 1.0) * math.log(x0) - math.log(eta - 1.0) - math.log(moment)
+    if log_ratio >= 0.0:
+        return 0.0
+    return reservoir.coupling * moment * -math.expm1(log_ratio)
 
 
 def truncation_frequency(reservoir, emitter, t, cfg):
@@ -231,6 +274,12 @@ def truncation_frequency(reservoir, emitter, t, cfg):
     x = min(a + sqrt(2*a*L) + L, 700), a = eta + 1: past the peak by the
     Gamma(a) tail's width, capped where the closed-form tail bound is
     still a normal float.
+
+    For the power-Lorentz cutoff, whose tail falls as a power, the limit
+    starts at the lesser of omega_x*tail_epsilon**(1/p), p = eta + 1 -
+    2*mu, and 1e3*omega_x, and goes out by whole decades, at most
+    40, until the bound on the tail beyond it is within 1e-3*rel_tol of the
+    point's rate floor, as the contour reference extends its ray.
     """
     return _truncation(reservoir, emitter, t, cfg, _rate_floor(reservoir, emitter, t))
 
@@ -250,12 +299,18 @@ def _truncation(reservoir, emitter, t, cfg, floor):
                 omega_max = max(omega_max, wx * x)
         else:
             # eps**(1/p) where it stays below 1e3, compared in logarithms
-            # since it overflows as p rises to 0
+            # since it overflows as p rises to 0, then decades out to where
+            # the tail bound is within 1e-3*rel_tol of the floor, as the
+            # reference extends its ray
             p = reservoir.eta + 1.0 - 2.0 * reservoir.cutoff.mu
+            omega_max = 1e3 * wx
             if p < -1e-9 and math.log(eps) / p < math.log(1e3):
-                omega_max = min(wx * eps ** (1.0 / p), 1e3 * wx)
-            else:
-                omega_max = 1e3 * wx
+                omega_max = min(wx * eps ** (1.0 / p), omega_max)
+            omega_max = max(omega_max, 2.0 * w0)
+            for _ in range(_REF_DECADES):
+                if _tail_bound(reservoir, emitter, t, omega_max) <= 1e-3 * cfg.rel_tol * floor:
+                    break
+                omega_max *= 10.0
     else:
         k, wc = reservoir.kappa, reservoir.omega_c
         span = (4.0 * k * reservoir.g**2 / (3.0 * math.pi * t * eps * floor)) ** (
@@ -373,21 +428,28 @@ def _left_stub(reservoir, z, step):
 
 def _rsc_cap(reservoir):
     """The panel width at which the RSC is comfortably analytic for a
-    16-node Gauss rule, as (p, alpha, lo, hi): a panel whose nearest point
-    lies d from p may be clip(alpha*d, lo, hi) wide. With lo = 0 a panel
-    that reaches p is held to hi alone, since no width would do there."""
+    16-node Gauss rule, as (p, alpha, lo, hi, at): a panel whose nearest
+    point lies d > 0 from p may be clip(alpha*d, lo, hi) wide, and one that
+    reaches p at most `at`, which is lo where lo > 0."""
     if isinstance(reservoir, BroadbandReservoir):
-        exponential = isinstance(reservoir.cutoff, ExponentialCutoff)
-        scale = (2.0 if exponential else 1.0) * reservoir.omega_x
+        wx = reservoir.omega_x
+        if isinstance(reservoir.cutoff, PowerLorentzCutoff):
+            # the poles and branch points of [1 + (omega/omega_x)**2]**-mu
+            # lie at +-i*omega_x, so widths grow with |omega| past omega_x as
+            # from a branch point at omega = 0, by the same ratio as a line's,
+            # and are 0.6*omega_x below it, and for a panel that reaches 0
+            lo = 0.0 if _branch_at_zero(reservoir) else 0.6 * wx
+            return 0.0, 0.6, lo, math.inf, 0.6 * wx
         # a branch point at omega = 0 makes panel widths shrink in
         # proportion to the distance from it
         if _branch_at_zero(reservoir):
-            return 0.0, 0.6, 0.0, scale
-        return 0.0, 1.0, scale, scale
+            return 0.0, 0.6, 0.0, 2.0 * wx, 2.0 * wx
+        return 0.0, 1.0, 2.0 * wx, 2.0 * wx, 2.0 * wx
     # a line's poles lie kappa off the real axis at omega_c, so half of
     # kappa there keeps even the 8-node rule well inside their ellipse;
     # away from it widths grow by the same ratio as from a branch point
-    return reservoir.omega_c, 0.6, 0.5 * reservoir.kappa, math.inf
+    half = 0.5 * reservoir.kappa
+    return reservoir.omega_c, 0.6, half, math.inf, half
 
 
 def _graded_points(edges, cap):
@@ -396,23 +458,26 @@ def _graded_points(edges, cap):
     panel each falls in. A panel splits at p, and each side of it at
     distances d from p that step by at most lo up to lo/alpha, by ratios of
     at most 1 + alpha up to hi/alpha, then by at most hi: each part meets
-    the cap at its near end, and none is a sliver. A layout has few such
-    panels, so each is cut on its own."""
-    p, alpha, lo, hi = cap
+    the cap at its near end, and none is a sliver. With lo = 0 no width
+    meets the cap at p, so a side that reaches p starts with a part `at`
+    wide. A layout has few such panels, so each is cut on its own."""
+    p, alpha, lo, hi, at = cap
 
     def cuts(d0, d3):
         # the distances from p that cut [d0, d3] on one side of it, ascending
-        d1 = min(max(lo / alpha, d0), d3)
+        start = at if d0 == 0.0 and lo == 0.0 else d0
+        d1 = min(max(lo / alpha, start), d3)
         d2 = min(max(hi / alpha, d1), d3)
         per_decade = 1.0 / math.log10(1.0 + alpha)
         stretches = ((d1, lo, False), (d2, per_decade, True), (d3, hi, False))
-        return _steps(d0, stretches)[1:-1]  # d0 and d3 are p or the panel's ends
+        edges = _steps(start, stretches)
+        # d0 and d3 are p or the panel's ends, and `at` a cut
+        return edges[1:-1] if start == d0 else edges[:-1]
 
     a, b = edges[:-1], edges[1:]
     near = np.maximum(0.0, np.maximum(a - p, p - b))
     limit = np.clip(alpha * near, lo, hi)
-    if lo == 0.0:
-        limit[near == 0.0] = hi
+    limit[near == 0.0] = at
     wide = np.nonzero(b - a > limit)[0]
     points = [edges[:0]]
     for ai, bi in zip(a[wide].tolist(), b[wide].tolist()):
@@ -426,6 +491,18 @@ def _graded_points(edges, cap):
 def _phase_omega(w0, t, m, u):
     # the frequency at local phase u of half-lobe m, formed only for the RSC
     return (w0 + (math.pi / t) * m) + (2.0 / t) * u
+
+
+def _line_shift(reservoir, w0, t):
+    # How far rounding moves a line along the exact phases of the
+    # half-lobes, in frequency (see _phase_rsc): omega_k = w0 + (pi/t)*k is
+    # off by up to eps*(2*|pi*k/t| + |omega_k|), nothing at k = 0, and
+    # omega_k - omega_c by eps*|omega_k - omega_c| more.
+    wc = reservoir.omega_c
+    k = round((wc - w0) * t / math.pi)
+    wk = _phase_omega(w0, t, k, 0.0)
+    far = 2.0 * abs((math.pi / t) * k) + abs(wk) if k else 0.0
+    return _EPS * (far + abs(wk - wc))
 
 
 def _phase_rsc(reservoir, w0, t, m, u):
@@ -668,16 +745,27 @@ def _setup(reservoir, emitter, t, cfg):
     return cfg
 
 
-def _integrand(reservoir, emitter, t):
-    # 2*pi * profile * RSC, the decay-rate integrand over frequency
+def _profile_values(reservoir, emitter, t, a, b):
+    """16- and 8-node values of profile panels [a, b], as columns, of the
+    decay-rate integrand 2*pi * profile * RSC. A Lorentzian line takes its
+    detuning d = omega - omega_c as a - omega_c plus the node's offset from
+    a, not from the rounded node, whose error would be eps*omega_c/kappa of
+    the line near its centre: its width cap (see _rsc_cap) keeps the panel
+    narrower than kappa/2 and than 0.6*|d|, so the offset rounds by eps of
+    those alone."""
     w0 = emitter.omega0
+    rsc = None
+    if isinstance(reservoir, NarrowbandReservoir):
+        # in the order of _panel_values' nodes
+        d = (a - reservoir.omega_c)[:, None] + (0.5 * (b - a))[:, None] * _NODE_OFFSETS
+        rsc = _line_shape(reservoir, d.reshape(-1))
 
     def f(w):
         out = 2.0 * math.pi * spectral_profile(w - w0, t)
-        out *= evaluate_rsc(reservoir, w)
+        out *= evaluate_rsc(reservoir, w) if rsc is None else rsc
         return out
 
-    return f
+    return _panel_values(f, a, b)[0]
 
 
 def _envelope(reservoir, emitter, t):
@@ -746,7 +834,8 @@ def _envelope_terms(reservoir, emitter, t, a, b, kind):
 def _evaluate(reservoir, emitter, t, a, b, m, kind, envelope):
     # the value of a layout whose _envelope_terms are envelope, and its
     # error estimate short of the tail: the two rules' difference on every
-    # panel, a rounding floor and the far field's bound
+    # panel, a rounding floor, the far field's bound and, for a line, what
+    # the rounding of its position on the half-lobes costs
     w0 = emitter.omega0
     values = np.empty((a.size, 2))
     phase = kind == _PHASE
@@ -754,14 +843,16 @@ def _evaluate(reservoir, emitter, t, a, b, m, kind, envelope):
         values[phase] = _phase_values(reservoir, w0, t, a[phase], b[phase], m[phase])
     full = kind == _PROFILE
     if full.any():
-        integrand = _integrand(reservoir, emitter, t)
-        values[full], _ = _panel_values(integrand, a[full], b[full])
+        values[full] = _profile_values(reservoir, emitter, t, a[full], b[full])
     values[kind == _SMOOTH], far, osc = envelope
 
     value = math.fsum(np.append(values[:, 0], far).tolist())
     # rounding floor: per-panel dot products carry O(eps) relative noise
     refine_err = float(np.sum(np.abs(values[:, 0] - values[:, 1])))
-    return value, refine_err + 5e-16 * abs(value) + osc
+    err = refine_err + 5e-16 * abs(value) + osc
+    if isinstance(reservoir, NarrowbandReservoir):
+        err += _line_phase_cost(reservoir, emitter, t, _line_shift(reservoir, w0, t) * t)
+    return value, err
 
 
 def decay_rate_numeric(reservoir, emitter, t, cfg=None):
@@ -794,10 +885,12 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
         f"estimate {err:.3e} (value {value:.6e})"
     )
     if tail > limit:
-        msg += (
-            f"; the tail bound {tail:.3e} alone exceeds the tolerance "
-            f"(lower tail_epsilon, now {cfg.tail_epsilon:g})"
-        )
+        msg += f"; the tail bound {tail:.3e} alone exceeds the tolerance"
+        if isinstance(getattr(reservoir, "cutoff", None), PowerLorentzCutoff):
+            # the cut went out _REF_DECADES decades whatever tail_epsilon is
+            msg += f" at omega_max = {omega_max:.3e}"
+        else:
+            msg += f" (lower tail_epsilon, now {cfg.tail_epsilon:g})"
     raise ConvergenceError(msg, result=result)
 
 
@@ -859,14 +952,24 @@ def _line_residue(reservoir, emitter, t):
     (e**w - 1 - w)/w**2. This is also the residue term of the subtracted
     kernel, whose pole at omega0 is removed.
 
-    Returns the term and what rounding its phase Re(z) costs: eps*|Re z|
-    times the modulus of its oscillating part 2*g**2*t*e**(-i*z)/z**2, or,
-    for |z| <= 1, where |phi2'| < 0.3 < e**(Im z), of 2*g**2*t*e**(Im z).
+    Returns the term and what rounding its phase Re(z) costs (see
+    _line_phase_cost), eps*|Re z| of it.
     """
     w = complex(-reservoir.kappa * t, -(reservoir.omega_c - emitter.omega0) * t)
     c = 2.0 * reservoir.g**2 * t
-    phase = _EPS * abs(w.imag) * c * math.exp(w.real) / max(abs(w), 1.0) ** 2
+    phase = _line_phase_cost(reservoir, emitter, t, _EPS * abs(w.imag))
     return c * _phi2(np.array([w]))[0].real, phase
+
+
+def _line_phase_cost(reservoir, emitter, t, shift):
+    """How far a line's part of the rate can move when its phase (omega_c -
+    omega0)*t is off by shift: shift times the modulus of the oscillating
+    part 2*g**2*t*e**(-i*z)/z**2 of its residue term (see _line_residue),
+    z = (omega_c - i*kappa - omega0)*t, or, for |z| <= 1, where |phi2'| <
+    0.3 < e**(Im z), of 2*g**2*t*e**(Im z)."""
+    w = complex(-reservoir.kappa * t, -(reservoir.omega_c - emitter.omega0) * t)
+    c = 2.0 * reservoir.g**2 * t
+    return shift * c * math.exp(w.real) / max(abs(w), 1.0) ** 2
 
 
 def _ray_mass(reservoir, end, theta):
@@ -890,8 +993,6 @@ def _ray_mass(reservoir, end, theta):
 # the head panel's mass relative to that of a panel min(omega0, 1/t) long
 # beside a branch point at omega = 0 (see _ray_head)
 _REF_HEAD = 1e-15
-# the most decades the ray is extended by beyond its first end
-_REF_DECADES = 40
 
 
 def _ray_scale(reservoir):

@@ -34,7 +34,7 @@ FIGURE_DIGESTS = {
 
 RATE_DIGESTS = {
     "narrow": "11aa095b6454711f864988fc3b6e530d9166948a58921ef74cba14c1be2da56e",
-    "broad": "0fc4cb2e377ff2e0bf1a9a6b481435e9cde1064106df341017c0786867d57a80",
+    "broad": "b920c1c04ead6bf1ba20725e353792150b85656d66596c70b319bafa0ef9ab09",
 }
 
 
