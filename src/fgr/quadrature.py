@@ -14,9 +14,11 @@ spectrum.
 An independent reference writes the rate as the golden rule plus an
 integral along a ray into the lower half plane, where the profile's
 oscillation decays, and integrates that smooth ray in float64 on a
-geometric grid of its own. It shares with the integrator only the 16/8
-Gauss-Legendre pair and its panel evaluation (_panel_values), the tail
-bounds (_tail_mass, _heavy_tail), what rounding a line's phase costs
+geometric grid of its own, laid out in one pass to an end that its
+closed-form tail bound sizes before any evaluation. It shares with the
+integrator only the 16/8 Gauss-Legendre pair and its panel evaluation
+(_panel_values), the tail bounds (_tail_mass, _heavy_tail), the rate floor
+that the tail is held to (_rate_floor), what rounding a line's phase costs
 (_line_phase_cost), the argument checks (_setup) and the stepping
 arithmetic of _steps.
 """
@@ -214,14 +216,15 @@ class IntegrationResult:
             )
 
 
-def _rate_floor(reservoir, emitter, t):
+def _rate_floor(reservoir, emitter, t, gamma0=None):
     # conservative lower scale for the decay rate, used to make the tail
     # truncation and the far-field budget relative: a tenth of the lesser
-    # of the short-time slope law A*t and a late term, the golden rule or,
-    # for eta > 1 once t*omega_x >= 1, the off-resonant part (2/t)*M where
-    # that is larger (see _off_resonant_mass). Before t*omega_x = 1 the
-    # profile has not yet resolved the spectrum, and (2/t)*M overshoots.
-    late = golden_rule_rate(reservoir, emitter)
+    # of the short-time slope law A*t and a late term, the golden rule
+    # (gamma0, if the caller has it) or, for eta > 1 once t*omega_x >= 1,
+    # the off-resonant part (2/t)*M where that is larger (see
+    # _off_resonant_mass). Before t*omega_x = 1 the profile has not yet
+    # resolved the spectrum, and (2/t)*M overshoots.
+    late = golden_rule_rate(reservoir, emitter) if gamma0 is None else gamma0
     if (
         isinstance(reservoir, BroadbandReservoir)
         and reservoir.eta > 1.0
@@ -279,7 +282,7 @@ def truncation_frequency(reservoir, emitter, t, cfg):
     starts at the lesser of omega_x*tail_epsilon**(1/p), p = eta + 1 -
     2*mu, and 1e3*omega_x, and goes out by whole decades, at most
     40, until the bound on the tail beyond it is within 1e-3*rel_tol of the
-    point's rate floor, as the contour reference extends its ray.
+    point's rate floor, as the contour reference sizes its ray.
     """
     return _truncation(reservoir, emitter, t, cfg, _rate_floor(reservoir, emitter, t))
 
@@ -301,7 +304,7 @@ def _truncation(reservoir, emitter, t, cfg, floor):
             # eps**(1/p) where it stays below 1e3, compared in logarithms
             # since it overflows as p rises to 0, then decades out to where
             # the tail bound is within 1e-3*rel_tol of the floor, as the
-            # reference extends its ray
+            # reference sizes its ray
             p = reservoir.eta + 1.0 - 2.0 * reservoir.cutoff.mu
             omega_max = 1e3 * wx
             if p < -1e-9 and math.log(eps) / p < math.log(1e3):
@@ -648,13 +651,20 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
         edges[0], edges[-1] = lo, hi
         return add(_SMOOTH, edges)
 
+    # the first block starts at the zero -k_left; where that zero is a branch
+    # point at omega = 0, its first half-lobe is the stub instead, so that it
+    # too is graded toward the branch point
+    skip = 0
     z_left = zero(-k_left)
+    if z_left == 0.0 and _branch_at_zero(reservoir):
+        skip = 1
+        z_left = _phase_omega(w0, t, 1 - 2 * k_left, 0.0)
     if z_left > 0.0:
         add(_PROFILE, _left_stub(reservoir, z_left, stub_step))
     for i, (lo, hi) in enumerate(merged):
         if i:
             add_run(zero(merged[i - 1][1]), zero(lo))
-        m = np.arange(2 * lo, 2 * hi + 1)
+        m = np.arange(2 * lo + (0 if i else skip), 2 * hi + 1)
         end = add(_PHASE, _phase_omega(w0, t, m, 0.0), m[:-1])
     if merged[-1][1] < k_right:
         end = add_run(end, omega_max)
@@ -990,6 +1000,28 @@ def _ray_mass(reservoir, end, theta):
     return _tail_mass(reservoir, end)
 
 
+def _ray_tail(reservoir, emitter, t, theta, envelope, end):
+    # the bound on a kernel's ray beyond |omega| = end: envelope(d), which
+    # bounds |kernel|/|R| where |delta| >= d, times the mass of |R| along
+    # the ray, or the power-Lorentz heavy tail where that mass diverges
+    mass = _ray_mass(reservoir, end, theta)
+    if mass == math.inf:
+        return _heavy_tail(reservoir, emitter, t, end)
+    return envelope(end - emitter.omega0) * mass
+
+
+def _ray_end(reservoir, emitter, t, theta, envelope, limit):
+    """The ray's end, its tail bound (see _ray_tail) and the decades k it
+    lies past the first end: the first of 4*max(omega0, _ray_scale)*10**k,
+    k < _REF_DECADES, whose bound is within limit, or the last of them."""
+    end = 4.0 * max(emitter.omega0, _ray_scale(reservoir))
+    for k in range(_REF_DECADES):
+        tail = _ray_tail(reservoir, emitter, t, theta, envelope, end)
+        if tail <= limit or k == _REF_DECADES - 1:
+            return end, tail, k
+        end *= 10.0
+
+
 # the head panel's mass relative to that of a panel min(omega0, 1/t) long
 # beside a branch point at omega = 0 (see _ray_head)
 _REF_HEAD = 1e-15
@@ -1031,21 +1063,29 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     and a Lorentzian line adds its pole's residue, merged with the golden
     rule (see _line_residue). Off the real axis the profile's oscillation
     decays, so the ray carries only the smooth off-resonant part. It is
-    integrated with the 16/8 Gauss-Legendre pair on panels, one from 0 to
-    a head sized by the integrand's nearest singularity (see _ray_head),
-    then geometric in s at n panels per decade, out to an end whose tail
-    bound is within 1e-3*rel_tol of the value. The value is the 16-node
-    sum; the error estimate is the sum over panels of |Re(Q16 - Q8)|, the
-    tail bound, a rounding term eps*ulps*(|residue terms| + sum of the
-    16-node |w*f|) (see _rounding_ulps) and, for a line, the rounding of
-    its residue's phase (see _line_residue).
+    integrated with the 16/8 Gauss-Legendre pair on one grid of panels, one
+    from 0 to a head sized by the integrand's nearest singularity (see
+    _ray_head), then geometric in s at n panels per decade, out to an end
+    chosen before any evaluation: the first decade end whose closed-form
+    tail bound is within 1e-3*rel_tol of the point's rate floor (see
+    _ray_end and _rate_floor). Each kernel is evaluated in one call on all
+    its nodes. The value is the 16-node sum; the error estimate is the sum
+    over panels of |Re(Q16 - Q8)|, the tail bound at the end, a rounding
+    term eps*ulps*(|residue terms| + sum of the 16-node |w*f|) (see
+    _rounding_ulps) and, for a line, the rounding of its residue's phase
+    (see _line_residue). A floor that overshoots the rate shows as a larger
+    estimate, not as a silent error.
 
     Where that estimate misses rel_tol, as the rounding term does on the
     Zeno side (Gamma(t) << 2*pi*R(omega0)), the ray is integrated again
     with the pole at omega0 subtracted from the kernel: (2/t)*(1 -
     e**(-i*delta*t))/delta**2 less 2i/delta is 2*t*phi2(-i*delta*t), which
     is t at delta = 0, needs no residue and does not cancel at small t.
-    The smaller estimate is kept. This needs a finite RSC mass.
+    Its ray's end is sized the same way, by its own envelope, and the
+    smaller estimate is kept. This needs a finite RSC mass. With the "fgr"
+    logger at DEBUG, each point logs one line: the end, how many decades
+    past the first end it lies, the evaluations, the kernel kept and the
+    estimate's four terms.
 
     ``panels_used`` counts integrand evaluations and ``truncation_frequency``
     is |omega| at the ray's end. Raises ConvergenceError carrying the
@@ -1061,11 +1101,14 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     zone = 40.0 / (t * math.sin(theta))
     cap = 32.0 / (n * t)
     ulps = _rounding_ulps(reservoir)
+    gamma0 = golden_rule_rate(reservoir, emitter)
     if isinstance(reservoir, NarrowbandReservoir):
         residue, phase = _line_residue(reservoir, emitter, t)
         poles = (residue, residue)
     else:
-        poles, phase = (golden_rule_rate(reservoir, emitter), 0.0), 0.0
+        poles, phase = (gamma0, 0.0), 0.0
+    # what the tail beyond the ray's end may be, known before any evaluation
+    limit = 1e-3 * cfg.rel_tol * _rate_floor(reservoir, emitter, t, gamma0)
 
     def standard(s):
         omega = s * e
@@ -1079,46 +1122,37 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
         return rsc * _phi2(-1j * t * (omega - w0)) * (2.0 * t * e)
 
     def along_ray(kernel, pole, envelope):
-        # (value, error estimate, evaluations, end) of one kernel; envelope(d)
-        # bounds |kernel|/|R| where |delta| >= d
-        total, diff, size = 0j, 0.0, 0.0
-        evals, start, end = 0, 0.0, 4.0 * max(w0, _ray_scale(reservoir))
-        for _ in range(_REF_DECADES):
-            # geometric at n per decade, but below zone no panel is wider
-            # than cap
-            u = start or lo
-            a = min(max(cap / (10.0 ** (1.0 / n) - 1.0), u), end)
-            b = min(max(zone, a), end)
-            edges = _steps(u, ((a, n, True), (b, cap, False), (end, n, True)))
-            if not start:
-                edges = np.append(0.0, edges)
-            pair, vals = _panel_values(kernel, edges[:-1], edges[1:])
-            total += pair[:, 0].sum()
-            diff += float(np.abs((pair[:, 0] - pair[:, 1]).real).sum())
-            size += float((np.abs(vals) @ _GL_PAIR[1][:, 0]) @ (0.5 * np.diff(edges)))
-            evals += vals.size
-            value = pole + total.real
-            mass = _ray_mass(reservoir, end, theta)
-            if mass == math.inf:
-                tail = _heavy_tail(reservoir, emitter, t, end)
-            else:
-                tail = envelope(end - w0) * mass
-            if tail <= 1e-3 * cfg.rel_tol * abs(value):
-                break
-            start, end = end, 10.0 * end
-        err = diff + tail + _EPS * ulps * (abs(pole) + size) + phase
-        return value, err, evals, end
+        # (value, error estimate, its terms, evaluations, end, decades) of one
+        # kernel: one grid out to the end _ray_end sizes, geometric at n per
+        # decade, but below zone no panel is wider than cap
+        end, tail, decades = _ray_end(reservoir, emitter, t, theta, envelope, limit)
+        a = min(max(cap / (10.0 ** (1.0 / n) - 1.0), lo), end)
+        b = min(max(zone, a), end)
+        edges = np.append(0.0, _steps(lo, ((a, n, True), (b, cap, False), (end, n, True))))
+        pair, vals = _panel_values(kernel, edges[:-1], edges[1:])
+        value = pole + pair[:, 0].sum().real
+        diff = float(np.abs((pair[:, 0] - pair[:, 1]).real).sum())
+        size = float((np.abs(vals) @ _GL_PAIR[1][:, 0]) @ (0.5 * np.diff(edges)))
+        terms = (diff, tail, _EPS * ulps * (abs(pole) + size), phase)
+        err = sum(terms)
+        return value, err, terms, vals.size, end, decades
 
     # |1 - e**(-i*delta*t)| <= 2 and |phi2| <= min(1/2, (1 + 2/|w|)/|w|) off
     # the real axis, where Re w = Re(-i*delta*t) <= 0
-    value, err, evals, end = along_ray(standard, poles[0], lambda d: 4.0 / (t * d * d))
+    value, err, terms, evals, end, decades = along_ray(
+        standard, poles[0], lambda d: 4.0 / (t * d * d)
+    )
+    kept = "standard"
     if err > cfg.rel_tol * abs(value) and math.isfinite(_ray_mass(reservoir, end, theta)):
         zeno = along_ray(
             subtracted, poles[1], lambda d: min(t, 2.0 / d + 4.0 / (t * d * d))
         )
-        evals += zeno[2]
+        evals += zeno[3]
         if zeno[1] < err:
-            value, err, _, end = zeno
+            value, err, terms, _, end, decades = zeno
+            kept = "subtracted"
+    if _log.isEnabledFor(logging.DEBUG):
+        _log_ray(t, end, decades, evals, kept, err, terms)
 
     # the sums are numpy scalars; a result holds Python numbers
     result = IntegrationResult(
@@ -1133,6 +1167,16 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
         f"contour reference reached |omega| = {end:.3e} with {evals} evaluations "
         f"and error estimate {err:.3e} (value {value:.6e})",
         result=result,
+    )
+
+
+def _log_ray(t, end, decades, evals, kept, err, terms):
+    # one DEBUG line per reference point: its ray, its cost and its estimate
+    _log.debug(
+        "t=%r: ray ends at |omega| = %.3e, %d decades past its first end; "
+        "%d evaluations, kept the %s kernel; estimate %.3e = rule difference "
+        "%.3e + tail %.3e + rounding %.3e + phase %.3e",
+        t, end, decades, evals, kept, err, *terms,
     )
 
 

@@ -1,9 +1,11 @@
 """Decay-rate quadrature: limits, invariances, oracle equivalence, budgets."""
 
+import functools
 import json
 import logging
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -177,8 +179,11 @@ class TestOracleEquivalence:
         assert abs(a.value - b.value) / a.value < 1e-8
 
     def test_each_node_evaluated_once(self, monkeypatch):
-        # the decades the reference's ray is extended by, and the two rules
-        # of its 16/8 pair, share no node, so each node is evaluated once
+        # each kernel integrates its whole ray in one call of the RSC, and
+        # the two rules of its 16/8 pair share no node, so each node of a
+        # pass is evaluated once, and the evaluations are the nodes: one
+        # pass for a line, two on the Zeno side, where the subtracted kernel
+        # runs too
         calls = []
         rsc = quadrature._rsc_complex
 
@@ -187,13 +192,14 @@ class TestOracleEquivalence:
             return rsc(reservoir, omega)
 
         monkeypatch.setattr(quadrature, "_rsc_complex", record)
-        model, em = nb_resonant(q=1000.0)
-        res = decay_rate_numeric_oracle(model, em, 1.0 / model.kappa, QuadratureConfig(rel_tol=1e-12))
-        # at least one extension of the ray
-        assert len(calls) >= 2
-        omega = np.concatenate(calls)
-        assert omega.size == res.panels_used
-        assert np.unique(omega).size == omega.size
+        cfg = QuadratureConfig(rel_tol=1e-12)
+        for model, em, t, passes in ((*nb_resonant(q=1000.0), 1.0, 1), (bb(0.5), EM, 4e-6, 2)):
+            calls.clear()
+            res = decay_rate_numeric_oracle(model, em, t, cfg)
+            assert len(calls) == passes
+            assert sum(omega.size for omega in calls) == res.panels_used
+            for omega in calls:
+                assert np.unique(omega).size == omega.size
 
 
 class TestInvariances:
@@ -306,10 +312,13 @@ class TestErrors:
 
     def test_latest_accepted_time(self):
         # omega0*t = 2.5e16, just below the limit: the value the integrator
-        # gave before the limit existed, without a RuntimeWarning
+        # gave before the limit existed, without a RuntimeWarning. The first
+        # kernel zero rounds to omega = 0 here, so the half-lobe above it is
+        # the 9-decade stub: 72 panels more than cutting it, for the same
+        # value and estimate
         res = decay_rate_numeric(bb(0.5), EM, 2.5e16, CFG)
         assert res == IntegrationResult(
-            0.09894929280922665, 3.5565116973142965e-10, 40314, 9407.755278982137
+            0.09894929280922665, 3.5565116973142965e-10, 40386, 9407.755278982137
         )
 
     def test_convergence_error_carries_best_result(self):
@@ -1004,6 +1013,80 @@ class TestContourReference:
         assert sum(calls) == res12.panels_used - res.panels_used
         assert res12.error_estimate < 1e-14 * res12.value < res.error_estimate
 
+    def test_point_logged(self, caplog):
+        # one DEBUG line per point: its ray's end and decades, its cost, the
+        # kernel kept and the estimate's terms, which sum to the estimate
+        cfg = QuadratureConfig(rel_tol=1e-12)
+        with caplog.at_level(logging.INFO, logger="fgr"):
+            decay_rate_numeric_oracle(bb(0.5), EM, 4e-6, cfg)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="fgr"):
+            res = decay_rate_numeric_oracle(bb(0.5), EM, 4e-6, cfg)
+        (message,) = [r.getMessage() for r in caplog.records]
+        number = r"([-+.e\d]+)"
+        match = re.fullmatch(
+            rf"t=4e-06: ray ends at \|omega\| = {number}, (\d+) decades past its "
+            rf"first end; (\d+) evaluations, kept the subtracted kernel; estimate "
+            rf"{number} = rule difference {number} \+ tail {number} \+ rounding "
+            rf"{number} \+ phase {number}",
+            message,
+        )
+        assert match, message
+        end, decades, evals, err, *terms = match.groups()
+        assert end == f"{res.truncation_frequency:.3e}"
+        first = 4.0 * max(EM.omega0, bb(0.5).omega_x)
+        assert float(end) == pytest.approx(first * 10.0 ** int(decades), rel=1e-3)
+        assert int(evals) == res.panels_used
+        assert err == f"{res.error_estimate:.3e}"
+        assert sum(map(float, terms)) == pytest.approx(res.error_estimate, rel=1e-3)
+        assert float(terms[-1]) == 0.0
+
+
+def _standard_envelope(t, d):
+    # |kernel|/|R| beyond a distance d from omega0 along the ray
+    return 4.0 / (t * d * d)
+
+
+def _subtracted_envelope(t, d):
+    # the same for the kernel with the pole at omega0 subtracted
+    return min(t, 2.0 / d + 4.0 / (t * d * d))
+
+
+def test_ray_end_is_the_first_decade_within_the_tail_limit():
+    # the reference's ray ends at the first of 4*max(omega0, its RSC's
+    # scale)*10**k whose closed-form tail bound meets 1e-3*rel_tol*floor,
+    # chosen before any evaluation; the end a decade before it does not.
+    # The 20 `fgr verify` points, a line and a power-Lorentz tail whose RSC
+    # mass diverges keep the standard kernel at rel_tol 1e-8; the Zeno side
+    # keeps the subtracted one, sized by its own envelope
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        heavy = bb(2.0, cutoff=PowerLorentzCutoff(mu=1.6))
+    points = [(model, em, t, 1e-8, _standard_envelope) for _, model, em, t in _verify_cases()]
+    points += [
+        (NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=20.0), EmitterSpec(20.0), 1.0, 1e-8, _standard_envelope),
+        (heavy, EM, 10.0, 1e-8, _standard_envelope),
+        (bb(0.5), EM, 4e-6, 1e-12, _subtracted_envelope),
+    ]
+    decades = []
+    for model, em, t, rel_tol, envelope in points:
+        res = decay_rate_numeric_oracle(model, em, t, QuadratureConfig(rel_tol=rel_tol))
+        end = res.truncation_frequency
+        first = 4.0 * max(em.omega0, quadrature._ray_scale(model))
+        k = round(math.log10(end / first))
+        assert end == pytest.approx(first * 10.0**k, rel=1e-12), (model, t)
+        theta = quadrature._ray_angle(model)
+        limit = 1e-3 * rel_tol * quadrature._rate_floor(model, em, t)
+
+        def tail(end):
+            return quadrature._ray_tail(model, em, t, theta, functools.partial(envelope, t), end)
+
+        assert tail(end) <= limit, (model, t)
+        assert k == 0 or tail(end / 10.0) > limit, (model, t)
+        decades.append(k)
+    # the heavy tail runs several decades further than any verify point
+    assert decades[-2] > max(decades[:20])
+
 
 # 30-digit power-Lorentz rates, mu = 4, coupling 1e-3, omega_x = 250,
 # omega0 = 1, computed on the real axis, not along the reference's ray:
@@ -1326,6 +1409,26 @@ class TestLeftStub:
                 analytic += 1
         # the 12 property lines and the sweep lines
         assert analytic == 12 + len(sweep[1::6])
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    def test_kernel_zero_on_the_branch_point(self, rel_tol):
+        # omega0 = 2*pi at t = 1 puts the kernel zero k = -1 exactly on the
+        # branch point at omega = 0. The half-lobe [0, pi] above it is the
+        # stub, graded over 9 decades toward 0; cut at 2*omega_x instead, it
+        # was flagged at both tolerances, with an estimate of 1.65e-11
+        model, em, t = bb(0.5, omega_x=1.0), EmitterSpec(2.0 * math.pi), 1.0
+        assert _phase_omega(em.omega0, t, -2, 0.0) == 0.0
+        cfg = QuadratureConfig(rel_tol=rel_tol)
+        res = decay_rate_numeric(model, em, t, cfg)
+        ref = decay_rate_numeric_oracle(model, em, t, cfg)
+        assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+        omega_max = truncation_frequency(model, em, t, cfg)
+        a, b, m, kind = _build_panels(model, em, t, omega_max, _CAPS[0])
+        # the stub's profile panels run up to the half-lobe m = -1
+        first = np.argmax(kind == _PHASE)
+        z = _phase_omega(em.omega0, t, -1, 0.0)
+        assert (kind[:first] == _PROFILE).all() and m[first] == -1 and a[first] == 0.0
+        assert a[0] == 0.0 and b[0] == 1e-9 * z and b[first - 1] == z
 
 
 def integer_eta_points():
