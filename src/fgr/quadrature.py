@@ -16,15 +16,17 @@ integral along a ray into the lower half plane, where the profile's
 oscillation decays, and integrates that smooth ray in float64 on a
 geometric grid of its own, laid out in one pass to an end that its
 closed-form tail bound sizes before any evaluation. It shares with the
-integrator only the 16/8 Gauss-Legendre pair and its panel evaluation
-(_panel_values), the tail bounds (_tail_mass, _heavy_tail), the rate floor
-that the tail is held to (_rate_floor), what rounding a line's phase costs
-(_line_phase_cost), the argument checks (_setup) and the stepping
-arithmetic of _steps.
+integrator only the 16/8 Gauss-Legendre pair, the 16/8 Gauss-Jacobi pair
+that both take on their one panel at a branch point at omega = 0
+(_gauss_pair), their panel evaluation (_panel_values), the tail bounds
+(_tail_mass, _heavy_tail), the rate floor that the tail is held to
+(_rate_floor), what rounding a line's phase costs (_line_phase_cost), the
+argument checks (_setup) and the stepping arithmetic of _steps.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -107,14 +109,48 @@ def _gauss_legendre(n):
     return 0.5 * (x - x[::-1]), w * (2.0 / w.sum())
 
 
-def _gauss_pair():
-    # the Gauss-Legendre pair of every panel as one 24-node rule: its weight
+def _gauss_jacobi(n, eta):
+    """The n-node Gauss-Jacobi rule for the weight (1 + x)**eta on [-1, 1],
+    its weights divided by their node's (1 + x)**eta so that it integrates
+    (1 + x)**eta * g(x) itself. Golub-Welsch, alpha = 0, beta = eta: the
+    nodes are the Jacobi matrix's eigenvalues after one Newton step on p_n
+    (without it their rounding costs up to 5e-14 of exactness), the
+    weights 1/sum p_k(x)**2, k < n, each orthonormal p_k times
+    (1 + x)**(eta/2) from logarithms, so that none overflows up to
+    eta ~ 170. The eigenvalue call costs the process about 0.6 MB."""
+    k = np.arange(n + 1.0)
+    s = 2.0 * k + eta
+    diag = eta * eta / (s * (s + 2.0))
+    diag[0] = eta / (eta + 2.0)  # rounded twice, it cost 1e-14 of exactness
+    off = np.append(0.0, 2.0 * k[1:] * (k[1:] + eta) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[1:n], 1) + np.diag(off[1:n], -1))
+    log_mass = (eta + 1.0) * math.log(2.0) - math.log1p(eta)
+    for step in range(2):
+        # p_k and its slope by the recurrence, p_0 = (1 + x)**(eta/2)/sqrt(mass)
+        p0, p1 = 0.0, np.exp(0.5 * (eta * np.log1p(x) - log_mass))
+        d0, d1, total = 0.0, 0.0, 0.0
+        for i in range(1, n + 1):
+            total = total + p1 * p1
+            a, b, c = x - diag[i - 1], off[i - 1], off[i]
+            p0, p1, d0, d1 = p1, (a * p1 - b * p0) / c, d1, (a * d1 + p1 - b * d0) / c
+        if step == 0:
+            x = x - p1 / d1
+    return x, 1.0 / total
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_pair(eta=None):
+    # the 16/8 pair as one 24-node rule, Gauss-Legendre, or with eta the
+    # Gauss-Jacobi pair for a branch point (1 + x)**eta at -1: its weight
     # columns give the 16-node value and the 8-node one, whose difference
     # is its error estimate, so one integrand call on 24 nodes gives both
-    (x16, w16), (x8, w8) = _gauss_legendre(16), _gauss_legendre(8)
-    w = np.zeros((24, 2))
+    rule = _gauss_legendre if eta is None else functools.partial(_gauss_jacobi, eta=eta)
+    (x16, w16), (x8, w8) = rule(16), rule(8)
+    x, w = np.concatenate([x16, x8]), np.zeros((24, 2))
     w[:16, 0], w[16:, 1] = w16, w8
-    return np.concatenate([x16, x8]), w
+    # read-only, as the cache hands the same arrays to every caller
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 _GL_PAIR = _gauss_pair()
@@ -419,16 +455,6 @@ def _branch_at_zero(reservoir):
     )
 
 
-def _left_stub(reservoir, z, step):
-    # edges of the profile stub [0, z] below the first kernel zero z, at most
-    # step apart: graded over 9 decades toward a branch point at omega = 0,
-    # else one uniform stretch, since 16-node Gauss converges geometrically
-    # on a panel where the integrand is analytic
-    if _branch_at_zero(reservoir):
-        return np.append(0.0, _geom_edges(z * 1e-9, z, step))
-    return _steps(0.0, ((z, step, False),))
-
-
 def _rsc_cap(reservoir):
     """The panel width at which the RSC is comfortably analytic for a
     16-node Gauss rule, as (p, alpha, lo, hi, at): a panel whose nearest
@@ -438,11 +464,12 @@ def _rsc_cap(reservoir):
         wx = reservoir.omega_x
         if isinstance(reservoir.cutoff, PowerLorentzCutoff):
             # the poles and branch points of [1 + (omega/omega_x)**2]**-mu
-            # lie at +-i*omega_x, so widths grow with |omega| past omega_x as
-            # from a branch point at omega = 0, by the same ratio as a line's,
-            # and are 0.6*omega_x below it, and for a panel that reaches 0
-            lo = 0.0 if _branch_at_zero(reservoir) else 0.6 * wx
-            return 0.0, 0.6, lo, math.inf, 0.6 * wx
+            # lie at +-i*omega_x, so widths grow with |omega| as from a branch
+            # point at omega = 0, by a line's ratio, from 0.3*omega_x for an
+            # integer eta (at 0.6*omega_x, early points missed rel_tol 1e-12
+            # on their 8-node estimate), and from 0.6*omega_x at a branch point
+            lo, at = (0.0, 0.6 * wx) if _branch_at_zero(reservoir) else (0.3 * wx, 0.3 * wx)
+            return 0.0, 0.6, lo, math.inf, at
         # a branch point at omega = 0 makes panel widths shrink in
         # proportion to the distance from it
         if _branch_at_zero(reservoir):
@@ -605,10 +632,10 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
     merged blocks of whole lobes, at most cap on each side of the transition
     and of a narrowband line, envelope runs between them, and profile stubs
     beyond the outermost kernel zeros. Runs and stubs step at most the RSC's
-    widest cap (stubs also _PHASE_CAP/t); the stub below the first zero is
-    graded toward omega = 0 only where a branch point lies there (see
-    _left_stub). The points of _graded_points split whatever panel is still
-    too wide for the RSC, half-lobes in their local phase."""
+    widest cap (stubs also _PHASE_CAP/t), the stub below the first zero in
+    one stretch from 0. The points of _graded_points split whatever panel
+    is still too wide for the RSC, half-lobes in their local phase. The
+    panel at a branch point at omega = 0 takes the Gauss-Jacobi pair."""
     w0 = emitter.omega0
     k_left, k_right = zero_counts(t, w0, omega_max)
     # blocks as ranges [lo, hi] of zero indices k, the zero k at w0 + 2*pi*k/t
@@ -652,15 +679,15 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
         return add(_SMOOTH, edges)
 
     # the first block starts at the zero -k_left; where that zero is a branch
-    # point at omega = 0, its first half-lobe is the stub instead, so that it
-    # too is graded toward the branch point
+    # point at omega = 0, its first half-lobe is the stub instead, so that
+    # the Gauss-Jacobi pair, which profile panels alone take, covers it
     skip = 0
     z_left = zero(-k_left)
     if z_left == 0.0 and _branch_at_zero(reservoir):
         skip = 1
         z_left = _phase_omega(w0, t, 1 - 2 * k_left, 0.0)
     if z_left > 0.0:
-        add(_PROFILE, _left_stub(reservoir, z_left, stub_step))
+        add(_PROFILE, _steps(0.0, ((z_left, stub_step, False),)))
     for i, (lo, hi) in enumerate(merged):
         if i:
             add_run(zero(merged[i - 1][1]), zero(lo))
@@ -697,13 +724,19 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
     return a, b, m[src], kind[src]
 
 
-def _panel_values(f, a, b):
+def _panel_values(f, a, b, head=None):
     # both rules' values of panels [a, b] from one call of f on their 24
-    # nodes each, and the values at the nodes
+    # nodes each, and the values at the nodes: the first panel takes the
+    # pair head if given, its values scaled by its weights over _GL_PAIR's
     x, w = _GL_PAIR
     mid = 0.5 * (a + b)[:, None]
     half = 0.5 * (b - a)[:, None]
-    vals = f((mid + half * x).reshape(-1)).reshape(a.size, x.size)
+    nodes = mid + half * x
+    if head is not None:
+        nodes[0] = mid[0] + half[0] * head[0]
+    vals = f(nodes.reshape(-1)).reshape(a.size, x.size)
+    if head is not None:
+        vals[0] *= head[1].sum(axis=1) / w.sum(axis=1)
     return (vals @ w) * half, vals
 
 
@@ -762,7 +795,8 @@ def _profile_values(reservoir, emitter, t, a, b):
     a, not from the rounded node, whose error would be eps*omega_c/kappa of
     the line near its centre: its width cap (see _rsc_cap) keeps the panel
     narrower than kappa/2 and than 0.6*|d|, so the offset rounds by eps of
-    those alone."""
+    those alone. A panel at a branch point omega**eta at 0 takes the
+    Gauss-Jacobi pair."""
     w0 = emitter.omega0
     rsc = None
     if isinstance(reservoir, NarrowbandReservoir):
@@ -775,7 +809,8 @@ def _profile_values(reservoir, emitter, t, a, b):
         out *= evaluate_rsc(reservoir, w) if rsc is None else rsc
         return out
 
-    return _panel_values(f, a, b)[0]
+    head = _gauss_pair(reservoir.eta) if a[0] == 0.0 and _branch_at_zero(reservoir) else None
+    return _panel_values(f, a, b, head)[0]
 
 
 def _envelope(reservoir, emitter, t):
@@ -1022,11 +1057,6 @@ def _ray_end(reservoir, emitter, t, theta, envelope, limit):
         end *= 10.0
 
 
-# the head panel's mass relative to that of a panel min(omega0, 1/t) long
-# beside a branch point at omega = 0 (see _ray_head)
-_REF_HEAD = 1e-15
-
-
 def _ray_scale(reservoir):
     # where the RSC turns along the ray: omega_x, or a line's |omega_c - i*kappa|
     if isinstance(reservoir, NarrowbandReservoir):
@@ -1035,20 +1065,10 @@ def _ray_scale(reservoir):
 
 
 def _ray_head(reservoir, w0, t):
-    """Where the reference's geometric grid starts: one panel spans [0, head].
-
-    Beside a branch point s**eta at omega = 0 the head panel's mass goes as
-    head**(eta + 1), so head = min(omega0, 1/t)*_REF_HEAD**(1/(eta + 1))
-    keeps it at _REF_HEAD of a panel min(omega0, 1/t) long. An integrand
-    analytic at 0 (a line, an integer eta) varies first on the least of
-    omega0, 1/t and the RSC's own scale: omega_x (the power-Lorentz poles
-    lie at +-i*omega_x) or a line's |omega_c - i*kappa|. The head is a
-    hundredth of that. It depends on the model, omega0 and t alone.
-    """
-    near = min(w0, 1.0 / t)
-    if _branch_at_zero(reservoir):
-        return near * _REF_HEAD ** (1.0 / (reservoir.eta + 1.0))
-    return 1e-2 * min(near, _ray_scale(reservoir))
+    # where the reference's grid starts, one panel spanning [0, head]: a
+    # hundredth of the least of omega0, 1/t and the RSC's own scale, on which
+    # the integrand (over s**eta at a branch point s = 0) first varies
+    return 1e-2 * min(w0, 1.0 / t, _ray_scale(reservoir))
 
 
 def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
@@ -1064,14 +1084,15 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     rule (see _line_residue). Off the real axis the profile's oscillation
     decays, so the ray carries only the smooth off-resonant part. It is
     integrated with the 16/8 Gauss-Legendre pair on one grid of panels, one
-    from 0 to a head sized by the integrand's nearest singularity (see
-    _ray_head), then geometric in s at n panels per decade, out to an end
-    chosen before any evaluation: the first decade end whose closed-form
-    tail bound is within 1e-3*rel_tol of the point's rate floor (see
-    _ray_end and _rate_floor). Each kernel is evaluated in one call on all
-    its nodes. The value is the 16-node sum; the error estimate is the sum
-    over panels of |Re(Q16 - Q8)|, the tail bound at the end, a rounding
-    term eps*ulps*(|residue terms| + sum of the 16-node |w*f|) (see
+    from 0 to a head sized by the integrand's scales (see _ray_head), then
+    geometric in s at n panels per decade, out to an end chosen before any
+    evaluation: the first decade end whose closed-form tail bound is within
+    1e-3*rel_tol of the point's rate floor (see _ray_end and _rate_floor).
+    At a branch point s**eta at 0 the head panel takes the Gauss-Jacobi
+    pair. Each kernel is evaluated in one call on all its nodes. The value
+    is the 16-node sum; the error estimate is the sum over panels of
+    |Re(Q16 - Q8)|, the tail bound at the end, a rounding term
+    eps*ulps*(|residue terms| + sum of the 16-node |w*f|) (see
     _rounding_ulps) and, for a line, the rounding of its residue's phase
     (see _line_residue). A floor that overshoots the rate shows as a larger
     estimate, not as a silent error.
@@ -1097,6 +1118,7 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     e = complex(math.cos(theta), -math.sin(theta))
     n = max(8, math.ceil(4.0 / math.sin(min(theta, 0.25 * math.pi))))
     lo = _ray_head(reservoir, w0, t)
+    head = _gauss_pair(reservoir.eta) if _branch_at_zero(reservoir) else None
     # e**(-i*delta*t) falls below e**-40 beyond zone
     zone = 40.0 / (t * math.sin(theta))
     cap = 32.0 / (n * t)
@@ -1129,7 +1151,7 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
         a = min(max(cap / (10.0 ** (1.0 / n) - 1.0), lo), end)
         b = min(max(zone, a), end)
         edges = np.append(0.0, _steps(lo, ((a, n, True), (b, cap, False), (end, n, True))))
-        pair, vals = _panel_values(kernel, edges[:-1], edges[1:])
+        pair, vals = _panel_values(kernel, edges[:-1], edges[1:], head)
         value = pole + pair[:, 0].sum().real
         diff = float(np.abs((pair[:, 0] - pair[:, 1]).real).sum())
         size = float((np.abs(vals) @ _GL_PAIR[1][:, 0]) @ (0.5 * np.diff(edges)))
