@@ -13,19 +13,20 @@ spectrum.
 
 An independent reference writes the rate as the golden rule plus an
 integral along a ray into the lower half plane, where the profile's
-oscillation decays, and integrates that smooth ray in float64 on a
-geometric grid of its own, laid out in one pass to an end that its
-closed-form tail bound sizes before any evaluation. It shares with the
-integrator only the 16/8 Gauss-Legendre pair, the 16/8 Gauss-Jacobi pair
-that both take on their one panel at a branch point at omega = 0
-(_gauss_pair), their panel evaluation (_panel_values), the tail bounds
-(_tail_mass, _heavy_tail), the rate floor that the tail is held to
+oscillation decays, and integrates that smooth ray in float64 real
+arithmetic on a geometric grid of its own, laid out in one pass to an end
+that its closed-form tail bound sizes before any evaluation. It shares
+with the integrator only the 16/8 Gauss-Legendre pair, the 16/8
+Gauss-Jacobi pair that both take on their one panel at a branch point at
+omega = 0 (_gauss_pair), their panel evaluation (_panel_values), the tail
+bounds (_tail_mass, _heavy_tail), the rate floor that the tail is held to
 (_rate_floor), what rounding a line's phase costs (_line_phase_cost), the
-argument checks (_setup) and the stepping arithmetic of _steps.
+golden rule, the argument checks (_setup) and the stepping of _steps.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import logging
 import math
@@ -45,7 +46,7 @@ from .reservoir import (
     _line_shape,
     _power_lorentz_moment,
     _require_finite,
-    _rsc_complex,
+    _rsc_ray,
     evaluate_rsc,
     golden_rule_rate,
     to_json,
@@ -235,7 +236,7 @@ class IntegrationResult:
     """Decay-rate value with its accuracy metadata.
 
     ``panels_used`` counts quadrature panels for the panel scheme and
-    integrand evaluations for the contour reference.
+    kernel evaluations for the contour reference.
     """
 
     value: float
@@ -509,6 +510,8 @@ def _graded_points(edges, cap):
     limit = np.clip(alpha * near, lo, hi)
     limit[near == 0.0] = at
     wide = np.nonzero(b - a > limit)[0]
+    if not wide.size:
+        return edges[:0], wide
     points = [edges[:0]]
     for ai, bi in zip(a[wide].tolist(), b[wide].tolist()):
         left = p - cuts(max(0.0, p - bi), p - ai)[::-1] if ai < p else []
@@ -891,7 +894,7 @@ def _evaluate(reservoir, emitter, t, a, b, m, kind, envelope):
         values[full] = _profile_values(reservoir, emitter, t, a[full], b[full])
     values[kind == _SMOOTH], far, osc = envelope
 
-    value = math.fsum(np.append(values[:, 0], far).tolist())
+    value = math.fsum(values[:, 0].tolist() + far)
     # rounding floor: per-panel dot products carry O(eps) relative noise
     refine_err = float(np.sum(np.abs(values[:, 0] - values[:, 1])))
     err = refine_err + 5e-16 * abs(value) + osc
@@ -958,13 +961,13 @@ def _ray_angle(reservoir):
 
 
 def _rounding_ulps(reservoir):
-    # the relative rounding of one node's integrand, in ulps: 8 for its
-    # arithmetic, plus what the powers in the RSC make of the rounding of
-    # their bases (see reservoir._rsc_complex): the base of the p-th power,
-    # p = max(eta, 1), carries about 2 + Re(x)/p ulps, and Re(x) is near
-    # eta at the exponential cutoff's peak, so about 3*eta in all; about
-    # 2*(eta + mu) for the power-Lorentz cutoff; for a line, whose pole
-    # lies pi/4 off the ray, at most 2/sin(pi/4)
+    # the relative rounding of one node's integrand, in ulps: 8 for the
+    # kernel's arithmetic, plus the RSC's on the ray (reservoir._rsc_ray): p =
+    # max(eta, 1) times the 1.5 + Re(x)/p ulps of its p-th power's base, Re(x)
+    # ~ eta at the exponential cutoff's peak, and 2*sqrt(eta) from its phase,
+    # so 3*eta; 2*(eta + mu) for the power-Lorentz cutoff (weighted by |R|, the
+    # RSC rounds by under a quarter of these up to eta = 150); for a line,
+    # whose pole lies pi/4 off the ray, at most 2/sin(pi/4)
     if isinstance(reservoir, NarrowbandReservoir):
         return 12.0
     if isinstance(reservoir.cutoff, ExponentialCutoff):
@@ -994,16 +997,19 @@ def _line_residue(reservoir, emitter, t):
     ray crosses, adds (2/t)*g**2*Re[(1 - e**(-i*z))/d**2] with d = p -
     omega0, z = d*t. The two cancel to O(kappa*t) on the Zeno side, so they
     are formed together, exactly, as 2*g**2*t*Re phi2(-i*z) with phi2(w) =
-    (e**w - 1 - w)/w**2. This is also the residue term of the subtracted
-    kernel, whose pole at omega0 is removed.
+    (e**w - 1 - w)/w**2, here of one number by cmath. This is also the
+    residue term of the subtracted kernel, whose pole at omega0 is removed.
 
     Returns the term and what rounding its phase Re(z) costs (see
     _line_phase_cost), eps*|Re z| of it.
     """
     w = complex(-reservoir.kappa * t, -(reservoir.omega_c - emitter.omega0) * t)
-    c = 2.0 * reservoir.g**2 * t
+    if abs(w) < 0.5:
+        phi2 = sum(w**k / math.factorial(k + 2) for k in range(19))
+    else:
+        phi2 = (cmath.exp(w) - 1.0 - w) / (w * w)
     phase = _line_phase_cost(reservoir, emitter, t, _EPS * abs(w.imag))
-    return c * _phi2(np.array([w]))[0].real, phase
+    return 2.0 * reservoir.g**2 * t * phi2.real, phase
 
 
 def _line_phase_cost(reservoir, emitter, t, shift):
@@ -1065,10 +1071,10 @@ def _ray_scale(reservoir):
 
 
 def _ray_head(reservoir, w0, t):
-    # where the reference's grid starts, one panel spanning [0, head]: a
-    # hundredth of the least of omega0, 1/t and the RSC's own scale, on which
-    # the integrand (over s**eta at a branch point s = 0) first varies
-    return 1e-2 * min(w0, 1.0 / t, _ray_scale(reservoir))
+    # where the reference's grid starts, one panel spanning [0, head]: a tenth
+    # of the least of omega0, 1/t and the RSC's scale, where the integrand (over
+    # s**eta) first varies, so that even its 8-node rule is good to 38**-16 there
+    return 0.1 * min(w0, 1.0 / t, _ray_scale(reservoir))
 
 
 def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
@@ -1089,10 +1095,12 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     evaluation: the first decade end whose closed-form tail bound is within
     1e-3*rel_tol of the point's rate floor (see _ray_end and _rate_floor).
     At a branch point s**eta at 0 the head panel takes the Gauss-Jacobi
-    pair. Each kernel is evaluated in one call on all its nodes. The value
-    is the 16-node sum; the error estimate is the sum over panels of
-    |Re(Q16 - Q8)|, the tail bound at the end, a rounding term
-    eps*ulps*(|residue terms| + sum of the 16-node |w*f|) (see
+    pair. Each kernel is evaluated in one call on all its nodes, in real
+    arithmetic (see reservoir._rsc_ray); beyond the zone where
+    |e**(-i*delta*t)| < e**-40 ~ 4e-18 that factor is taken as 0, far below
+    the rounding term. The value is the 16-node sum; the error estimate is
+    the sum over panels of |Re(Q16 - Q8)|, the tail bound at the end, a
+    rounding term eps*ulps*(|residue terms| + sum of the 16-node |w*f|) (see
     _rounding_ulps) and, for a line, the rounding of its residue's phase
     (see _line_residue). A floor that overshoots the rate shows as a larger
     estimate, not as a silent error.
@@ -1102,15 +1110,17 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     with the pole at omega0 subtracted from the kernel: (2/t)*(1 -
     e**(-i*delta*t))/delta**2 less 2i/delta is 2*t*phi2(-i*delta*t), which
     is t at delta = 0, needs no residue and does not cancel at small t.
-    Its ray's end is sized the same way, by its own envelope, and the
+    Its ray's end is sized the same way, by its own envelope, and where
+    that is the first ray's end, so are its grid and its RSC values. The
     smaller estimate is kept. This needs a finite RSC mass. With the "fgr"
     logger at DEBUG, each point logs one line: the end, how many decades
     past the first end it lies, the evaluations, the kernel kept and the
     estimate's four terms.
 
-    ``panels_used`` counts integrand evaluations and ``truncation_frequency``
-    is |omega| at the ray's end. Raises ConvergenceError carrying the
-    result if its estimate exceeds rel_tol times its value.
+    ``panels_used`` counts kernel evaluations, of both kernels if both run,
+    and ``truncation_frequency`` is |omega| at the ray's end. Raises
+    ConvergenceError carrying the result if its estimate exceeds rel_tol
+    times its value.
     """
     cfg = _setup(reservoir, emitter, t, cfg)
     w0 = emitter.omega0
@@ -1132,16 +1142,23 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     # what the tail beyond the ray's end may be, known before any evaluation
     limit = 1e-3 * cfg.rel_tol * _rate_floor(reservoir, emitter, t, gamma0)
 
-    def standard(s):
-        omega = s * e
-        d = omega - w0
-        rsc = _rsc_complex(reservoir, omega)
-        return rsc * np.expm1(-1j * t * d) * (-2.0 * e / t) / (d * d)
+    def standard(s, rsc):
+        # with a = -t*s*sin(theta), u = tan(t*(omega0 - s*cos(theta))/2) and
+        # q = 2*e**a/(1 + u**2), e**(-i*delta*t) - 1 is (expm1(a) - q*u**2) +
+        # i*q*u, whose real part does not cancel; beyond zone it is -1
+        f = np.full(s.shape, -1.0 + 0.0j)
+        inside = s < zone
+        a, u = s[inside] * (t * e.imag), np.tan((w0 - s[inside] * e.real) * (0.5 * t))
+        em1 = np.expm1(a)
+        q = 2.0 * (em1 + 1.0) / (1.0 + u * u)
+        f.real[inside], f.imag[inside] = em1 - q * u * u, q * u
+        d = s * e - w0
+        return rsc * f * (-2.0 * e / t) / (d * d)
 
-    def subtracted(s):
-        omega = s * e
-        rsc = _rsc_complex(reservoir, omega)
-        return rsc * _phi2(-1j * t * (omega - w0)) * (2.0 * t * e)
+    def subtracted(s, rsc):
+        return rsc * _phi2(-1j * t * (s * e - w0)) * (2.0 * t * e)
+
+    rscs = {}  # the RSC on each grid, by the grid's end, for both kernels
 
     def along_ray(kernel, pole, envelope):
         # (value, error estimate, its terms, evaluations, end, decades) of one
@@ -1151,7 +1168,13 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
         a = min(max(cap / (10.0 ** (1.0 / n) - 1.0), lo), end)
         b = min(max(zone, a), end)
         edges = np.append(0.0, _steps(lo, ((a, n, True), (b, cap, False), (end, n, True))))
-        pair, vals = _panel_values(kernel, edges[:-1], edges[1:], head)
+
+        def f(s):
+            if end not in rscs:
+                rscs[end] = _rsc_ray(reservoir, s, theta)
+            return kernel(s, rscs[end])
+
+        pair, vals = _panel_values(f, edges[:-1], edges[1:], head)
         value = pole + pair[:, 0].sum().real
         diff = float(np.abs((pair[:, 0] - pair[:, 1]).real).sum())
         size = float((np.abs(vals) @ _GL_PAIR[1][:, 0]) @ (0.5 * np.diff(edges)))

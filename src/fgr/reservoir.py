@@ -267,8 +267,9 @@ def evaluate_rsc(reservoir, omega):
     Returns a value (or array) in frequency units, nonnegative and
     continuous in omega.
     """
-    w = np.asarray(omega, dtype=float)
-    if (w < 0.0).any():
+    # a scalar as a float64, which rounds as an array does at a tenth of the cost
+    w = np.float64(omega) if isinstance(omega, numbers.Real) else np.asarray(omega, dtype=float)
+    if w.min(initial=0.0) < 0.0:
         raise ValueError("omega must be >= 0")
     if isinstance(reservoir, BroadbandReservoir):
         x = w / reservoir.omega_x
@@ -281,16 +282,18 @@ def evaluate_rsc(reservoir, omega):
         else:
             # scale * x**eta may overflow (for the exponential cutoff at
             # eta >~ 130 below the quadrature's omega_max, past 235*omega_x
-            # at eta = 130): where the product is not finite, take the
-            # continued RSC's root form, which stays finite
+            # at eta = 130), and a large mu's profile fall below the normal
+            # floats: there take the continued RSC's root form, which does not
             with np.errstate(over="ignore", invalid="ignore"):
-                out = scale * x**eta * reservoir.cutoff.profile(x)
-            out = np.where(np.isfinite(out), out, _rsc_complex(reservoir, w).real)
+                profile = reservoir.cutoff.profile(x)
+                out = scale * x**eta * profile
+            keep = np.isfinite(out) & (profile >= np.finfo(float).tiny)
+            out = np.where(keep, out, _rsc_ray(reservoir, w, 0.0).real)
     elif isinstance(reservoir, NarrowbandReservoir):
         out = _line_shape(reservoir, w - reservoir.omega_c)
     else:
         raise TypeError(f"unsupported reservoir type: {type(reservoir).__name__}")
-    if np.ndim(omega) == 0:
+    if w.ndim == 0:
         return float(out)
     return out
 
@@ -301,33 +304,37 @@ def _line_shape(reservoir, d):
     return (reservoir.kappa / math.pi) * reservoir.g**2 / (d * d + reservoir.kappa**2)
 
 
-def _rsc_complex(reservoir, omega):
-    # The RSC continued analytically to complex omega, on the principal
-    # branch of each power, so that on the real axis it is evaluate_rsc to
-    # rounding. A line is continued everywhere; the broadband families for
-    # |arg omega| <= pi/4, where Re (omega/omega_x)**2 > -1 keeps the
-    # power-Lorentz factor on its branch.
-    w = np.asarray(omega, dtype=complex)
+def _rsc_ray(reservoir, s, theta):
+    # The RSC continued analytically to omega = s*e**(-i*theta), s >= 0, on
+    # the principal branch of each power, so that at theta = 0 it is
+    # evaluate_rsc to rounding: a line everywhere, the broadband families for
+    # theta <= pi/4, where Re x**2 > -1 keeps the power-Lorentz factor on its
+    # branch. x = omega/omega_x has the modulus r = s/omega_x and the angle
+    # -theta, so each factor's modulus and phase are real functions of r.
     if isinstance(reservoir, NarrowbandReservoir):
+        w = s * complex(math.cos(theta), -math.sin(theta))
         return _line_shape(reservoir, w - reservoir.omega_c)
-    # each part on its own: complex division rounds x twice, and e**-x
-    # turns that into |x| ulps
-    x = w.real / reservoir.omega_x + 1j * (w.imag / reservoir.omega_x)
+    r = s / reservoir.omega_x
     # |x|**eta * |F(x)| is taken as (|x|**(eta/p) * |F(x)|**(1/p))**p with
     # p = max(eta, 1), whose base stays finite where |x|**eta would overflow
     # (near the exponential cutoff's peak at eta*omega_x for eta >~ 130)
     eta = reservoir.eta
     p = max(eta, 1.0)
     if isinstance(reservoir.cutoff, ExponentialCutoff):
-        root, phase = np.exp(-x.real / p), -x.imag
+        root, phase = np.exp(r * (-math.cos(theta) / p)), r * math.sin(theta)
     else:
-        y = 1.0 + x * x
+        r2 = r * r
+        re, im = 1.0 + r2 * math.cos(2.0 * theta), r2 * -math.sin(2.0 * theta)
         mu = reservoir.cutoff.mu
-        root, phase = np.abs(y) ** (-mu / p), -mu * np.angle(y)
-    modulus = (np.abs(x) ** (eta / p) * root) ** p
-    return (reservoir.coupling * reservoir.omega_x) * modulus * np.exp(
-        1j * (eta * np.angle(x) + phase)
-    )
+        root, phase = np.hypot(re, im) ** (-mu / p), np.arctan2(im, re) * -mu
+    # e**(i*phase) = (1 + i*u)**2/(1 + u**2) with u = tan(phase/2): numpy's
+    # float64 tan is vectorised, and its sin and cos cost 5x as much (AVX-512)
+    u = np.tan(0.5 * (phase - eta * theta))
+    modulus = (reservoir.coupling * reservoir.omega_x) * (r ** (eta / p) * root) ** p
+    modulus /= 1.0 + u * u
+    out = np.empty(np.shape(s), dtype=complex)
+    out.real, out.imag = modulus * (1.0 - u * u), 2.0 * modulus * u
+    return out
 
 
 def golden_rule_rate(reservoir, emitter):

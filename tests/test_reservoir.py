@@ -26,7 +26,7 @@ from fgr.reservoir import (
     ExponentialCutoff,
     NarrowbandReservoir,
     PowerLorentzCutoff,
-    _rsc_complex,
+    _rsc_ray,
     cutoff_constant,
     evaluate_rsc,
     golden_rule_rate,
@@ -121,33 +121,51 @@ def _continued_models():
         BroadbandReservoir(coupling=1e-3, eta=2.0, omega_x=250.0, cutoff=PowerLorentzCutoff(4.0)),
         BroadbandReservoir(coupling=1e-3, eta=1.5, omega_x=250.0, cutoff=heavy),
         NarrowbandReservoir(g=0.7, kappa=0.3, omega_c=5.0),
+        BroadbandReservoir(coupling=1e-3, eta=0.01, omega_x=250.0),
+        BroadbandReservoir(coupling=1e-3, eta=20.5, omega_x=250.0),
+        BroadbandReservoir(coupling=1e-3, eta=150.3, omega_x=250.0),
+        BroadbandReservoir(
+            coupling=1e-3, eta=150.3, omega_x=250.0, cutoff=PowerLorentzCutoff(79.15)
+        ),
     ]
 
 
-class TestContinuedRsc:
-    # the RSC continued to complex omega, which the contour reference
-    # integrates along a ray into the lower half plane
+_CONTINUED_IDS = ["exp", "pl4", "pl1.6", "line", "exp0.01", "exp20.5", "exp150.3", "pl79.15"]
 
-    @pytest.mark.parametrize("index", range(4), ids=["exp", "pl4", "pl1.6", "line"])
+
+class TestContinuedRsc:
+    # the RSC continued to the ray omega = s*e**(-i*theta), along which the
+    # contour reference integrates into the lower half plane; no step of it
+    # warns, even where |x|**eta alone would overflow
+
+    @pytest.mark.parametrize("index", range(8), ids=_CONTINUED_IDS)
     def test_equals_evaluate_rsc_on_the_real_axis(self, index):
         model = _continued_models()[index]
         omega = np.concatenate([[0.0], np.geomspace(1e-12, 1e5, 401)])
-        got = _rsc_complex(model, omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _rsc_ray(model, omega, 0.0)
+            want = evaluate_rsc(model, omega)
         assert np.all(got.imag == 0.0)
-        # to rounding: the continuation takes |x|**eta*|F| as a p-th power
-        np.testing.assert_allclose(got.real, evaluate_rsc(model, omega), rtol=1e-13, atol=0.0)
+        # to rounding: the continuation takes |x|**eta*|F| as a p-th power;
+        # below the normal floats (eta = 150.3 from omega ~ 2), to rounding
+        # of the smallest normal one
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(got.real, want, rtol=1e-13, atol=1e-13 * tiny)
 
-    @pytest.mark.parametrize("index", range(4), ids=["exp", "pl4", "pl1.6", "line"])
+    @pytest.mark.parametrize("index", range(8), ids=_CONTINUED_IDS)
     def test_principal_branch_off_the_axis(self, index):
         # against the same formula in mpmath, whose powers take the
-        # principal branch, on rays down to -pi/4 and at a steeper -1.4
+        # principal branch, at omega = s*e**(-i*theta) on rays down to
+        # theta = pi/4 and at a steeper 1.4
         model = _continued_models()[index]
-        with mp.workdps(30):
-            for arg in (-0.1, -0.5, -math.pi / 4, -1.4):
-                if arg < -math.pi / 4 and not isinstance(model, NarrowbandReservoir):
+        with mp.workdps(30), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for theta in (0.1, 0.5, math.pi / 4, 1.4):
+                if theta > math.pi / 4 and not isinstance(model, NarrowbandReservoir):
                     continue
-                for r in (1e-3, 0.9, 5.0, 300.0, 1e4):
-                    w = mp.mpc(r * math.cos(arg), r * math.sin(arg))
+                for s in (1e-3, 0.9, 5.0, 300.0, 1e4):
+                    w = s * mp.expj(-theta)
                     if isinstance(model, NarrowbandReservoir):
                         d = w - model.omega_c
                         want = model.kappa / mp.pi * model.g**2 / (d * d + model.kappa**2)
@@ -158,8 +176,8 @@ class TestContinuedRsc:
                             want *= mp.exp(-x)
                         else:
                             want *= mp.power(1 + x * x, -model.cutoff.mu)
-                    got = _rsc_complex(model, complex(w))
-                    assert abs(got - complex(want)) <= 1e-13 * abs(complex(want)), (arg, r)
+                    got = complex(_rsc_ray(model, s, theta))
+                    assert abs(got - complex(want)) <= 1e-13 * abs(complex(want)), (theta, s)
 
 
 class TestGoldenRuleRate:
