@@ -21,7 +21,8 @@ Gauss-Jacobi pair that both take on their one panel at a branch point at
 omega = 0 (_gauss_pair), their panel evaluation (_panel_values), the tail
 bounds (_tail_mass, _heavy_tail), the rate floor that the tail is held to
 (_rate_floor), what rounding a line's phase costs (_line_phase_cost), the
-golden rule, the argument checks (_setup) and the stepping of _steps.
+golden rule, the argument checks (_setup) and _steps, which lays out the
+panel edges of any number of stretch sequences in one call.
 """
 
 from __future__ import annotations
@@ -418,33 +419,50 @@ def _tail_bound(reservoir, emitter, t, omega_max):
     return bound
 
 
-def _steps(start, stretches):
-    """Panel edges from start through each stretch (end, step, geometric)
-    in turn: the fewest equal panels at most step wide, or, if geometric,
-    the fewest at equal ratios of at most 10**(1/step), step being panels
-    per decade. Each stretch's end is an edge exactly, and a stretch that
-    ends where the last one did adds none."""
-    edges = [np.array([start])]
-    for end, step, geometric in stretches:
-        if end <= start:
-            continue
-        n = math.log10(end / start) * step if geometric else (end - start) / step
-        n = max(1, math.ceil(n))
-        f = np.arange(1, n + 1) / n
-        part = start * (end / start) ** f if geometric else start + (end - start) * f
-        part[-1] = end
-        edges.append(part)
-        start = end
-    return np.concatenate(edges)
+# k/n for k = 1..n, as np.arange(1, n + 1) / n, for every n up to 64, which
+# takes in each stretch of fig1's and the narrowband curves' layouts; shared,
+# so never written to
+_FRACTIONS = tuple(np.arange(1.0, n + 1.0) / n for n in range(65))
 
 
-def _geom_edges(lo, hi, step):
-    # edges from lo to hi (0 < lo < hi), geometric at _PANELS_PER_DECADE per
-    # decade until a step would pass `step`, then uniform at most that wide
-    if hi <= lo:
-        return np.array([lo, hi])
+def _steps(bounds, step, geometric):
+    """Panel edges of many sequences of stretches in one call: row i of
+    bounds and of step is a sequence, whose stretch j runs from bounds[i][j]
+    to bounds[i][j + 1] in the fewest equal panels at most step[i][j] wide
+    or, where geometric[j], the fewest at equal ratios of at most
+    10**(1/step[i][j]), step being panels per decade. Returns the edges
+    after each row's first bound, flat in row order, and how many each row
+    has. Each stretch's end is an edge exactly, and a stretch that does not
+    end past its start adds none."""
+    parts, counts = [], []
+    for row, widths in zip(bounds, step):
+        count = 0
+        for s, e, h, g in zip(row, row[1:], widths, geometric):
+            if e > s:
+                r = e / s if g else e - s
+                n = max(1, math.ceil(math.log10(r) * h if g else r / h))
+                if n == 1:
+                    parts.append((e,))
+                    count += 1
+                    continue
+                f = _FRACTIONS[n] if n < len(_FRACTIONS) else np.arange(1.0, n + 1.0) / n
+                part = s * r**f if g else s + r * f
+                part[-1] = e
+                parts.append(part)
+                count += n
+        counts.append(count)
+    return (np.concatenate(parts) if parts else np.empty(0)), counts
+
+
+# geometric, then uniform: the two stretches of each run and stub
+_RUN_STRETCHES = (True, False)
+
+
+def _geom_run(lo, hi, step):
+    # a _steps row from lo to hi (0 < lo < hi): geometric at _PANELS_PER_DECADE
+    # per decade until a step would pass `step`, then uniform at most that wide
     top = min(hi, max(lo, step / (10.0 ** (1.0 / _PANELS_PER_DECADE) - 1.0)))
-    return _steps(lo, ((top, _PANELS_PER_DECADE, True), (hi, step, False)))
+    return [lo, top, hi], [_PANELS_PER_DECADE, step]
 
 
 def _branch_at_zero(reservoir):
@@ -483,42 +501,66 @@ def _rsc_cap(reservoir):
     return reservoir.omega_c, 0.6, half, math.inf, half
 
 
+# geometric, uniform, then geometric again: the stretches of the contour
+# reference's ray
+_RAY_STRETCHES = (True, False, True)
+
+# uniform up to lo/alpha, geometric up to hi/alpha, then uniform: the three
+# stretches of each side of a panel that _graded_points cuts
+_CUT_STRETCHES = (False, True, False)
+
+
 def _graded_points(edges, cap):
     """Points that split every panel between the sorted edges wider than
     the width cap (see _rsc_cap) at its point nearest p, in order, with the
-    panel each falls in. A panel splits at p, and each side of it at
-    distances d from p that step by at most lo up to lo/alpha, by ratios of
-    at most 1 + alpha up to hi/alpha, then by at most hi: each part meets
-    the cap at its near end, and none is a sliver. With lo = 0 no width
-    meets the cap at p, so a side that reaches p starts with a part `at`
-    wide. A layout has few such panels, so each is cut on its own."""
+    panel each falls in, as two lists. A panel splits at p, and each side of
+    it at distances d from p that step by at most lo up to lo/alpha, by
+    ratios of at most 1 + alpha up to hi/alpha, then by at most hi: each
+    part meets the cap at its near end, and none is a sliver. With lo = 0 no
+    width meets the cap at p, so a side that reaches p starts with a part
+    `at` wide. The sides of all panels take one _steps call."""
     p, alpha, lo, hi, at = cap
-
-    def cuts(d0, d3):
-        # the distances from p that cut [d0, d3] on one side of it, ascending
-        start = at if d0 == 0.0 and lo == 0.0 else d0
-        d1 = min(max(lo / alpha, start), d3)
-        d2 = min(max(hi / alpha, d1), d3)
-        per_decade = 1.0 / math.log10(1.0 + alpha)
-        stretches = ((d1, lo, False), (d2, per_decade, True), (d3, hi, False))
-        edges = _steps(start, stretches)
-        # d0 and d3 are p or the panel's ends, and `at` a cut
-        return edges[1:-1] if start == d0 else edges[:-1]
-
     a, b = edges[:-1], edges[1:]
-    near = np.maximum(0.0, np.maximum(a - p, p - b))
-    limit = np.clip(alpha * near, lo, hi)
-    limit[near == 0.0] = at
+    # the clip to [lo, hi] in the ops that change it: no edge lies below
+    # p = 0, and at differs from lo only where lo = 0 < hi
+    near = np.maximum(a - p, p - b) if p else a
+    limit = lo if lo == hi else alpha * near
+    if lo < hi:
+        limit = np.maximum(limit, lo) if lo else limit
+        limit = np.minimum(limit, hi) if hi < math.inf else limit
+    if at != lo:
+        limit[near <= 0.0] = at
     wide = np.nonzero(b - a > limit)[0]
     if not wide.size:
-        return edges[:0], wide
-    points = [edges[:0]]
-    for ai, bi in zip(a[wide].tolist(), b[wide].tolist()):
-        left = p - cuts(max(0.0, p - bi), p - ai)[::-1] if ai < p else []
-        right = p + cuts(max(0.0, ai - p), bi - p) if bi > p else []
-        points.append(np.concatenate([left, [p] if ai < p < bi else [], right]))
-    counts = [x.size for x in points[1:]]
-    return np.concatenate(points), np.repeat(wide, counts)
+        return [], []
+    # each side of a panel as a row [d0, d1, d2, d3] of distances from p,
+    # d0 and d3 being p or the panel's ends; with lo = 0 the first stretch
+    # is the part `at` wide, or none
+    rows, sides, e = [], [], edges.tolist()
+    for i in wide.tolist():
+        ai, bi = e[i], e[i + 1]
+        for sign, d0, d3 in ((-1.0, p - bi, p - ai), (1.0, ai - p, bi - p)):
+            if d3 > 0.0:
+                d0 = max(0.0, d0)
+                start = at if d0 == 0.0 and lo == 0.0 else d0
+                d1 = min(max(lo / alpha, start), d3)
+                rows.append((d0, d1, min(max(hi / alpha, d1), d3), d3))
+                sides.append((i, sign))
+    step = (lo or math.inf, 1.0 / math.log10(1.0 + alpha), hi)
+    dist, counts = _steps(rows, [step] * len(rows), _CUT_STRETCHES)
+    # the edges of a side but its last are its cuts, a left side's reversed,
+    # and p itself where a panel holds it
+    dist, points, into, j = dist.tolist(), [], [], 0
+    for k, ((i, sign), c) in enumerate(zip(sides, counts)):
+        cuts = dist[j : j + c - 1]
+        if sign < 0.0:
+            cuts = [p - d for d in cuts[::-1]]
+        else:
+            cuts = ([p] if k and sides[k - 1][0] == i else []) + [p + d for d in cuts]
+        points += cuts
+        into += [i] * len(cuts)
+        j += c
+    return points, into
 
 
 def _phase_omega(w0, t, m, u):
@@ -659,72 +701,97 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
     width = _rsc_cap(reservoir)
     step = width[3]
     stub_step = min(step, _PHASE_CAP / t)
-    # the frequency edges of each part but its last, its kind and half-lobes
-    parts = []
-
-    def add(kind, edges, m=None):
-        n = edges.size - 1
-        m = np.zeros(n, dtype=int) if m is None else m
-        parts.append((edges[:-1], np.full(n, kind), m))
-        return edges[-1]
 
     def zero(k):
         # the half-lobe edge arithmetic, so that runs meet blocks exactly
         return _phase_omega(w0, t, 2 * k, 0.0)
 
+    # the parts left to right: (kind, m0, m1) for the half-lobes m0 to m1 - 1
+    # of a block, or (kind, side, end) for a row of `rows`, which _steps lays
+    # out: an envelope run in the distance from w0 on its side -1 or 1, or a
+    # profile stub (side 0) in omega
+    parts, rows = [], []
+
     def add_run(lo, hi):
         # envelope run from lo to hi, geometric in the distance from w0
-        if lo < w0:
-            edges = (w0 - _geom_edges(w0 - hi, w0 - lo, step))[::-1]
-        else:
-            edges = w0 + _geom_edges(lo - w0, hi - w0, step)
-        edges[0], edges[-1] = lo, hi
-        return add(_SMOOTH, edges)
+        rows.append(_geom_run(w0 - hi, w0 - lo, step) if lo < w0 else _geom_run(lo - w0, hi - w0, step))
+        parts.append((_SMOOTH, -1.0 if lo < w0 else 1.0, hi))
 
     # the first block starts at the zero -k_left; where that zero is a branch
     # point at omega = 0, its first half-lobe is the stub instead, so that
     # the Gauss-Jacobi pair, which profile panels alone take, covers it
-    skip = 0
-    z_left = zero(-k_left)
-    if z_left == 0.0 and _branch_at_zero(reservoir):
-        skip = 1
-        z_left = _phase_omega(w0, t, 1 - 2 * k_left, 0.0)
+    skip = int(zero(-k_left) == 0.0 and _branch_at_zero(reservoir))
+    z_left = _phase_omega(w0, t, skip - 2 * k_left, 0.0)
     if z_left > 0.0:
-        add(_PROFILE, _steps(0.0, ((z_left, stub_step, False),)))
+        rows.append(([0.0, 0.0, z_left], [_PANELS_PER_DECADE, stub_step]))
+        parts.append((_PROFILE, 0.0, z_left))
     for i, (lo, hi) in enumerate(merged):
         if i:
             add_run(zero(merged[i - 1][1]), zero(lo))
-        m = np.arange(2 * lo + (0 if i else skip), 2 * hi + 1)
-        end = add(_PHASE, _phase_omega(w0, t, m, 0.0), m[:-1])
+        parts.append((_PHASE, 2 * lo + (0 if i else skip), 2 * hi))
+    end = zero(merged[-1][1])
     if merged[-1][1] < k_right:
-        end = add_run(end, omega_max)
+        add_run(end, omega_max)
     elif end < omega_max:
-        end = add(_PROFILE, _geom_edges(end, omega_max, stub_step))
-    edges, kind, m = (np.concatenate(arrays) for arrays in zip(*parts))
-    edges = np.append(edges, end)
+        rows.append(_geom_run(end, omega_max, stub_step))
+        parts.append((_PROFILE, 0.0, omega_max))
 
+    # each part's edges after its first, kind and half-lobes, by slices
+    points, counts = _steps(*zip(*rows), _RUN_STRETCHES) if rows else (None, ())
+    counts = iter(counts)
+    sizes = [y - x if k == _PHASE else next(counts) for k, x, y in parts]
+    n = sum(sizes)
+    edges, kind, m = np.empty(n + 1), np.empty(n, dtype=int), np.zeros(n, dtype=int)
+    edges[0] = 0.0
+    blocks, i, j = [], 0, 0  # (first panel, end panel, first half-lobe)
+    for (k, x, y), size in zip(parts, sizes):
+        kind[i : i + size] = k
+        if k == _PHASE:
+            # _phase_omega at u = 0, whose + 0.0 changes no edge
+            lobes = np.arange(x, y + 1)
+            edges[i : i + size + 1] = w0 + (math.pi / t) * lobes
+            m[i : i + size] = lobes[:-1]
+            blocks.append((i, i + size, x))
+        else:
+            inner, out = points[j : j + size - 1], edges[i + 1 : i + size]
+            if x > 0.0:
+                np.add(w0, inner, out=out)
+            elif x < 0.0:
+                np.subtract(w0, inner[::-1], out=out)
+            else:
+                out[:] = inner
+            edges[i + size] = y
+            j += size
+        i += size
     a, b = edges[:-1].copy(), edges[1:].copy()
-    phase = kind == _PHASE
-    a[phase], b[phase] = 0.0, _HALF_PI
-    points, into = _graded_points(edges, width)
-    if not points.size:
-        return a, b, m, kind
+    for first, last, _ in blocks:
+        a[first:last], b[first:last] = 0.0, _HALF_PI
+
     # a point in a half-lobe splits it at its local phase, unless that lies
     # within rounding of the half-lobe's edges
-    local = points.copy()
-    lobe = phase[into]
-    mp = m[into[lobe]]
-    local[lobe] = (points[lobe] - _phase_omega(w0, t, mp, 0.0)) * (0.5 * t)
-    fuzz = 2.0 * _EPS * (w0 * t + math.pi * np.abs(mp))
-    keep = np.ones(points.size, dtype=bool)
-    keep[lobe] = (local[lobe] > fuzz) & (local[lobe] < _HALF_PI - fuzz)
-    local, into = local[keep], into[keep]
+    local, owner = [], []
+    for x, i in zip(*_graded_points(edges, width)):
+        for first, last, lobe in blocks:
+            if first <= i < last:
+                lobe += i - first
+                x = (x - _phase_omega(w0, t, lobe, 0.0)) * (0.5 * t)
+                fuzz = 2.0 * _EPS * (w0 * t + math.pi * abs(lobe))
+                keep = fuzz < x < _HALF_PI - fuzz
+                break
+        else:
+            keep = True
+        if keep:
+            local.append(x)
+            owner.append(i)
+    if not owner:
+        return a, b, m, kind
     # each point ends one part of its panel and starts the next
-    src = np.repeat(np.arange(kind.size), np.bincount(into, minlength=kind.size) + 1)
-    at = into + np.arange(1, into.size + 1)
-    a, b = a[src], b[src]
+    owner = np.array(owner)
+    repeats = np.bincount(owner, minlength=n) + 1
+    at = owner + np.arange(1, owner.size + 1)
+    a, b = np.repeat(a, repeats), np.repeat(b, repeats)
     a[at], b[at - 1] = local, local
-    return a, b, m[src], kind[src]
+    return a, b, np.repeat(m, repeats), np.repeat(kind, repeats)
 
 
 def _panel_values(f, a, b, head=None):
@@ -1167,7 +1234,8 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
         end, tail, decades = _ray_end(reservoir, emitter, t, theta, envelope, limit)
         a = min(max(cap / (10.0 ** (1.0 / n) - 1.0), lo), end)
         b = min(max(zone, a), end)
-        edges = np.append(0.0, _steps(lo, ((a, n, True), (b, cap, False), (end, n, True))))
+        grid = _steps([(lo, a, b, end)], [(n, cap, n)], _RAY_STRETCHES)[0]
+        edges = np.concatenate(([0.0, lo], grid))
 
         def f(s):
             if end not in rscs:

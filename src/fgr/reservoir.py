@@ -269,7 +269,10 @@ def evaluate_rsc(reservoir, omega):
     """
     # a scalar as a float64, which rounds as an array does at a tenth of the cost
     w = np.float64(omega) if isinstance(omega, numbers.Real) else np.asarray(omega, dtype=float)
-    if w.min(initial=0.0) < 0.0:
+    # a 0-d input's bounds by comparison and max(), at a tenth of the cost
+    # of the reductions
+    scalar = w.ndim == 0
+    if (w < 0.0) if scalar else (w.min(initial=0.0) < 0.0):
         raise ValueError("omega must be >= 0")
     if isinstance(reservoir, BroadbandReservoir):
         x = w / reservoir.omega_x
@@ -277,7 +280,8 @@ def evaluate_rsc(reservoir, omega):
         eta = reservoir.eta
         # coupling * omega * (omega/omega_x)**(eta-1) rewritten with a single
         # power so that eta < 1 stays finite at omega = 0
-        if eta * math.log(x.max(initial=1.0)) + math.log(max(scale, 1.0)) < _LOG_HUGE:
+        top = max(float(x), 1.0) if scalar else x.max(initial=1.0)
+        if eta * math.log(top) + math.log(max(scale, 1.0)) < _LOG_HUGE:
             out = scale * x**eta * reservoir.cutoff.profile(x)
         else:
             # scale * x**eta may overflow (for the exponential cutoff at
@@ -293,7 +297,7 @@ def evaluate_rsc(reservoir, omega):
         out = _line_shape(reservoir, w - reservoir.omega_c)
     else:
         raise TypeError(f"unsupported reservoir type: {type(reservoir).__name__}")
-    if w.ndim == 0:
+    if scalar:
         return float(out)
     return out
 

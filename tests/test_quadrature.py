@@ -492,10 +492,19 @@ class TestPanels:
             self.check_tiling(model, em, t, omega_max, cap)
 
     def check_tiling(self, model, em, t, omega_max, cap):
-        a, b, m, kind = _build_panels(model, em, t, omega_max, cap)
+        layout = _build_panels(model, em, t, omega_max, cap)
+        a, b, phase = self.check_layout(model, em, t, omega_max, layout)
+        assert phase.any()
+        if isinstance(model, NarrowbandReservoir):
+            # the line centre lies inside a phase block
+            assert np.any(phase & (a <= model.omega_c) & (b >= model.omega_c))
+
+    def check_layout(self, model, em, t, omega_max, layout):
+        # the tiling, width caps and run ends of a layout; returns its
+        # panels' frequency edges and which are half-lobes
+        a, b, m, kind = layout
         # phase panels carry local phase edges; compare them as frequencies
         phase = kind == _PHASE
-        assert phase.any()
         width = np.where(phase, (b - a) * (2.0 / t), b - a)
         a = np.where(phase, _phase_omega(em.omega0, t, m, a), a)
         b = np.where(phase, _phase_omega(em.omega0, t, m, b), b)
@@ -514,9 +523,7 @@ class TestPanels:
         ends = ends[ends != omega_max]
         k = np.round((ends - em.omega0) * t / (2.0 * math.pi))
         assert np.array_equal(ends, _phase_omega(em.omega0, t, 2 * k, 0.0))
-        if isinstance(model, NarrowbandReservoir):
-            # the line centre lies inside a phase block
-            assert np.any(phase & (a <= model.omega_c) & (b >= model.omega_c))
+        return a, b, phase
 
     def check_caps(self, model, em, t, a, b, width, kind):
         # Each panel [a, b] is at most clip(alpha*d, lo, hi) wide, d the
@@ -531,6 +538,36 @@ class TestPanels:
         assert np.all(width <= cap * (1.0 + 1e-12) + slack)
         profile = kind == _PROFILE
         assert np.all(width[profile] <= _PHASE_CAP / t * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("grid", ["fig1", "narrowband"])
+    def test_curve_layouts(self, grid, monkeypatch):
+        # the checks above on every layout that each point of a curve grid
+        # takes: fig1's default grid, or the eight narrowband onset curves
+        # (Q = 1, 10, 100 and 1000 resonant, Q = 10 detuned by 0.4, 1, 2 and
+        # 5 kappa) at kappa*t from 1e-3 to 1e3, 16 points a decade
+        if grid == "fig1":
+            times = TimeGridSpec(1e-4, 1e5, 16).times()
+            points = [(bb(eta), EM, t) for eta in _FIG1_ETAS for t in times]
+        else:
+            points = []
+            for q, d in [(1.0, 0.0), (10.0, 0.0), (100.0, 0.0), (1000.0, 0.0),
+                         (10.0, 0.4), (10.0, 1.0), (10.0, 2.0), (10.0, 5.0)]:
+                kappa = 0.5 / q
+                model = NarrowbandReservoir(g=1e-3, kappa=kappa, omega_c=1.0)
+                times = TimeGridSpec(1e-3 / kappa, 1e3 / kappa, 16).times()
+                points += [(model, EmitterSpec(1.0 + d * kappa), t) for t in times]
+        layouts, build = [], quadrature._build_panels
+
+        def record(*args):
+            layouts.append((args, build(*args)))
+            return layouts[-1][1]
+
+        monkeypatch.setattr(quadrature, "_build_panels", record)
+        for model, em, t in points:
+            _outcome(model, em, float(t), CFG)
+        assert len(layouts) >= len(points)
+        for (model, em, t, omega_max, _), layout in layouts:
+            self.check_layout(model, em, t, omega_max, layout)
 
     def test_fractional_early_point_stays_small(self):
         # Cutting a too-wide panel into equal parts gives all of it the cap
@@ -554,21 +591,27 @@ class TestPanels:
 
 
 def _stepping_cases():
-    # callers of quadrature._steps, by name: the profile stub from 1e-9*z
-    # to the first zero z left of omega0 at omega0*t = 10, and an envelope
-    # run from the cap-32 block's edge to omega_max there, which turns
-    # uniform at the 2*omega_x cap; the cuts of a half-lobe on both sides
-    # of p, under a made-up cap with all three stretches (no model's has:
-    # a line's and the power-Lorentz h_hi is inf, and an exponential h_lo
-    # is 0 or alpha is 1); and every grid of the contour reference's ray
-    # at two points
+    # callers of quadrature._steps, by name: the profile stub the builder
+    # lays out from 0 to the first zero z left of omega0 at omega0*t = 10,
+    # one uniform stretch; an envelope run from the cap-32 block's edge to
+    # omega_max there, which turns uniform at the 2*omega_x cap; the layout
+    # of that point, whose stub and runs take one call; the cuts of a
+    # half-lobe on both sides of p, under a made-up cap with all three
+    # stretches (no model's has: a line's and the power-Lorentz h_hi is inf,
+    # and an exponential h_lo is 0 or alpha is 1); and every grid of the
+    # contour reference's ray at two points
     t = 10.0
     z = _phase_omega(1.0, t, -2, 0.0)
+    step = min(500.0, _PHASE_CAP / t)
     edge = _phase_omega(1.0, t, 64, 0.0)
-    run = (edge - 1.0, truncation_frequency(bb(1.0), EM, t, CFG) - 1.0)
+    omega_max = truncation_frequency(bb(1.0), EM, t, CFG)
+    run = quadrature._geom_run(edge - 1.0, omega_max - 1.0, 500.0)
     return {
-        "stub": lambda: quadrature._geom_edges(1e-9 * z, z, min(500.0, _PHASE_CAP / t)),
-        "run-to-uniform": lambda: quadrature._geom_edges(*run, 500.0),
+        "stub": lambda: quadrature._steps(
+            [(0.0, 0.0, z)], [(quadrature._PANELS_PER_DECADE, step)], quadrature._RUN_STRETCHES
+        ),
+        "run-to-uniform": lambda: quadrature._steps([run[0]], [run[1]], quadrature._RUN_STRETCHES),
+        "layout": lambda: _build_panels(bb(1.0), EM, t, omega_max, _CAPS[0]),
         "side-cuts": lambda: quadrature._graded_points(
             np.array([0.0, 30.0]), (10.0, 0.5, 0.1, 2.0, 0.1)
         ),
@@ -582,45 +625,52 @@ STEPPING_CASES = _stepping_cases()
 
 @pytest.mark.parametrize("case", list(STEPPING_CASES))
 def test_stepping_contract(case, monkeypatch):
-    # Every stretch (end, step, geometric) of a _steps call ends on an edge
+    # Every stretch of every sequence of a _steps call (the bounds[i][j] to
+    # bounds[i][j + 1] of row i, step[i][j], geometric[j]) ends on an edge
     # exactly and takes the fewest panels that keep it within its bound:
     # equal steps at most step wide, or equal ratios at most 10**(1/step).
     calls = []
     steps = quadrature._steps
 
-    def spy(start, stretches):
-        edges = steps(start, stretches)
-        calls.append((start, stretches, edges))
-        return edges
+    def spy(bounds, step, geometric):
+        edges, counts = steps(bounds, step, geometric)
+        calls.append((bounds, step, geometric, edges, counts))
+        return edges, counts
 
     monkeypatch.setattr(quadrature, "_steps", spy)
     STEPPING_CASES[case]()
     assert calls
     kinds = set()
-    for start, stretches, edges in calls:
-        assert edges[0] == start and np.all(np.diff(edges) > 0.0)
-        i = 0
-        for end, step, geometric in stretches:
-            if end <= edges[i]:
-                continue
-            j = int(np.searchsorted(edges, end))
-            assert edges[j] == end
-            part, n = edges[i : j + 1], j - i
-            if geometric:
-                bound, ratios = 10.0 ** (1.0 / step), part[1:] / part[:-1]
-                np.testing.assert_allclose(ratios, (end / part[0]) ** (1.0 / n), rtol=1e-12)
-                assert np.all(ratios <= bound * (1.0 + 1e-14))
-                assert n == 1 or (end / part[0]) ** (1.0 / (n - 1)) > bound
-            else:
-                widths = np.diff(part)
-                np.testing.assert_allclose(widths, (end - part[0]) / n, rtol=1e-10)
-                assert np.all(widths <= step * (1.0 + 1e-12))
-                assert n == 1 or (end - part[0]) / (n - 1) > step
-            kinds.add(geometric)
-            i = j
-        assert i == edges.size - 1 and edges[-1] == max(start, stretches[-1][0])
-    # every case but the stub has uniform and geometric stretches
-    assert kinds == ({True} if case == "stub" else {True, False})
+    for bounds, step, geometric, flat, counts in calls:
+        assert len(counts) == len(bounds) and sum(counts) == flat.size
+        ends = np.cumsum(counts)
+        for row, widths, count, last in zip(bounds, step, counts, ends):
+            # the row's edges, its first bound before them
+            edges = np.append(row[0], flat[last - count : last])
+            assert np.all(np.diff(edges) > 0.0)
+            i = 0
+            for start, end, h, g in zip(row, row[1:], widths, geometric):
+                if end <= edges[i]:
+                    continue
+                j = int(np.searchsorted(edges, end))
+                assert edges[i] == start and edges[j] == end
+                part, n = edges[i : j + 1], j - i
+                if g:
+                    bound, ratios = 10.0 ** (1.0 / h), part[1:] / part[:-1]
+                    np.testing.assert_allclose(ratios, (end / part[0]) ** (1.0 / n), rtol=1e-12)
+                    assert np.all(ratios <= bound * (1.0 + 1e-14))
+                    assert n == 1 or (end / part[0]) ** (1.0 / (n - 1)) > bound
+                else:
+                    widths_ = np.diff(part)
+                    np.testing.assert_allclose(widths_, (end - part[0]) / n, rtol=1e-10)
+                    assert np.all(widths_ <= h * (1.0 + 1e-12))
+                    assert n == 1 or (end - part[0]) / (n - 1) > h
+                kinds.add(g)
+                i = j
+            assert i == edges.size - 1 and edges[-1] == max(row[0], row[-1])
+    # the stub is one uniform stretch; every other case has uniform and
+    # geometric stretches
+    assert kinds == ({False} if case == "stub" else {True, False})
 
 
 class TestFarField:
@@ -1259,6 +1309,23 @@ def test_large_eta_is_sized_by_the_off_resonant_rate(eta, w0t, rel_tol):
     assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
 
 
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("omega_x", [250.0, 10.0])
+@pytest.mark.parametrize("eta", [20.5, 100.0, 150.3])
+def test_large_eta_late_times(eta, omega_x, rel_tol):
+    # The contour reference rounds its phase t*(omega0 - s*cos(theta)) to
+    # eps*omega0*t absolute, which the 8 ulps of its kernel's rounding term
+    # do not scale with, and theta is smallest at large eta. At omega0*t up
+    # to 1e4 both integrators still converge and agree within their summed
+    # estimates (at most 0.11 of them, at eta = 150.3).
+    cfg = QuadratureConfig(rel_tol=rel_tol)
+    model = bb(eta, omega_x=omega_x)
+    for w0t in (1e2, 1e3, 1e4):
+        res = decay_rate_numeric(model, EM, w0t, cfg)
+        ref = decay_rate_numeric_oracle(model, EM, w0t, cfg)
+        assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
 def _oracle_outcome(model, em, t, cfg):
     # the reference's result and whether it converged
     try:
@@ -1372,14 +1439,17 @@ def _deep_stub(monkeypatch):
     # the stub [0, z] below the first kernel zero graded over 9 decades
     # toward omega = 0 whatever the model, and integrated by Gauss-Legendre
     # alone: the layouts and rules the tests below compare with. The stub is
-    # the one uniform stretch that _build_panels lays from 0 with _steps.
+    # the row of _build_panels' _steps call that starts at 0, one uniform
+    # stretch, always its first.
     steps = quadrature._steps
 
-    def stub(start, stretches):
-        if start == 0.0 and len(stretches) == 1:
-            ((z, step, _),) = stretches
-            return np.append(0.0, quadrature._geom_edges(1e-9 * z, z, step))
-        return steps(start, stretches)
+    def stub(bounds, step, geometric):
+        if geometric != quadrature._RUN_STRETCHES or bounds[0][0] != 0.0:
+            return steps(bounds, step, geometric)
+        z = bounds[0][-1]
+        deep = quadrature._geom_run(1e-9 * z, z, step[0][-1])
+        edges, counts = steps([deep[0], *bounds[1:]], [deep[1], *step[1:]], geometric)
+        return np.append(1e-9 * z, edges), [counts[0] + 1, *counts[1:]]
 
     monkeypatch.setattr(quadrature, "_steps", stub)
     monkeypatch.setattr(quadrature, "_gauss_pair", lambda eta: quadrature._GL_PAIR)

@@ -56,7 +56,7 @@ class TestRecordBench:
         last = json.dumps({"correct": True, "attempted": 9, "failed": 0,
                            "metrics": dict(reported, extra={"value": 1.0, "unit": "s"})})
         got, correct = bench.parse_run_py('{"meta": 1}\n' + last + "\n")
-        assert got == metrics and correct is True
+        assert got == dict(metrics, attempted=9) and correct is True
 
     def test_summarise_workload_in_bench_schema(self):
         bench = load_tool("record_bench")
@@ -84,3 +84,12 @@ class TestRecordBench:
         assert got["parent_median"] == 11.0 and got["change_median"] == 61.0
         assert got["parent_iqr"] == 3.0  # quartiles 9.5 and 12.5
         assert got["pairs_won"] == "4/5"
+
+    def test_rss_per_thousand_attempted(self):
+        bench = load_tool("record_bench")
+        per_seed = {
+            "parent": {"peak_rss_mb": [50.0, 60.0, 70.0], "attempted": [1000, 2000, 4000]},
+            "change": {"peak_rss_mb": [55.0, 66.0, 77.0], "attempted": [1100, 2200, 4400]},
+        }
+        got = bench.rss_per_thousand(per_seed)
+        assert got == {"parent": 30.0, "change": 30.0}  # medians of 50, 30, 17.5

@@ -13,10 +13,11 @@ commands, alternating which side goes first:
 - ``benchmark/run.py --workload W --seed S --seconds N`` of the side's own
   checkout, once per workload and seed (default seeds 1-5, 20 s).
 
-The file holds the medians and every run, in the layout of BENCH_11.json.
-The claim, if one is named with ``--claim WORKLOAD:METRIC``, gives both
-medians, the parent's quartile spread and the seeds on which the change
-beats the parent. ``--scratch`` holds the parent's tree and the fig1
+The file holds the medians and every run, in the layout of BENCH_11.json,
+with each run's count of attempted operations beside its metrics. The
+claim, if one is named with ``--claim WORKLOAD:METRIC``, gives both
+medians, the parent's quartile spread, the seeds on which the change beats
+the parent, and each side's peak_rss_mb per 1,000 attempted operations. ``--scratch`` holds the parent's tree and the fig1
 outputs; without it they go to a temporary directory that is removed at
 the end.
 """
@@ -44,6 +45,9 @@ RUN_PY_METRICS = (
     "peak_rss_mb",
     "success_frac",
 )
+# kept beside the metrics of each run: the operations the run attempted,
+# which the harness keeps a record of each (see rss_per_thousand)
+RUN_PY_COUNTS = ("attempted",)
 # which way is better for each run.py metric (see BENCHMARK.json)
 HIGHER_IS_BETTER = {"points_per_s", "success_frac"}
 WORKLOADS = ("fig1_broadband", "narrowband_onset", "verify_hard")
@@ -61,12 +65,14 @@ def side_order(i):
 
 
 def parse_run_py(stdout):
-    """The metrics dict and ``correct`` flag from run.py's last output line."""
+    """The metrics dict, with the counts of RUN_PY_COUNTS beside them, and
+    the ``correct`` flag from run.py's last output line."""
     lines = [line for line in stdout.splitlines() if line.strip()]
     if not lines:
         raise ValueError("run.py printed nothing")
     doc = json.loads(lines[-1])
     metrics = {name: doc["metrics"][name]["value"] for name in RUN_PY_METRICS}
+    metrics.update((name, doc[name]) for name in RUN_PY_COUNTS)
     return metrics, bool(doc["correct"])
 
 
@@ -105,6 +111,20 @@ def claim_summary(workload, metric, parent, change):
         "change_median": round(statistics.median(change), 4),
         "parent_iqr": round(q3 - q1, 4),
         "pairs_won": f"{pairs_won(parent, change, metric)}/{len(parent)}",
+    }
+
+
+def rss_per_thousand(per_seed):
+    """{side: the median over its runs of peak_rss_mb per 1,000 attempted
+    operations} from {side: {name: [per seed]}}. The harness keeps a record
+    of every operation it attempts, so this tells its records' share of
+    peak RSS from the program's own."""
+    return {
+        side: round(statistics.median(
+            1000.0 * rss / attempted
+            for rss, attempted in zip(per_seed[side]["peak_rss_mb"], per_seed[side]["attempted"])
+        ), 4)
+        for side in SIDES
     }
 
 
@@ -153,7 +173,8 @@ def run_py(roots, seeds, seconds):
     """{workload: (per_seed, correct)} over the seeds, alternating sides."""
     out = {}
     for workload in WORKLOADS:
-        per_seed = {side: {name: [] for name in RUN_PY_METRICS} for side in SIDES}
+        per_seed = {side: {name: [] for name in RUN_PY_METRICS + RUN_PY_COUNTS}
+                    for side in SIDES}
         correct = {side: [] for side in SIDES}
         for i, seed in enumerate(seeds):
             for side in side_order(i):
@@ -161,8 +182,8 @@ def run_py(roots, seeds, seconds):
                        "--seed", str(seed), "--seconds", str(seconds)]
                 _, stdout = _timed(cmd, roots[side], dict(os.environ))
                 metrics, ok = parse_run_py(stdout)
-                for name in RUN_PY_METRICS:
-                    per_seed[side][name].append(metrics[name])
+                for name, value in metrics.items():
+                    per_seed[side][name].append(value)
                 correct[side].append(ok)
                 print(f"  {side} {workload} seed {seed}: "
                       f"{metrics['points_per_s']:.1f} points/s", flush=True)
@@ -257,6 +278,7 @@ def main(argv=None):
         per_seed = workloads[workload][0]
         doc["claim"] = claim_summary(workload, metric, per_seed["parent"][metric],
                                      per_seed["change"][metric])
+        doc["claim"]["peak_rss_mb_per_1000_attempted"] = rss_per_thousand(per_seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
