@@ -419,9 +419,9 @@ def _tail_bound(reservoir, emitter, t, omega_max):
     return bound
 
 
-# k/n for k = 1..n, as np.arange(1, n + 1) / n, for every n up to 64, which
-# takes in each stretch of fig1's and the narrowband curves' layouts; shared,
-# so never written to
+# k/n for k = 1..n, as np.arange(1, n + 1) / n, for n up to 64: no stretch
+# of fig1's or the narrowband curves' layouts is longer. Shared, so never
+# written to.
 _FRACTIONS = tuple(np.arange(1.0, n + 1.0) / n for n in range(65))
 
 
@@ -441,10 +441,6 @@ def _steps(bounds, step, geometric):
             if e > s:
                 r = e / s if g else e - s
                 n = max(1, math.ceil(math.log10(r) * h if g else r / h))
-                if n == 1:
-                    parts.append((e,))
-                    count += 1
-                    continue
                 f = _FRACTIONS[n] if n < len(_FRACTIONS) else np.arange(1.0, n + 1.0) / n
                 part = s * r**f if g else s + r * f
                 part[-1] = e
@@ -501,19 +497,10 @@ def _rsc_cap(reservoir):
     return reservoir.omega_c, 0.6, half, math.inf, half
 
 
-# geometric, uniform, then geometric again: the stretches of the contour
-# reference's ray
-_RAY_STRETCHES = (True, False, True)
-
-# uniform up to lo/alpha, geometric up to hi/alpha, then uniform: the three
-# stretches of each side of a panel that _graded_points cuts
-_CUT_STRETCHES = (False, True, False)
-
-
 def _graded_points(edges, cap):
-    """Points that split every panel between the sorted edges wider than
-    the width cap (see _rsc_cap) at its point nearest p, in order, with the
-    panel each falls in, as two lists. A panel splits at p, and each side of
+    """The points that split each panel between the sorted edges wider than
+    the width cap (see _rsc_cap) at its point nearest p: (panel, ascending
+    points) pairs, in panel order. A panel splits at p, and each side of
     it at distances d from p that step by at most lo up to lo/alpha, by
     ratios of at most 1 + alpha up to hi/alpha, then by at most hi: each
     part meets the cap at its near end, and none is a sliver. With lo = 0 no
@@ -532,7 +519,7 @@ def _graded_points(edges, cap):
         limit[near <= 0.0] = at
     wide = np.nonzero(b - a > limit)[0]
     if not wide.size:
-        return [], []
+        return []
     # each side of a panel as a row [d0, d1, d2, d3] of distances from p,
     # d0 and d3 being p or the panel's ends; with lo = 0 the first stretch
     # is the part `at` wide, or none
@@ -546,21 +533,22 @@ def _graded_points(edges, cap):
                 d1 = min(max(lo / alpha, start), d3)
                 rows.append((d0, d1, min(max(hi / alpha, d1), d3), d3))
                 sides.append((i, sign))
+    # uniform up to lo/alpha, geometric up to hi/alpha, then uniform
     step = (lo or math.inf, 1.0 / math.log10(1.0 + alpha), hi)
-    dist, counts = _steps(rows, [step] * len(rows), _CUT_STRETCHES)
+    dist, counts = _steps(rows, [step] * len(rows), (False, True, False))
     # the edges of a side but its last are its cuts, a left side's reversed,
     # and p itself where a panel holds it
-    dist, points, into, j = dist.tolist(), [], [], 0
+    dist, groups, j = dist.tolist(), [], 0
     for k, ((i, sign), c) in enumerate(zip(sides, counts)):
         cuts = dist[j : j + c - 1]
-        if sign < 0.0:
-            cuts = [p - d for d in cuts[::-1]]
-        else:
-            cuts = ([p] if k and sides[k - 1][0] == i else []) + [p + d for d in cuts]
-        points += cuts
-        into += [i] * len(cuts)
         j += c
-    return points, into
+        if sign < 0.0:
+            groups.append((i, [p - d for d in cuts[::-1]]))
+        elif k and sides[k - 1][0] == i:
+            groups[-1][1].extend([p] + [p + d for d in cuts])
+        else:
+            groups.append((i, [p + d for d in cuts]))
+    return groups
 
 
 def _phase_omega(w0, t, m, u):
@@ -743,7 +731,7 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
     n = sum(sizes)
     edges, kind, m = np.empty(n + 1), np.empty(n, dtype=int), np.zeros(n, dtype=int)
     edges[0] = 0.0
-    blocks, i, j = [], 0, 0  # (first panel, end panel, first half-lobe)
+    spans, i, j = [], 0, 0  # each block's first and end panel, first half-lobe
     for (k, x, y), size in zip(parts, sizes):
         kind[i : i + size] = k
         if k == _PHASE:
@@ -751,8 +739,10 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
             lobes = np.arange(x, y + 1)
             edges[i : i + size + 1] = w0 + (math.pi / t) * lobes
             m[i : i + size] = lobes[:-1]
-            blocks.append((i, i + size, x))
+            spans.append((i, i + size, x))
         else:
+            # the row's edges but its last in omega, a left run's reversed,
+            # then the part's end exactly
             inner, out = points[j : j + size - 1], edges[i + 1 : i + size]
             if x > 0.0:
                 np.add(w0, inner, out=out)
@@ -764,31 +754,28 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
             j += size
         i += size
     a, b = edges[:-1].copy(), edges[1:].copy()
-    for first, last, _ in blocks:
+    for first, last, _ in spans:
         a[first:last], b[first:last] = 0.0, _HALF_PI
 
     # a point in a half-lobe splits it at its local phase, unless that lies
     # within rounding of the half-lobe's edges
-    local, owner = [], []
-    for x, i in zip(*_graded_points(edges, width)):
-        for first, last, lobe in blocks:
+    local, owner, at = [], [], []
+    for i, cuts in _graded_points(edges, width):
+        for first, last, lobe in spans:
             if first <= i < last:
                 lobe += i - first
-                x = (x - _phase_omega(w0, t, lobe, 0.0)) * (0.5 * t)
+                origin = _phase_omega(w0, t, lobe, 0.0)
                 fuzz = 2.0 * _EPS * (w0 * t + math.pi * abs(lobe))
-                keep = fuzz < x < _HALF_PI - fuzz
+                cuts = [(x - origin) * (0.5 * t) for x in cuts]
+                cuts = [u for u in cuts if fuzz < u < _HALF_PI - fuzz]
                 break
-        else:
-            keep = True
-        if keep:
-            local.append(x)
-            owner.append(i)
-    if not owner:
+        # each point ends one part of its panel and starts the next
+        at += range(i + len(local) + 1, i + len(local) + len(cuts) + 1)
+        owner += [i] * len(cuts)
+        local += cuts
+    if not local:
         return a, b, m, kind
-    # each point ends one part of its panel and starts the next
-    owner = np.array(owner)
-    repeats = np.bincount(owner, minlength=n) + 1
-    at = owner + np.arange(1, owner.size + 1)
+    repeats, at = np.bincount(owner, minlength=n) + 1, np.array(at)
     a, b = np.repeat(a, repeats), np.repeat(b, repeats)
     a[at], b[at - 1] = local, local
     return a, b, np.repeat(m, repeats), np.repeat(kind, repeats)
@@ -1234,7 +1221,7 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
         end, tail, decades = _ray_end(reservoir, emitter, t, theta, envelope, limit)
         a = min(max(cap / (10.0 ** (1.0 / n) - 1.0), lo), end)
         b = min(max(zone, a), end)
-        grid = _steps([(lo, a, b, end)], [(n, cap, n)], _RAY_STRETCHES)[0]
+        grid = _steps([(lo, a, b, end)], [(n, cap, n)], (True, False, True))[0]
         edges = np.concatenate(([0.0, lo], grid))
 
         def f(s):
