@@ -269,8 +269,8 @@ def evaluate_rsc(reservoir, omega):
     """
     # a scalar as a float64, which rounds as an array does at a tenth of the cost
     w = np.float64(omega) if isinstance(omega, numbers.Real) else np.asarray(omega, dtype=float)
-    # a 0-d input's bounds by comparison and max(), at a tenth of the cost
-    # of the reductions
+    # a 0-d input's bounds by comparison and max(), far cheaper than the
+    # reductions on a numpy scalar
     scalar = w.ndim == 0
     if (w < 0.0) if scalar else (w.min(initial=0.0) < 0.0):
         raise ValueError("omega must be >= 0")

@@ -17,9 +17,9 @@ The file holds the medians and every run, in the layout of BENCH_11.json,
 with each run's count of attempted operations beside its metrics. The
 claim, if one is named with ``--claim WORKLOAD:METRIC``, gives both
 medians, the parent's quartile spread, the seeds on which the change beats
-the parent, and each side's peak_rss_mb per 1,000 attempted operations. ``--scratch`` holds the parent's tree and the fig1
-outputs; without it they go to a temporary directory that is removed at
-the end.
+the parent, and each side's peak_rss_mb per 1,000 attempted operations.
+``--scratch`` holds the parent's tree and the fig1 outputs; without it
+they go to a temporary directory that is removed at the end.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ RUN_PY_METRICS = (
     "peak_rss_mb",
     "success_frac",
 )
-# kept beside the metrics of each run: the operations the run attempted,
-# which the harness keeps a record of each (see rss_per_thousand)
-RUN_PY_COUNTS = ("attempted",)
 # which way is better for each run.py metric (see BENCHMARK.json)
 HIGHER_IS_BETTER = {"points_per_s", "success_frac"}
 WORKLOADS = ("fig1_broadband", "narrowband_onset", "verify_hard")
@@ -65,14 +62,14 @@ def side_order(i):
 
 
 def parse_run_py(stdout):
-    """The metrics dict, with the counts of RUN_PY_COUNTS beside them, and
+    """The metrics dict, with the run's ``attempted`` count beside them, and
     the ``correct`` flag from run.py's last output line."""
     lines = [line for line in stdout.splitlines() if line.strip()]
     if not lines:
         raise ValueError("run.py printed nothing")
     doc = json.loads(lines[-1])
     metrics = {name: doc["metrics"][name]["value"] for name in RUN_PY_METRICS}
-    metrics.update((name, doc[name]) for name in RUN_PY_COUNTS)
+    metrics["attempted"] = doc["attempted"]
     return metrics, bool(doc["correct"])
 
 
@@ -173,7 +170,7 @@ def run_py(roots, seeds, seconds):
     """{workload: (per_seed, correct)} over the seeds, alternating sides."""
     out = {}
     for workload in WORKLOADS:
-        per_seed = {side: {name: [] for name in RUN_PY_METRICS + RUN_PY_COUNTS}
+        per_seed = {side: {name: [] for name in RUN_PY_METRICS + ("attempted",)}
                     for side in SIDES}
         correct = {side: [] for side in SIDES}
         for i, seed in enumerate(seeds):
