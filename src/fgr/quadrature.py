@@ -140,7 +140,6 @@ def _gauss_jacobi(n, eta):
     return x, 1.0 / total
 
 
-@functools.lru_cache(maxsize=32)
 def _gauss_pair(eta=None):
     # the 16/8 pair as one 24-node rule, Gauss-Legendre, or with eta the
     # Gauss-Jacobi pair for a branch point (1 + x)**eta at -1: its weight
@@ -150,7 +149,8 @@ def _gauss_pair(eta=None):
     (x16, w16), (x8, w8) = rule(16), rule(8)
     x, w = np.concatenate([x16, x8]), np.zeros((24, 2))
     w[:16, 0], w[16:, 1] = w16, w8
-    # read-only, as the cache hands the same arrays to every caller
+    # read-only, as _GL_PAIR and each record of _model hand the same arrays
+    # to every caller
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -254,53 +254,140 @@ class IntegrationResult:
             )
 
 
-def _rate_floor(reservoir, emitter, t, gamma0=None):
-    # conservative lower scale for the decay rate, used to make the tail
-    # truncation and the far-field budget relative: a tenth of the lesser
-    # of the short-time slope law A*t and a late term, the golden rule
-    # (gamma0, if the caller has it) or, for eta > 1 once t*omega_x >= 1,
-    # the off-resonant part (2/t)*M where that is larger (see
-    # _off_resonant_mass). Before t*omega_x = 1 the profile has not yet
-    # resolved the spectrum, and (2/t)*M overshoots.
-    late = golden_rule_rate(reservoir, emitter) if gamma0 is None else gamma0
-    if (
-        isinstance(reservoir, BroadbandReservoir)
-        and reservoir.eta > 1.0
-        and t * reservoir.omega_x >= 1.0
-    ):
-        late = max(late, (2.0 / t) * _off_resonant_mass(reservoir, emitter))
+@dataclass(frozen=True)
+class _Model:
+    """What both integrators take from a model and its emitter alone, built
+    once a pair by _model, where each rule is derived."""
+
+    gamma0: float  # the golden rule 2*pi*R(omega0)
+    slope: float | None  # the short-time slope A, None where the RSC mass diverges
+    mass: float  # the off-resonant mass M for eta > 1, else 0
+    head: tuple | None  # the Gauss-Jacobi pair at a branch point at omega = 0
+    width: tuple  # the panel width cap (p, alpha, lo, hi, at)
+    scale: float  # where the RSC turns along the ray
+    theta: float  # the reference's ray angle below the real axis
+    ray_ulps: float  # the reference's rounding of one node's integrand
+
+
+@functools.lru_cache(maxsize=32)
+def _model(reservoir, emitter):
+    """The _Model of a reservoir and an emitter, one branch per family.
+
+    The width cap is the panel width at which the RSC is comfortably
+    analytic for a 16-node Gauss rule, as (p, alpha, lo, hi, at): a panel
+    whose nearest point lies d > 0 from p may be clip(alpha*d, lo, hi) wide,
+    and one that reaches p at most `at`, which is lo where lo > 0.
+
+    The ray's angle is pi/4, unless |R| would grow along it: on the ray an
+    exponent p raises |R| near its peak by about cos(theta)**-p over the
+    real axis, so the exponential cutoff (p = eta) and the power-Lorentz one
+    (p = mu) take theta = 1/sqrt(p) where that is smaller. A Lorentzian
+    line's pole omega_c - i*kappa, at angle phi below the axis, is crossed
+    with pi/4 to spare: theta = phi + pi/4, which may pass -i. So the ray
+    keeps at least min(theta, pi/4) from every pole and branch point. Its
+    scale is omega_x, or the line's |omega_c - i*kappa|.
+
+    The reference's ulps are 8 for the kernel's arithmetic, plus the RSC's
+    on the ray (reservoir._rsc_ray): p = max(eta, 1) times the 1.5 + Re(x)/p
+    ulps of its p-th power's base, Re(x) ~ eta at the exponential cutoff's
+    peak, and 2*sqrt(eta) from its phase, so 3*eta; 2*(eta + mu) for the
+    power-Lorentz cutoff (weighted by |R|, the RSC rounds by under a
+    quarter of these up to eta = 150); for a line, whose pole lies pi/4 off
+    the ray, at most 2/sin(pi/4).
+
+    M is a lower bound on the integral of R/omega**2 over omega > 2*omega0,
+    where 1/delta**2 >= 1/omega**2. In x = omega/omega_x it is coupling
+    times that of x**(eta-2)*F(x) over x > x0 = 2*omega0/omega_x. Over
+    x > 0 that is the cutoff's moment m(eta-2): Gamma(eta-1) for the
+    exponential cutoff, the Beta-function value of _power_lorentz_moment
+    for the power-Lorentz one; as F <= 1, below x0 it is at most
+    x0**(eta-1)/(eta-1). So M = coupling*[m(eta-2) - x0**(eta-1)/(eta-1)],
+    the second term compared in logarithms, since it overflows where x0 > 1
+    and eta is large.
+    """
+    gamma0 = golden_rule_rate(reservoir, emitter)
+    if isinstance(reservoir, NarrowbandReservoir):
+        wc, kappa = reservoir.omega_c, reservoir.kappa
+        # a line's poles lie kappa off the real axis at omega_c, so half of
+        # kappa there keeps even the 8-node rule well inside their ellipse;
+        # away from it widths grow by the same ratio as from a branch point
+        half = 0.5 * kappa
+        return _Model(
+            gamma0=gamma0,
+            slope=zeno_slope(reservoir),
+            mass=0.0,
+            head=None,
+            width=(wc, 0.6, half, math.inf, half),
+            scale=abs(complex(wc, kappa)),
+            theta=math.atan2(kappa, wc) + 0.25 * math.pi,
+            ray_ulps=12.0,
+        )
+    eta, wx, cutoff = reservoir.eta, reservoir.omega_x, reservoir.cutoff
+    # a non-integer exponent eta puts a branch point of the RSC at omega = 0;
+    # a line and an integer eta are analytic there
+    branch = abs(eta - round(eta)) > 1e-12
+    if isinstance(cutoff, ExponentialCutoff):
+        moment = math.gamma(eta - 1.0) if eta > 1.0 else 0.0
+        # a branch point at omega = 0 makes panel widths shrink in
+        # proportion to the distance from it
+        if branch:
+            width = (0.0, 0.6, 0.0, 2.0 * wx, 2.0 * wx)
+        else:
+            width = (0.0, 1.0, 2.0 * wx, 2.0 * wx, 2.0 * wx)
+        p, ray_ulps = eta, 8.0 + 3.0 * eta
+    else:
+        mu = cutoff.mu
+        if eta >= 2.0 * mu + 1.0:
+            raise ValueError(
+                "decay-rate integral diverges: power-Lorentz cutoff needs "
+                f"eta < 2*mu + 1, got eta={eta}, mu={mu}"
+            )
+        moment = _power_lorentz_moment(eta - 2.0, mu) if eta > 1.0 else 0.0
+        # the poles and branch points of [1 + (omega/omega_x)**2]**-mu lie at
+        # +-i*omega_x, so widths grow with |omega| as from a branch point at
+        # omega = 0, by a line's ratio, from 0.3*omega_x for an integer eta
+        # (at 0.6*omega_x, early points missed rel_tol 1e-12 on their 8-node
+        # estimate), and from 0.6*omega_x at a branch point
+        lo, at = (0.0, 0.6 * wx) if branch else (0.3 * wx, 0.3 * wx)
+        width = (0.0, 0.6, lo, math.inf, at)
+        p, ray_ulps = mu, 8.0 + 2.0 * (eta + mu)
     try:
-        a = zeno_slope(reservoir)
+        slope = zeno_slope(reservoir)
     except ValueError:
         # a power-Lorentz RSC whose mass diverges has no finite slope
+        slope = None
+    mass = 0.0
+    if moment > 0.0:
+        x0 = 2.0 * emitter.omega0 / wx
+        log_ratio = (eta - 1.0) * math.log(x0) - math.log(eta - 1.0) - math.log(moment)
+        if log_ratio < 0.0:
+            mass = reservoir.coupling * moment * -math.expm1(log_ratio)
+    return _Model(
+        gamma0=gamma0,
+        slope=slope,
+        mass=mass,
+        head=_gauss_pair(eta) if branch else None,
+        width=width,
+        scale=wx,
+        theta=min(0.25 * math.pi, 1.0 / math.sqrt(p)) if p > 0.0 else 0.25 * math.pi,
+        ray_ulps=ray_ulps,
+    )
+
+
+def _rate_floor(reservoir, emitter, t):
+    # conservative lower scale for the decay rate, used to make the tail
+    # truncation and the far-field budget relative: a tenth of the lesser
+    # of the short-time slope law A*t and a late term, the golden rule or,
+    # for eta > 1 once t*omega_x >= 1, the off-resonant part (2/t)*M where
+    # that is larger (see _model). Before t*omega_x = 1 the profile has not
+    # yet resolved the spectrum, and (2/t)*M overshoots.
+    model = _model(reservoir, emitter)
+    late = model.gamma0
+    if model.mass and t * model.scale >= 1.0:
+        late = max(late, (2.0 / t) * model.mass)
+    if model.slope is None:
         return 0.1 * late
-    return 0.1 * min(a * t, late)
-
-
-def _off_resonant_mass(reservoir, emitter):
-    """A lower bound M on the integral of R/omega**2 over omega > 2*omega0,
-    where 1/delta**2 >= 1/omega**2, for eta > 1, or 0.
-
-    In x = omega/omega_x the integral is coupling times that of
-    x**(eta-2)*F(x) over x > x0 = 2*omega0/omega_x. Over x > 0 it is the
-    cutoff's moment m(eta-2): Gamma(eta-1) for the exponential cutoff, the
-    Beta-function value of _power_lorentz_moment for the power-Lorentz one;
-    as F <= 1, below x0 it is at most x0**(eta-1)/(eta-1). So M =
-    coupling*[m(eta-2) - x0**(eta-1)/(eta-1)], the second term compared in
-    logarithms, since it overflows where x0 > 1 and eta is large.
-    """
-    eta, cutoff = reservoir.eta, reservoir.cutoff
-    if isinstance(cutoff, ExponentialCutoff):
-        moment = math.gamma(eta - 1.0)
-    else:
-        moment = _power_lorentz_moment(eta - 2.0, cutoff.mu)
-    if not moment > 0.0:
-        return 0.0
-    x0 = 2.0 * emitter.omega0 / reservoir.omega_x
-    log_ratio = (eta - 1.0) * math.log(x0) - math.log(eta - 1.0) - math.log(moment)
-    if log_ratio >= 0.0:
-        return 0.0
-    return reservoir.coupling * moment * -math.expm1(log_ratio)
+    return 0.1 * min(model.slope * t, late)
 
 
 def truncation_frequency(reservoir, emitter, t, cfg):
@@ -361,17 +448,6 @@ def _truncation(reservoir, emitter, t, cfg, floor):
     return max(omega_max, 2.0 * w0)
 
 
-def _validate_integrable(reservoir):
-    if isinstance(reservoir, BroadbandReservoir) and isinstance(
-        reservoir.cutoff, PowerLorentzCutoff
-    ):
-        if reservoir.eta >= 2.0 * reservoir.cutoff.mu + 1.0:
-            raise ValueError(
-                "decay-rate integral diverges: power-Lorentz cutoff needs "
-                f"eta < 2*mu + 1, got eta={reservoir.eta}, mu={reservoir.cutoff.mu}"
-            )
-
-
 def _tail_mass(reservoir, omega_max):
     # upper bound on the RSC mass above omega_max (inf if not integrable)
     if isinstance(reservoir, NarrowbandReservoir):
@@ -411,7 +487,7 @@ def _tail_bound(reservoir, emitter, t, omega_max):
     # of the flat-profile bound t*M and the far-detuning envelope bound
     w0 = emitter.omega0
     mass = _tail_mass(reservoir, omega_max)
-    if mass == math.inf and isinstance(reservoir.cutoff, PowerLorentzCutoff):
+    if mass == math.inf:
         return _heavy_tail(reservoir, emitter, t, omega_max)
     bound = t * mass
     if omega_max > w0:
@@ -461,45 +537,9 @@ def _geom_run(lo, hi, step):
     return [lo, top, hi], [_PANELS_PER_DECADE, step]
 
 
-def _branch_at_zero(reservoir):
-    # a non-integer exponent eta puts a branch point of the RSC at omega = 0;
-    # a line and an integer eta are analytic there
-    return (
-        isinstance(reservoir, BroadbandReservoir)
-        and abs(reservoir.eta - round(reservoir.eta)) > 1e-12
-    )
-
-
-def _rsc_cap(reservoir):
-    """The panel width at which the RSC is comfortably analytic for a
-    16-node Gauss rule, as (p, alpha, lo, hi, at): a panel whose nearest
-    point lies d > 0 from p may be clip(alpha*d, lo, hi) wide, and one that
-    reaches p at most `at`, which is lo where lo > 0."""
-    if isinstance(reservoir, BroadbandReservoir):
-        wx = reservoir.omega_x
-        if isinstance(reservoir.cutoff, PowerLorentzCutoff):
-            # the poles and branch points of [1 + (omega/omega_x)**2]**-mu
-            # lie at +-i*omega_x, so widths grow with |omega| as from a branch
-            # point at omega = 0, by a line's ratio, from 0.3*omega_x for an
-            # integer eta (at 0.6*omega_x, early points missed rel_tol 1e-12
-            # on their 8-node estimate), and from 0.6*omega_x at a branch point
-            lo, at = (0.0, 0.6 * wx) if _branch_at_zero(reservoir) else (0.3 * wx, 0.3 * wx)
-            return 0.0, 0.6, lo, math.inf, at
-        # a branch point at omega = 0 makes panel widths shrink in
-        # proportion to the distance from it
-        if _branch_at_zero(reservoir):
-            return 0.0, 0.6, 0.0, 2.0 * wx, 2.0 * wx
-        return 0.0, 1.0, 2.0 * wx, 2.0 * wx, 2.0 * wx
-    # a line's poles lie kappa off the real axis at omega_c, so half of
-    # kappa there keeps even the 8-node rule well inside their ellipse;
-    # away from it widths grow by the same ratio as from a branch point
-    half = 0.5 * reservoir.kappa
-    return reservoir.omega_c, 0.6, half, math.inf, half
-
-
 def _graded_points(edges, cap):
     """The points that split each panel between the sorted edges wider than
-    the width cap (see _rsc_cap) at its point nearest p: (panel, ascending
+    the width cap (see _model) at its point nearest p: (panel, ascending
     points) pairs, in panel order. A panel splits at p, and each side of
     it at distances d from p that step by at most lo up to lo/alpha, by
     ratios of at most 1 + alpha up to hi/alpha, then by at most hi: each
@@ -603,7 +643,7 @@ def _first_layout(reservoir, emitter, t, omega_max, rel_tol, floor):
     for cap, lower in zip(_CAPS, edge):
         if lower > _EDGE_MARGIN * budget:
             continue
-        panels = _build_panels(reservoir, emitter, t, omega_max, cap)
+        panels = _build_panels(reservoir, emitter, t, omega_max, cap, lobes)
         a, b, _, kind = panels
         terms = _envelope_terms(reservoir, emitter, t, a, b, kind)
         if terms[2] <= budget or cap >= last:
@@ -635,7 +675,7 @@ def _edge_bounds(reservoir, emitter, t, caps, k_left, k_right):
     RSC's widest cap. The panels of all caps and sides take one envelope
     call."""
     w0 = emitter.omega0
-    step = _rsc_cap(reservoir)[3]
+    step = _model(reservoir, emitter).width[3]
     owner, z, s = [], [], []
     for i, cap in enumerate(caps):
         reach = (0.5 * math.pi / t) * cap
@@ -660,7 +700,7 @@ def _edge_bounds(reservoir, emitter, t, caps, k_left, k_right):
     return bounds
 
 
-def _build_panels(reservoir, emitter, t, omega_max, cap):
+def _build_panels(reservoir, emitter, t, omega_max, cap, lobes=None):
     """Panel arrays (a, b, m, kind), left to right (see the panel kinds):
     merged blocks of whole lobes, at most cap on each side of the transition
     and of a narrowband line, envelope runs between them, and profile stubs
@@ -668,9 +708,10 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
     widest cap (stubs also _PHASE_CAP/t), the stub below the first zero in
     one stretch from 0. The points of _graded_points split whatever panel
     is still too wide for the RSC, half-lobes in their local phase. The
-    panel at a branch point at omega = 0 takes the Gauss-Jacobi pair."""
+    panel at a branch point at omega = 0 takes the Gauss-Jacobi pair.
+    lobes is the point's zero_counts, where the caller has them."""
     w0 = emitter.omega0
-    k_left, k_right = zero_counts(t, w0, omega_max)
+    k_left, k_right = lobes or zero_counts(t, w0, omega_max)
     # blocks as ranges [lo, hi] of zero indices k, the zero k at w0 + 2*pi*k/t
     blocks = [(-min(k_left, cap), min(k_right, cap))]
     if k_left > cap:
@@ -686,7 +727,8 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
         else:
             merged.append([lo, hi])
 
-    width = _rsc_cap(reservoir)
+    model = _model(reservoir, emitter)
+    width = model.width
     step = width[3]
     stub_step = min(step, _PHASE_CAP / t)
 
@@ -708,7 +750,7 @@ def _build_panels(reservoir, emitter, t, omega_max, cap):
     # the first block starts at the zero -k_left; where that zero is a branch
     # point at omega = 0, its first half-lobe is the stub instead, so that
     # the Gauss-Jacobi pair, which profile panels alone take, covers it
-    skip = int(zero(-k_left) == 0.0 and _branch_at_zero(reservoir))
+    skip = int(zero(-k_left) == 0.0 and model.head is not None)
     z_left = _phase_omega(w0, t, skip - 2 * k_left, 0.0)
     if z_left > 0.0:
         rows.append(([0.0, 0.0, z_left], [_PANELS_PER_DECADE, stub_step]))
@@ -832,7 +874,8 @@ def _phase_pass(reservoir, w0, t, a, b, m):
 
 
 def _setup(reservoir, emitter, t, cfg):
-    # shared by both integrators: defaults and argument checks
+    # shared by both integrators: defaults, argument checks and the model's
+    # record, whose builder refuses a power-Lorentz integral that diverges
     if cfg is None:
         cfg = QuadratureConfig()
     check_time(t)
@@ -841,19 +884,18 @@ def _setup(reservoir, emitter, t, cfg):
     w = max(emitter.omega0, getattr(reservoir, "omega_c", 0.0))
     if w * t >= math.pi * 2.0**53:
         raise ValueError(f"t = {t} is too late: omega*t must stay below pi*2**53")
-    _validate_integrable(reservoir)
-    return cfg
+    return cfg, _model(reservoir, emitter)
 
 
-def _profile_values(reservoir, emitter, t, a, b):
+def _profile_values(reservoir, emitter, t, a, b, head):
     """16- and 8-node values of profile panels [a, b], as columns, of the
     decay-rate integrand 2*pi * profile * RSC. A Lorentzian line takes its
     detuning d = omega - omega_c as a - omega_c plus the node's offset from
     a, not from the rounded node, whose error would be eps*omega_c/kappa of
-    the line near its centre: its width cap (see _rsc_cap) keeps the panel
+    the line near its centre: its width cap (see _model) keeps the panel
     narrower than kappa/2 and than 0.6*|d|, so the offset rounds by eps of
     those alone. A panel at a branch point omega**eta at 0 takes the
-    Gauss-Jacobi pair."""
+    Gauss-Jacobi pair head (see _model)."""
     w0 = emitter.omega0
     rsc = None
     if isinstance(reservoir, NarrowbandReservoir):
@@ -866,8 +908,7 @@ def _profile_values(reservoir, emitter, t, a, b):
         out *= evaluate_rsc(reservoir, w) if rsc is None else rsc
         return out
 
-    head = _gauss_pair(reservoir.eta) if a[0] == 0.0 and _branch_at_zero(reservoir) else None
-    return _panel_values(f, a, b, head)[0]
+    return _panel_values(f, a, b, head if a[0] == 0.0 else None)[0]
 
 
 def _envelope(reservoir, emitter, t):
@@ -933,7 +974,7 @@ def _envelope_terms(reservoir, emitter, t, a, b, kind):
     return values, far, bound
 
 
-def _evaluate(reservoir, emitter, t, a, b, m, kind, envelope):
+def _evaluate(reservoir, emitter, t, model, a, b, m, kind, envelope):
     # the value of a layout whose _envelope_terms are envelope, and its
     # error estimate short of the tail: the two rules' difference on every
     # panel, a rounding floor, the far field's bound and, for a line, what
@@ -945,7 +986,7 @@ def _evaluate(reservoir, emitter, t, a, b, m, kind, envelope):
         values[phase] = _phase_values(reservoir, w0, t, a[phase], b[phase], m[phase])
     full = kind == _PROFILE
     if full.any():
-        values[full] = _profile_values(reservoir, emitter, t, a[full], b[full])
+        values[full] = _profile_values(reservoir, emitter, t, a[full], b[full], model.head)
     values[kind == _SMOOTH], far, osc = envelope
 
     value = math.fsum(values[:, 0].tolist() + far)
@@ -964,14 +1005,14 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
     an IntegrationResult, or raises ConvergenceError carrying it if its
     error estimate exceeds rel_tol times its value.
     """
-    cfg = _setup(reservoir, emitter, t, cfg)
+    cfg, model = _setup(reservoir, emitter, t, cfg)
     floor = _rate_floor(reservoir, emitter, t)
     omega_max = _truncation(reservoir, emitter, t, cfg, floor)
     tail = _tail_bound(reservoir, emitter, t, omega_max)
     (a, b, m, kind), envelope = _first_layout(
         reservoir, emitter, t, omega_max, cfg.rel_tol, floor
     )
-    value, err = _evaluate(reservoir, emitter, t, a, b, m, kind, envelope)
+    value, err = _evaluate(reservoir, emitter, t, model, a, b, m, kind, envelope)
     err += tail
     result = IntegrationResult(
         value=value,
@@ -994,39 +1035,6 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
         else:
             msg += f" (lower tail_epsilon, now {cfg.tail_epsilon:g})"
     raise ConvergenceError(msg, result=result)
-
-
-def _ray_angle(reservoir):
-    """The angle theta below the real axis of the reference's ray.
-
-    pi/4, unless |R| would grow along it: on the ray an exponent p raises
-    |R| near its peak by about cos(theta)**-p over the real axis, so the
-    exponential cutoff (p = eta) and the power-Lorentz one (p = mu) take
-    theta = 1/sqrt(p) where that is smaller. A Lorentzian line's pole
-    omega_c - i*kappa, at angle phi below the axis, is crossed with pi/4 to
-    spare: theta = phi + pi/4, which may pass -i. So the ray keeps at least
-    min(theta, pi/4) from every pole and branch point.
-    """
-    if isinstance(reservoir, NarrowbandReservoir):
-        return math.atan2(reservoir.kappa, reservoir.omega_c) + 0.25 * math.pi
-    cutoff = reservoir.cutoff
-    p = reservoir.eta if isinstance(cutoff, ExponentialCutoff) else cutoff.mu
-    return min(0.25 * math.pi, 1.0 / math.sqrt(p)) if p > 0.0 else 0.25 * math.pi
-
-
-def _rounding_ulps(reservoir):
-    # the relative rounding of one node's integrand, in ulps: 8 for the
-    # kernel's arithmetic, plus the RSC's on the ray (reservoir._rsc_ray): p =
-    # max(eta, 1) times the 1.5 + Re(x)/p ulps of its p-th power's base, Re(x)
-    # ~ eta at the exponential cutoff's peak, and 2*sqrt(eta) from its phase,
-    # so 3*eta; 2*(eta + mu) for the power-Lorentz cutoff (weighted by |R|, the
-    # RSC rounds by under a quarter of these up to eta = 150); for a line,
-    # whose pole lies pi/4 off the ray, at most 2/sin(pi/4)
-    if isinstance(reservoir, NarrowbandReservoir):
-        return 12.0
-    if isinstance(reservoir.cutoff, ExponentialCutoff):
-        return 8.0 + 3.0 * reservoir.eta
-    return 8.0 + 2.0 * (reservoir.eta + reservoir.cutoff.mu)
 
 
 def _phi2(w):
@@ -1105,36 +1113,29 @@ def _ray_tail(reservoir, emitter, t, theta, envelope, end):
     return envelope(end - emitter.omega0) * mass
 
 
-def _ray_end(reservoir, emitter, t, theta, envelope, limit):
+def _ray_end(reservoir, emitter, t, model, envelope, limit):
     """The ray's end, its tail bound (see _ray_tail) and the decades k it
-    lies past the first end: the first of 4*max(omega0, _ray_scale)*10**k,
+    lies past the first end: the first of 4*max(omega0, model.scale)*10**k,
     k < _REF_DECADES, whose bound is within limit, or the last of them."""
-    end = 4.0 * max(emitter.omega0, _ray_scale(reservoir))
+    end = 4.0 * max(emitter.omega0, model.scale)
     for k in range(_REF_DECADES):
-        tail = _ray_tail(reservoir, emitter, t, theta, envelope, end)
+        tail = _ray_tail(reservoir, emitter, t, model.theta, envelope, end)
         if tail <= limit or k == _REF_DECADES - 1:
             return end, tail, k
         end *= 10.0
 
 
-def _ray_scale(reservoir):
-    # where the RSC turns along the ray: omega_x, or a line's |omega_c - i*kappa|
-    if isinstance(reservoir, NarrowbandReservoir):
-        return abs(complex(reservoir.omega_c, reservoir.kappa))
-    return reservoir.omega_x
-
-
-def _ray_head(reservoir, w0, t):
+def _ray_head(scale, w0, t):
     # where the reference's grid starts, one panel spanning [0, head]: a tenth
     # of the least of omega0, 1/t and the RSC's scale, where the integrand (over
     # s**eta) first varies, so that even its 8-node rule is good to 38**-16 there
-    return 0.1 * min(w0, 1.0 / t, _ray_scale(reservoir))
+    return 0.1 * min(w0, 1.0 / t, scale)
 
 
 def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     """Same rate by a contour identity: an independent float64 reference.
 
-    Along the ray omega = s*e**(-i*theta) (see _ray_angle), with
+    Along the ray omega = s*e**(-i*theta) (see _model), with
     delta = omega - omega0,
 
         Gamma(t) = 2*pi*R(omega0)
@@ -1155,7 +1156,7 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     the rounding term. The value is the 16-node sum; the error estimate is
     the sum over panels of |Re(Q16 - Q8)|, the tail bound at the end, a
     rounding term eps*ulps*(|residue terms| + sum of the 16-node |w*f|) (see
-    _rounding_ulps) and, for a line, the rounding of its residue's phase
+    _model) and, for a line, the rounding of its residue's phase
     (see _line_residue). A floor that overshoots the rate shows as a larger
     estimate, not as a silent error.
 
@@ -1176,25 +1177,21 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
     ConvergenceError carrying the result if its estimate exceeds rel_tol
     times its value.
     """
-    cfg = _setup(reservoir, emitter, t, cfg)
-    w0 = emitter.omega0
-    theta = _ray_angle(reservoir)
+    cfg, model = _setup(reservoir, emitter, t, cfg)
+    w0, theta = emitter.omega0, model.theta
     e = complex(math.cos(theta), -math.sin(theta))
     n = max(8, math.ceil(4.0 / math.sin(min(theta, 0.25 * math.pi))))
-    lo = _ray_head(reservoir, w0, t)
-    head = _gauss_pair(reservoir.eta) if _branch_at_zero(reservoir) else None
+    lo = _ray_head(model.scale, w0, t)
     # e**(-i*delta*t) falls below e**-40 beyond zone
     zone = 40.0 / (t * math.sin(theta))
     cap = 32.0 / (n * t)
-    ulps = _rounding_ulps(reservoir)
-    gamma0 = golden_rule_rate(reservoir, emitter)
     if isinstance(reservoir, NarrowbandReservoir):
         residue, phase = _line_residue(reservoir, emitter, t)
         poles = (residue, residue)
     else:
-        poles, phase = (gamma0, 0.0), 0.0
+        poles, phase = (model.gamma0, 0.0), 0.0
     # what the tail beyond the ray's end may be, known before any evaluation
-    limit = 1e-3 * cfg.rel_tol * _rate_floor(reservoir, emitter, t, gamma0)
+    limit = 1e-3 * cfg.rel_tol * _rate_floor(reservoir, emitter, t)
 
     def standard(s, rsc):
         # with a = -t*s*sin(theta), u = tan(t*(omega0 - s*cos(theta))/2) and
@@ -1218,7 +1215,7 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
         # (value, error estimate, its terms, evaluations, end, decades) of one
         # kernel: one grid out to the end _ray_end sizes, geometric at n per
         # decade, but below zone no panel is wider than cap
-        end, tail, decades = _ray_end(reservoir, emitter, t, theta, envelope, limit)
+        end, tail, decades = _ray_end(reservoir, emitter, t, model, envelope, limit)
         a = min(max(cap / (10.0 ** (1.0 / n) - 1.0), lo), end)
         b = min(max(zone, a), end)
         grid = _steps([(lo, a, b, end)], [(n, cap, n)], (True, False, True))[0]
@@ -1229,11 +1226,11 @@ def decay_rate_numeric_oracle(reservoir, emitter, t, cfg=None):
                 rscs[end] = _rsc_ray(reservoir, s, theta)
             return kernel(s, rscs[end])
 
-        pair, vals = _panel_values(f, edges[:-1], edges[1:], head)
+        pair, vals = _panel_values(f, edges[:-1], edges[1:], model.head)
         value = pole + pair[:, 0].sum().real
         diff = float(np.abs((pair[:, 0] - pair[:, 1]).real).sum())
         size = float((np.abs(vals) @ _GL_PAIR[1][:, 0]) @ (0.5 * np.diff(edges)))
-        terms = (diff, tail, _EPS * ulps * (abs(pole) + size), phase)
+        terms = (diff, tail, _EPS * model.ray_ulps * (abs(pole) + size), phase)
         err = sum(terms)
         return value, err, terms, vals.size, end, decades
 
@@ -1325,7 +1322,7 @@ def rate_curve(reservoir, emitter, time_grid, cfg=None):
     if not np.all(times > 0.0) or not np.all(np.diff(times) > 0.0):
         raise ValueError("time_grid must be positive and strictly increasing")
 
-    gamma0 = golden_rule_rate(reservoir, emitter)
+    gamma0 = _model(reservoir, emitter).gamma0
     if not gamma0 > 0.0:
         # (omega0/omega_x)**eta underflows from eta ~ 135 at omega_x = 250*omega0
         raise ValueError(f"the golden-rule rate of {reservoir} at {emitter} is {gamma0}")

@@ -1,5 +1,6 @@
 """Decay-rate quadrature: limits, invariances, oracle equivalence, budgets."""
 
+import dataclasses
 import functools
 import json
 import logging
@@ -31,7 +32,6 @@ from fgr.quadrature import (
     _build_panels,
     _first_layout,
     _phase_omega,
-    _rsc_cap,
     _tail_mass,
     decay_rate_numeric,
     decay_rate_numeric_oracle,
@@ -530,7 +530,7 @@ class TestPanels:
         # distance of its nearest point from p (a panel that reaches p at
         # most `at`), and a profile panel at most _PHASE_CAP/t: by
         # construction, up to the rounding of a half-lobe's frequencies.
-        p, alpha, lo, hi, at = _rsc_cap(model)
+        p, alpha, lo, hi, at = quadrature._model(model, em).width
         near = np.maximum(0.0, np.maximum(a - p, p - b))
         cap = np.clip(alpha * near, lo, hi)
         cap[near == 0.0] = at
@@ -566,7 +566,7 @@ class TestPanels:
         for model, em, t in points:
             _outcome(model, em, float(t), CFG)
         assert len(layouts) >= len(points)
-        for (model, em, t, omega_max, _), layout in layouts:
+        for (model, em, t, omega_max, *_), layout in layouts:
             self.check_layout(model, em, t, omega_max, layout)
 
     def test_fractional_early_point_stays_small(self):
@@ -825,7 +825,7 @@ class TestCapLadder:
         build = quadrature._build_panels
 
         def counted(*args):
-            built.append(args[-1])
+            built.append(args[4])
             return build(*args)
 
         monkeypatch.setattr(quadrature, "_build_panels", counted)
@@ -1126,10 +1126,11 @@ def test_ray_end_is_the_first_decade_within_the_tail_limit():
     for model, em, t, rel_tol, envelope in points:
         res = decay_rate_numeric_oracle(model, em, t, QuadratureConfig(rel_tol=rel_tol))
         end = res.truncation_frequency
-        first = 4.0 * max(em.omega0, quadrature._ray_scale(model))
+        record = quadrature._model(model, em)
+        first = 4.0 * max(em.omega0, record.scale)
         k = round(math.log10(end / first))
         assert end == pytest.approx(first * 10.0**k, rel=1e-12), (model, t)
-        theta = quadrature._ray_angle(model)
+        theta = record.theta
         limit = 1e-3 * rel_tol * quadrature._rate_floor(model, em, t)
 
         def tail(end):
@@ -1367,7 +1368,7 @@ class TestJacobiPair:
         # Gauss-Legendre pair
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, w = quadrature._gauss_pair.__wrapped__(beta)
+            x, w = quadrature._gauss_pair(beta)
         assert x.shape == quadrature._GL_PAIR[0].shape and w.shape == quadrature._GL_PAIR[1].shape
         assert (np.abs(x) < 1.0).all() and np.unique(x).size == x.size
         assert (w[:16, 0] > 0.0).all() and (w[16:, 1] > 0.0).all() and np.isfinite(w).all()
@@ -1391,7 +1392,7 @@ class TestRayHead:
         sized = [_oracle_outcome(*p[1:], cfg) for p in PROPERTY_POINTS]
         sized += [ref for _, ref in sweep_outcomes[rel_tol][::6]]
         monkeypatch.setattr(
-            quadrature, "_ray_head", lambda reservoir, w0, t: 1e-15 * min(w0, 1.0 / t)
+            quadrature, "_ray_head", lambda scale, w0, t: 1e-15 * min(w0, 1.0 / t)
         )
         for p, (a, ok_a) in zip(points, sized):
             b, ok_b = _oracle_outcome(*p, cfg)
@@ -1424,15 +1425,30 @@ class TestRayHead:
         ids=["eta0.5", "pl-eta2.5", "eta0", "eta2", "pl-eta2", "line"],
     )
     def test_head_depends_on_the_branch_point(self, monkeypatch, model, branch):
-        # the head's width does not, but its rule does: the Gauss-Jacobi
-        # pair for s**eta where a branch point lies at omega = 0
+        # the head's width does not, but its rule does: the model record's
+        # Gauss-Jacobi pair for s**eta where a branch point lies at omega = 0
         near = 1e-3  # min(omega0, 1/t) at omega0 = 1, t = 1e3
-        assert quadrature._ray_head(model, 1.0, 1e3) == 0.1 * near
-        assert quadrature._branch_at_zero(model) is branch
-        rules, pair = [], quadrature._gauss_pair
-        monkeypatch.setattr(quadrature, "_gauss_pair", lambda eta: rules.append(eta) or pair(eta))
+        record = quadrature._model(model, EM)
+        assert quadrature._ray_head(record.scale, 1.0, 1e3) == 0.1 * near
+        assert (record.head is not None) is branch
+        if branch:
+            for got, want in zip(record.head, quadrature._gauss_pair(model.eta)):
+                assert np.array_equal(got, want)
+        # the reference takes its head from the record: a record patched to
+        # carry a copy of the pair hands that copy, and no other rule, to
+        # the head panel, and no rule where there is no branch point
+        copy = record.head and tuple(x.copy() for x in record.head)
+        monkeypatch.setattr(
+            quadrature, "_model", lambda r, e: dataclasses.replace(record, head=copy)
+        )
+        heads, values = [], quadrature._panel_values
+        monkeypatch.setattr(
+            quadrature,
+            "_panel_values",
+            lambda f, a, b, head=None: heads.append(head) or values(f, a, b, head),
+        )
         _oracle_outcome(model, EM, 1e3, CFG)
-        assert rules == ([model.eta] if branch else [])
+        assert heads and all(head is copy for head in heads)
 
 
 def _deep_stub(monkeypatch):
@@ -1452,7 +1468,16 @@ def _deep_stub(monkeypatch):
         return np.append(1e-9 * z, edges), [counts[0] + 1, *counts[1:]]
 
     monkeypatch.setattr(quadrature, "_steps", stub)
-    monkeypatch.setattr(quadrature, "_gauss_pair", lambda eta: quadrature._GL_PAIR)
+    # the model record's head, where it has one, patched to Gauss-Legendre:
+    # the record is cached, so a patch of the rule it was built with would
+    # not reach a model built before the patch
+    model_of = quadrature._model
+
+    def legendre_head(reservoir, emitter):
+        record = model_of(reservoir, emitter)
+        return dataclasses.replace(record, head=record.head and quadrature._GL_PAIR)
+
+    monkeypatch.setattr(quadrature, "_model", legendre_head)
 
 
 def _outcome(model, em, t, cfg):
@@ -1491,7 +1516,7 @@ class TestLeftStub:
         omega_max = truncation_frequency(model, em, t, CFG)
         k_left = zero_counts(t, em.omega0, omega_max)[0]
         z = _phase_omega(em.omega0, t, -2 * k_left, 0.0)
-        step = min(_rsc_cap(model)[3], _PHASE_CAP / t)
+        step = min(quadrature._model(model, em).width[3], _PHASE_CAP / t)
         for cap in (_CAPS[0], _CAPS[-1]):
             a, b, _, kind = _build_panels(model, em, t, omega_max, cap)
             stub = (kind == _PROFILE) & (b <= z)
@@ -1658,12 +1683,51 @@ class TestRefinement:
         with pytest.warns(UserWarning):
             cutoff = PowerLorentzCutoff(mu=1.2)
         model, t, cfg = bb(2.0, cutoff=cutoff), 10.0, QuadratureConfig(rel_tol=rel_tol)
-        late = (2.0 / t) * quadrature._off_resonant_mass(model, EM)
+        late = (2.0 / t) * quadrature._model(model, EM).mass
         assert late > golden_rule_rate(model, EM)
         assert quadrature._rate_floor(model, EM, t) == 0.1 * late
         res = decay_rate_numeric(model, EM, t, cfg)
         ref = decay_rate_numeric_oracle(model, EM, t, cfg)
         assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
+class TestModelRecord:
+    # what both integrators take from a model and its emitter alone is built
+    # once a pair (quadrature._model), not once a point
+
+    def test_curve_builds_its_record_once(self):
+        model, grid = bb(1.7), np.geomspace(1e-3, 1e3, 25)
+        quadrature._model.cache_clear()
+        rate_curve(model, EM, grid, CFG)
+        for t in grid:
+            decay_rate_numeric_oracle(model, EM, float(t), CFG)
+        info = quadrature._model.cache_info()
+        assert info.misses == 1 and info.currsize == 1
+        assert info.hits >= 2 * grid.size
+
+    @pytest.mark.parametrize(
+        "model,em",
+        [
+            (bb(1.7), EM),
+            (bb(2.0), EM),
+            (bb(2.5, cutoff=PowerLorentzCutoff(mu=4.0)), EM),
+            nb_resonant(10.0),
+        ],
+        ids=["exp-eta1.7", "exp-eta2", "pl-eta2.5", "line-q10"],
+    )
+    def test_cold_and_warm_cache_agree(self, model, em):
+        # a curve and the reference's points computed on a cold cache equal,
+        # bit for bit, those computed again on the warm one
+        grid = np.geomspace(1e-3, 1e3, 13) / em.omega0
+
+        def run():
+            curve = rate_curve(model, em, grid, CFG)
+            refs = [decay_rate_numeric_oracle(model, em, float(t), CFG) for t in grid]
+            return curve.ratios.tolist(), curve.error_estimates.tolist(), refs
+
+        quadrature._model.cache_clear()
+        cold = run()
+        assert run() == cold
 
 
 class TestRateCurve:
