@@ -267,6 +267,7 @@ class _Model:
     scale: float  # where the RSC turns along the ray
     theta: float  # the reference's ray angle below the real axis
     ray_ulps: float  # the reference's rounding of one node's integrand
+    panel_ulps: float  # the panel scheme's rounding of its panel values
 
 
 @functools.lru_cache(maxsize=32)
@@ -293,7 +294,9 @@ def _model(reservoir, emitter):
     peak, and 2*sqrt(eta) from its phase, so 3*eta; 2*(eta + mu) for the
     power-Lorentz cutoff (weighted by |R|, the RSC rounds by under a
     quarter of these up to eta = 150); for a line, whose pole lies pi/4 off
-    the ray, at most 2/sin(pi/4).
+    the ray, at most 2/sin(pi/4). The panel scheme's are eta/2, as x**eta
+    rounds by about eta/2 ulps of x's rounding (see _evaluate); a line has
+    no such power.
 
     M is a lower bound on the integral of R/omega**2 over omega > 2*omega0,
     where 1/delta**2 >= 1/omega**2. In x = omega/omega_x it is coupling
@@ -321,6 +324,7 @@ def _model(reservoir, emitter):
             scale=abs(complex(wc, kappa)),
             theta=math.atan2(kappa, wc) + 0.25 * math.pi,
             ray_ulps=12.0,
+            panel_ulps=0.0,
         )
     eta, wx, cutoff = reservoir.eta, reservoir.omega_x, reservoir.cutoff
     # a non-integer exponent eta puts a branch point of the RSC at omega = 0;
@@ -371,6 +375,7 @@ def _model(reservoir, emitter):
         scale=wx,
         theta=min(0.25 * math.pi, 1.0 / math.sqrt(p)) if p > 0.0 else 0.25 * math.pi,
         ray_ulps=ray_ulps,
+        panel_ulps=0.5 * eta,
     )
 
 
@@ -990,9 +995,13 @@ def _evaluate(reservoir, emitter, t, model, a, b, m, kind, envelope):
     values[kind == _SMOOTH], far, osc = envelope
 
     value = math.fsum(values[:, 0].tolist() + far)
-    # rounding floor: per-panel dot products carry O(eps) relative noise
+    # rounding floor: per-panel dot products carry O(eps) relative noise,
+    # and an RSC power x**eta rounds every panel value and far-field term
+    # by the record's panel_ulps, whatever their sum cancels to
     refine_err = float(np.sum(np.abs(values[:, 0] - values[:, 1])))
-    err = refine_err + 5e-16 * abs(value) + osc
+    size = float(np.abs(values[:, 0]).sum()) + sum(abs(x) for x in far)
+    floor = max(5e-16 * abs(value), _EPS * model.panel_ulps * size)
+    err = refine_err + floor + osc
     if isinstance(reservoir, NarrowbandReservoir):
         err += _line_phase_cost(reservoir, emitter, t, _line_shift(reservoir, w0, t) * t)
     return value, err

@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from exact import exact_rate as closed_form_rate
 from test_cli import BROAD_CONFIG, NARROW_CONFIG
 
 from fgr import quadrature
@@ -950,6 +951,12 @@ class TestExactProperty:
         reference = PROPERTY_REFERENCES[name]
         assert exact_rate(model, em, t) == pytest.approx(reference, rel=1e-14)
 
+    def test_table_is_the_closed_form(self):
+        # the exponential-cutoff rows, which make_refs.py integrates in the
+        # time domain, are the closed form of tests/exact.py to the last bit
+        for name, model, em, t in PROPERTY_POINTS[:12]:
+            assert closed_form_rate(model, em, t) == PROPERTY_REFERENCES[name], name
+
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
     @pytest.mark.parametrize(
         "point", PROPERTY_POINTS, ids=[p[0] for p in PROPERTY_POINTS]
@@ -1325,6 +1332,33 @@ def test_large_eta_late_times(eta, omega_x, rel_tol):
         res = decay_rate_numeric(model, EM, w0t, cfg)
         ref = decay_rate_numeric_oracle(model, EM, w0t, cfg)
         assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
+# omega0*t of the large-eta points checked against the closed form
+LARGE_ETA_TIMES = (1e-3, 1e-2, 0.1, 1.0, 3.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e8, 1e10)
+
+
+@pytest.fixture(scope="module")
+def large_eta_exact():
+    """{(omega_x, omega0*t): the closed-form rate} at eta = 150.3."""
+    return {
+        (wx, t): closed_form_rate(bb(150.3, omega_x=wx), EM, t)
+        for wx in (10.0, 250.0)
+        for t in LARGE_ETA_TIMES
+    }
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+def test_large_eta_within_estimate_of_exact(large_eta_exact, rel_tol):
+    # x**eta rounds by about eta/2 ulps of x's rounding, so the rounding
+    # floor grows with eta (see _model's panel_ulps). Under a flat floor of
+    # 5e-16 of the value, 22 of these 26 points missed their estimate at
+    # rel_tol 1e-8 and 24 at 1e-12, by up to 1.48x; now the worst comes
+    # within 0.34 of it.
+    cfg = QuadratureConfig(rel_tol=rel_tol)
+    for (wx, t), exact in large_eta_exact.items():
+        res = decay_rate_numeric(bb(150.3, omega_x=wx), EM, t, cfg)
+        assert abs(res.value - exact) <= res.error_estimate, (wx, t)
 
 
 def _oracle_outcome(model, em, t, cfg):
