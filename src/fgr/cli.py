@@ -382,7 +382,8 @@ def cmd_verify(stream=None):
     Each oracle point is computed by the panel integrator and by the
     contour reference (``decay_rate_numeric_oracle``), whose panels lie on
     a ray in the complex plane (they share only the 16/8 Gauss-Legendre
-    pair, the Gauss-Jacobi pair at a branch point at omega = 0, their panel
+    pair, the per-model record of the golden rule, the rate floor's terms
+    and the Gauss-Jacobi pair at a branch point at omega = 0, their panel
     evaluation, the tail bounds, the argument checks and the stepping
     arithmetic), and passes if they agree to _VERIFY_THRESHOLD
     relative. The short-time and golden-rule limits are then checked on the

@@ -16,13 +16,15 @@ integral along a ray into the lower half plane, where the profile's
 oscillation decays, and integrates that smooth ray in float64 real
 arithmetic on a geometric grid of its own, laid out in one pass to an end
 that its closed-form tail bound sizes before any evaluation. It shares
-with the integrator only the 16/8 Gauss-Legendre pair, the 16/8
-Gauss-Jacobi pair that both take on their one panel at a branch point at
-omega = 0 (_gauss_pair), their panel evaluation (_panel_values), the tail
-bounds (_tail_mass, _heavy_tail), the rate floor that the tail is held to
-(_rate_floor), what rounding a line's phase costs (_line_phase_cost), the
-golden rule, the argument checks (_setup) and _steps, which lays out the
-panel edges of any number of stretch sequences in one call.
+with the integrator only the 16/8 Gauss-Legendre pair, the record of a
+model and its emitter (_model), built once a pair, which holds the golden
+rule, the short-time slope and off-resonant mass of the rate floor that
+the tail is held to (_rate_floor), and the 16/8 Gauss-Jacobi pair that
+both take on their one panel at a branch point at omega = 0; their panel
+evaluation (_panel_values), the tail bounds (_tail_mass, _heavy_tail),
+what rounding a line's phase costs (_line_phase_cost), the argument
+checks (_setup) and _steps, which lays out the panel edges of any number
+of stretch sequences in one call.
 """
 
 from __future__ import annotations
@@ -256,8 +258,8 @@ class IntegrationResult:
 
 @dataclass(frozen=True)
 class _Model:
-    """What both integrators take from a model and its emitter alone, built
-    once a pair by _model, where each rule is derived."""
+    """What both integrators take from a model and its emitter alone, in
+    the order _model builds it, where each rule is derived."""
 
     gamma0: float  # the golden rule 2*pi*R(omega0)
     slope: float | None  # the short-time slope A, None where the RSC mass diverges
@@ -309,23 +311,20 @@ def _model(reservoir, emitter):
     and eta is large.
     """
     gamma0 = golden_rule_rate(reservoir, emitter)
+    try:
+        slope = zeno_slope(reservoir)
+    except ValueError:
+        # a power-Lorentz RSC whose mass diverges has no finite slope
+        slope = None
     if isinstance(reservoir, NarrowbandReservoir):
         wc, kappa = reservoir.omega_c, reservoir.kappa
         # a line's poles lie kappa off the real axis at omega_c, so half of
         # kappa there keeps even the 8-node rule well inside their ellipse;
         # away from it widths grow by the same ratio as from a branch point
         half = 0.5 * kappa
-        return _Model(
-            gamma0=gamma0,
-            slope=zeno_slope(reservoir),
-            mass=0.0,
-            head=None,
-            width=(wc, 0.6, half, math.inf, half),
-            scale=abs(complex(wc, kappa)),
-            theta=math.atan2(kappa, wc) + 0.25 * math.pi,
-            ray_ulps=12.0,
-            panel_ulps=0.0,
-        )
+        width = (wc, 0.6, half, math.inf, half)
+        theta = math.atan2(kappa, wc) + 0.25 * math.pi
+        return _Model(gamma0, slope, 0.0, None, width, abs(complex(wc, kappa)), theta, 12.0, 0.0)
     eta, wx, cutoff = reservoir.eta, reservoir.omega_x, reservoir.cutoff
     # a non-integer exponent eta puts a branch point of the RSC at omega = 0;
     # a line and an integer eta are analytic there
@@ -334,10 +333,8 @@ def _model(reservoir, emitter):
         moment = math.gamma(eta - 1.0) if eta > 1.0 else 0.0
         # a branch point at omega = 0 makes panel widths shrink in
         # proportion to the distance from it
-        if branch:
-            width = (0.0, 0.6, 0.0, 2.0 * wx, 2.0 * wx)
-        else:
-            width = (0.0, 1.0, 2.0 * wx, 2.0 * wx, 2.0 * wx)
+        hi = 2.0 * wx
+        width = (0.0, 0.6, 0.0, hi, hi) if branch else (0.0, 1.0, hi, hi, hi)
         p, ray_ulps = eta, 8.0 + 3.0 * eta
     else:
         mu = cutoff.mu
@@ -355,28 +352,15 @@ def _model(reservoir, emitter):
         lo, at = (0.0, 0.6 * wx) if branch else (0.3 * wx, 0.3 * wx)
         width = (0.0, 0.6, lo, math.inf, at)
         p, ray_ulps = mu, 8.0 + 2.0 * (eta + mu)
-    try:
-        slope = zeno_slope(reservoir)
-    except ValueError:
-        # a power-Lorentz RSC whose mass diverges has no finite slope
-        slope = None
     mass = 0.0
     if moment > 0.0:
         x0 = 2.0 * emitter.omega0 / wx
         log_ratio = (eta - 1.0) * math.log(x0) - math.log(eta - 1.0) - math.log(moment)
         if log_ratio < 0.0:
             mass = reservoir.coupling * moment * -math.expm1(log_ratio)
-    return _Model(
-        gamma0=gamma0,
-        slope=slope,
-        mass=mass,
-        head=_gauss_pair(eta) if branch else None,
-        width=width,
-        scale=wx,
-        theta=min(0.25 * math.pi, 1.0 / math.sqrt(p)) if p > 0.0 else 0.25 * math.pi,
-        ray_ulps=ray_ulps,
-        panel_ulps=0.5 * eta,
-    )
+    theta = min(0.25 * math.pi, 1.0 / math.sqrt(p)) if p > 0.0 else 0.25 * math.pi
+    head = _gauss_pair(eta) if branch else None
+    return _Model(gamma0, slope, mass, head, width, wx, theta, ray_ulps, 0.5 * eta)
 
 
 def _rate_floor(reservoir, emitter, t):
@@ -426,7 +410,7 @@ def _truncation(reservoir, emitter, t, cfg, floor):
         if isinstance(reservoir.cutoff, ExponentialCutoff):
             log_inv_eps = math.log(1.0 / eps)
             omega_max = wx * log_inv_eps + 10.0 * wx
-            if _tail_mass(reservoir, omega_max) > eps * zeno_slope(reservoir):
+            if _tail_mass(reservoir, omega_max) > eps * _model(reservoir, emitter).slope:
                 a = reservoir.eta + 1.0
                 x = min(a + math.sqrt(2.0 * a * log_inv_eps) + log_inv_eps, 700.0)
                 omega_max = max(omega_max, wx * x)
