@@ -296,9 +296,11 @@ def _model(reservoir, emitter):
     peak, and 2*sqrt(eta) from its phase, so 3*eta; 2*(eta + mu) for the
     power-Lorentz cutoff (weighted by |R|, the RSC rounds by under a
     quarter of these up to eta = 150); for a line, whose pole lies pi/4 off
-    the ray, at most 2/sin(pi/4). The panel scheme's are eta/2, as x**eta
-    rounds by about eta/2 ulps of x's rounding (see _evaluate); a line has
-    no such power.
+    the ray, at most 2/sin(pi/4). The panel scheme's are eta/2 for the
+    exponential cutoff, as x**eta rounds by about eta/2 ulps of x's
+    rounding (see _evaluate); a line has no such power. The power-Lorentz
+    RSC x**eta*(1 + x**2)**-mu may round by about eta + mu ulps, but that
+    is unmeasured, so it takes 0, the flat floor alone.
 
     M is a lower bound on the integral of R/omega**2 over omega > 2*omega0,
     where 1/delta**2 >= 1/omega**2. In x = omega/omega_x it is coupling
@@ -335,7 +337,7 @@ def _model(reservoir, emitter):
         # proportion to the distance from it
         hi = 2.0 * wx
         width = (0.0, 0.6, 0.0, hi, hi) if branch else (0.0, 1.0, hi, hi, hi)
-        p, ray_ulps = eta, 8.0 + 3.0 * eta
+        p, ray_ulps, panel_ulps = eta, 8.0 + 3.0 * eta, 0.5 * eta
     else:
         mu = cutoff.mu
         if eta >= 2.0 * mu + 1.0:
@@ -351,7 +353,8 @@ def _model(reservoir, emitter):
         # estimate), and from 0.6*omega_x at a branch point
         lo, at = (0.0, 0.6 * wx) if branch else (0.3 * wx, 0.3 * wx)
         width = (0.0, 0.6, lo, math.inf, at)
-        p, ray_ulps = mu, 8.0 + 2.0 * (eta + mu)
+        # panel_ulps 0: this RSC's rounding on panels is unmeasured
+        p, ray_ulps, panel_ulps = mu, 8.0 + 2.0 * (eta + mu), 0.0
     mass = 0.0
     if moment > 0.0:
         x0 = 2.0 * emitter.omega0 / wx
@@ -360,7 +363,7 @@ def _model(reservoir, emitter):
             mass = reservoir.coupling * moment * -math.expm1(log_ratio)
     theta = min(0.25 * math.pi, 1.0 / math.sqrt(p)) if p > 0.0 else 0.25 * math.pi
     head = _gauss_pair(eta) if branch else None
-    return _Model(gamma0, slope, mass, head, width, wx, theta, ray_ulps, 0.5 * eta)
+    return _Model(gamma0, slope, mass, head, width, wx, theta, ray_ulps, panel_ulps)
 
 
 def _rate_floor(reservoir, emitter, t):
@@ -689,7 +692,7 @@ def _edge_bounds(reservoir, emitter, t, caps, k_left, k_right):
     return bounds
 
 
-def _build_panels(reservoir, emitter, t, omega_max, cap, lobes=None):
+def _build_panels(reservoir, emitter, t, omega_max, cap, lobes):
     """Panel arrays (a, b, m, kind), left to right (see the panel kinds):
     merged blocks of whole lobes, at most cap on each side of the transition
     and of a narrowband line, envelope runs between them, and profile stubs
@@ -698,9 +701,9 @@ def _build_panels(reservoir, emitter, t, omega_max, cap, lobes=None):
     one stretch from 0. The points of _graded_points split whatever panel
     is still too wide for the RSC, half-lobes in their local phase. The
     panel at a branch point at omega = 0 takes the Gauss-Jacobi pair.
-    lobes is the point's zero_counts, where the caller has them."""
+    lobes is the point's zero_counts (k_left, k_right)."""
     w0 = emitter.omega0
-    k_left, k_right = lobes or zero_counts(t, w0, omega_max)
+    k_left, k_right = lobes
     # blocks as ranges [lo, hi] of zero indices k, the zero k at w0 + 2*pi*k/t
     blocks = [(-min(k_left, cap), min(k_right, cap))]
     if k_left > cap:
@@ -767,9 +770,9 @@ def _build_panels(reservoir, emitter, t, omega_max, cap, lobes=None):
         kind[i : i + size] = k
         if k == _PHASE:
             # _phase_omega at u = 0, whose + 0.0 changes no edge
-            lobes = np.arange(x, y + 1)
-            edges[i : i + size + 1] = w0 + (math.pi / t) * lobes
-            m[i : i + size] = lobes[:-1]
+            halves = np.arange(x, y + 1)
+            edges[i : i + size + 1] = w0 + (math.pi / t) * halves
+            m[i : i + size] = halves[:-1]
             spans.append((i, i + size, x))
         else:
             # the row's edges but its last in omega, a left run's reversed,

@@ -493,7 +493,7 @@ class TestPanels:
             self.check_tiling(model, em, t, omega_max, cap)
 
     def check_tiling(self, model, em, t, omega_max, cap):
-        layout = _build_panels(model, em, t, omega_max, cap)
+        layout = _build_panels(model, em, t, omega_max, cap, zero_counts(t, em.omega0, omega_max))
         a, b, phase = self.check_layout(model, em, t, omega_max, layout)
         assert phase.any()
         if isinstance(model, NarrowbandReservoir):
@@ -612,7 +612,9 @@ def _stepping_cases():
             [(0.0, 0.0, z)], [(quadrature._PANELS_PER_DECADE, step)], quadrature._RUN_STRETCHES
         ),
         "run-to-uniform": lambda: quadrature._steps([run[0]], [run[1]], quadrature._RUN_STRETCHES),
-        "layout": lambda: _build_panels(bb(1.0), EM, t, omega_max, _CAPS[0]),
+        "layout": lambda: _build_panels(
+            bb(1.0), EM, t, omega_max, _CAPS[0], zero_counts(t, EM.omega0, omega_max)
+        ),
         "side-cuts": lambda: quadrature._graded_points(
             np.array([0.0, 30.0]), (10.0, 0.5, 0.1, 2.0, 0.1)
         ),
@@ -790,7 +792,7 @@ class TestFarField:
         # line with kappa*t = 8515 that needs no block of 60,288 panels);
         # rel_tol 1e-12 takes a wider one
         omega_max = truncation_frequency(model, em, t, CFG)
-        top = _build_panels(model, em, t, omega_max, _CAPS[-1])[0].size
+        top = _build_panels(model, em, t, omega_max, _CAPS[-1], zero_counts(t, em.omega0, omega_max))[0].size
         reference = exact_rate(model, em, t)
         used = []
         for rel_tol in (1e-8, 1e-12):
@@ -835,9 +837,9 @@ class TestCapLadder:
             omega_max = truncation_frequency(model, em, t, cfg)
             floor = quadrature._rate_floor(model, em, t)
             _first_layout(model, em, t, omega_max, rel_tol, floor)
-            taken = built[-1]
+            taken, lobes = built[-1], zero_counts(t, em.omega0, omega_max)
             for cap in _CAPS[: _CAPS.index(taken)]:
-                a, b, _, kind = build(model, em, t, omega_max, cap)
+                a, b, _, kind = build(model, em, t, omega_max, cap, lobes)
                 bound = quadrature._envelope_terms(model, em, t, a, b, kind)[2]
                 assert bound > 0.25 * rel_tol * floor, (model, t, cap, taken)
         return len(built)
@@ -1548,11 +1550,11 @@ class TestLeftStub:
         # branch point at omega = 0 too
         monkeypatch.setattr(quadrature, "_graded_points", lambda edges, cap: [])
         omega_max = truncation_frequency(model, em, t, CFG)
-        k_left = zero_counts(t, em.omega0, omega_max)[0]
-        z = _phase_omega(em.omega0, t, -2 * k_left, 0.0)
+        lobes = zero_counts(t, em.omega0, omega_max)
+        z = _phase_omega(em.omega0, t, -2 * lobes[0], 0.0)
         step = min(quadrature._model(model, em).width[3], _PHASE_CAP / t)
         for cap in (_CAPS[0], _CAPS[-1]):
-            a, b, _, kind = _build_panels(model, em, t, omega_max, cap)
+            a, b, _, kind = _build_panels(model, em, t, omega_max, cap, lobes)
             stub = (kind == _PROFILE) & (b <= z)
             assert 1 <= stub.sum() <= math.ceil(z / step)
             assert a[stub][0] == 0.0 and b[stub][-1] == z
@@ -1609,7 +1611,7 @@ class TestLeftStub:
         ref = decay_rate_numeric_oracle(model, em, t, cfg)
         assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
         omega_max = truncation_frequency(model, em, t, cfg)
-        a, b, m, kind = _build_panels(model, em, t, omega_max, _CAPS[0])
+        a, b, m, kind = _build_panels(model, em, t, omega_max, _CAPS[0], zero_counts(t, em.omega0, omega_max))
         # the stub's profile panels run up to the half-lobe m = -1
         first = np.argmax(kind == _PHASE)
         z = _phase_omega(em.omega0, t, -1, 0.0)
@@ -1739,29 +1741,78 @@ class TestModelRecord:
         assert info.misses == 1 and info.currsize == 1
         assert info.hits >= 2 * grid.size
 
-    @pytest.mark.parametrize(
-        "model,em",
+    # ratios, their error estimates and the reference's rates at
+    # omega0*t = 1e-3, 1e-1, 10 and 1e3, as computed before the record
+    # existed (per point, from the model)
+    PASTED = {
+        "exp-eta1.7": (
+            [699.7350116615318, 193.38668411186578, 3.04961251967511, 1.0204965899996514],
+            [9.05106981420153e-13, 2.447740681930418e-13, 4.0043962545316254e-12, 9.299830527827432e-11],
+            [0.09179484418709964, 0.02536946163913929, 0.0004000638833407564, 0.0001338740007511037],
+        ),
+        "exp-eta2": (
+            [4700.364591869417, 815.45218892317, 9.27155755056736, 1.0827155983291572],
+            [1.032848477207834e-11, 1.2052581319337086e-12, 5.134031066821574e-10, 9.299837271686321e-11],
+            [0.11766145858576126, 0.020412734391203467, 0.00023208943975936542, 2.710298191735864e-05],
+        ),
+        "pl-eta2.5": (
+            [3387.837314601518, 3445.788612381497, 35.08158609541449, 1.340815653718289],
+            [3.009158463276024e-11, 1.0788369635825415e-08, 2.47600512372794e-10, 9.299867219507566e-11],
+            [0.005384738381603158, 0.00547684805171735, 5.5759809457449615e-05, 2.131135837710846e-06],
+        ),
+        "line-q10": (
+            [2.460223535722923e-05, 0.002458133007811621, 0.21303639655030313, 0.9799997344721487],
+            [7.434165184373257e-18, 7.419035132792146e-16, 7.597867348372461e-14, 2.4668994731198434e-11],
+            [4.920447071446099e-05, 0.004916266015623554, 0.4260727931006326, 1.9599994689687412],
+        ),
+    }
+    MODELS = pytest.mark.parametrize(
+        "model,em,key",
         [
-            (bb(1.7), EM),
-            (bb(2.0), EM),
-            (bb(2.5, cutoff=PowerLorentzCutoff(mu=4.0)), EM),
-            nb_resonant(10.0),
+            (bb(1.7), EM, "exp-eta1.7"),
+            (bb(2.0), EM, "exp-eta2"),
+            (bb(2.5, cutoff=PowerLorentzCutoff(mu=4.0)), EM, "pl-eta2.5"),
+            (*nb_resonant(10.0), "line-q10"),
         ],
         ids=["exp-eta1.7", "exp-eta2", "pl-eta2.5", "line-q10"],
     )
-    def test_cold_and_warm_cache_agree(self, model, em):
-        # a curve and the reference's points computed on a cold cache equal,
-        # bit for bit, those computed again on the warm one
-        grid = np.geomspace(1e-3, 1e3, 13) / em.omega0
+
+    @MODELS
+    def test_cold_and_warm_cache_give_the_pasted_values(self, model, em, key):
+        # both integrators give, bit for bit, the values computed per point
+        # from the model, on a cold cache and again on the warm one
+        grid = np.geomspace(1e-3, 1e3, 4) / em.omega0
 
         def run():
             curve = rate_curve(model, em, grid, CFG)
-            refs = [decay_rate_numeric_oracle(model, em, float(t), CFG) for t in grid]
+            refs = [decay_rate_numeric_oracle(model, em, float(t), CFG).value for t in grid]
             return curve.ratios.tolist(), curve.error_estimates.tolist(), refs
 
         quadrature._model.cache_clear()
-        cold = run()
-        assert run() == cold
+        assert run() == self.PASTED[key]
+        assert quadrature._model.cache_info().misses == 1
+        assert run() == self.PASTED[key]
+
+    @MODELS
+    def test_used_record_equals_a_fresh_build(self, model, em, key):
+        # the cached record is read-only, so after a curve and the reference
+        # have used it, it still equals one built anew
+        quadrature._model.cache_clear()
+        record = quadrature._model(model, em)
+        rate_curve(model, em, np.geomspace(1e-3, 1e3, 4) / em.omega0, CFG)
+        decay_rate_numeric_oracle(model, em, 1.0 / em.omega0, CFG)
+        assert quadrature._model(model, em) is record
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.gamma0 = 0.0
+        fresh = quadrature._model.__wrapped__(model, em)
+        for f in dataclasses.fields(record):
+            mine, theirs = getattr(record, f.name), getattr(fresh, f.name)
+            if f.name == "head" and mine is not None:
+                for x, y in zip(mine, theirs):
+                    assert not x.flags.writeable
+                    np.testing.assert_array_equal(x, y)
+            else:
+                assert mine == theirs
 
 
 class TestRateCurve:
