@@ -67,17 +67,10 @@ __all__ = [
 
 # the ladder of block half-widths, in whole lobes kept on each side of the
 # transition and of a narrowband line's centre before the far field is
-# left to envelope runs: each point takes the first whose envelope runs
-# bound their dropped oscillation within its tolerance, or the last. A
-# broadband point skips, unbuilt, the caps whose block edges alone put that
-# bound over the tolerance (see _edge_bounds)
+# left to envelope runs: each point builds and probes them in order and
+# takes the first whose envelope runs bound their dropped oscillation
+# within its tolerance, or the first that holds every lobe, or the last
 _CAPS = (32, 128, 512, 2048, 10_000)
-
-# a cap is skipped only when its edge bound exceeds the budget by this
-# factor: the edge's S''' comes from another 16-node panel than the probe's,
-# and the edge bound came within 2e-10 relative above the probe's on fig1's
-# grid, the property points and the seeded sweep at rel_tol 1e-8 and 1e-12
-_EDGE_MARGIN = 1.01
 
 # whole lobes kept next to omega = 0 when the block around the transition
 # stops short of it, so that no envelope run ends at the branch point there
@@ -207,8 +200,6 @@ def _derivative_rows(x, order):
 
 
 _GL_DIFF = _derivative_rows(_GL_PAIR[0][:_HI], 3)
-# the 16-node rule's nodes on [0, 1], for the panels of _edge_bounds
-_EDGE_NODES = 0.5 + 0.5 * _GL_PAIR[0][:_HI]
 
 # nodes per vectorised pass over phase panels, so that the arrays of one
 # pass stay in cache
@@ -616,80 +607,24 @@ def _phase_rsc(reservoir, w0, t, m, u):
 def _first_layout(reservoir, emitter, t, omega_max, rel_tol, floor):
     """A point's panels and their envelope terms (see _envelope_terms):
     blocks of the smallest cap in _CAPS whose envelope runs bound their
-    dropped oscillation by a quarter of rel_tol times the rate floor. A cap
-    that holds every lobe gives the layout of any larger one, so it ends
-    the ladder whatever its bound, as the last cap does.
-
-    A broadband point first bounds the far field of every cap before the
-    one that ends the ladder from its block edges alone (see _edge_bounds),
-    and does not build the caps whose edges already put it over budget.
-    The others are built and probed in turn, and the probe alone accepts a
-    cap, so each point takes the cap that probing every one would."""
+    dropped oscillation by a quarter of rel_tol times the rate floor. The
+    caps are built and probed in order. A cap that holds every lobe gives
+    the layout of any larger one, so it ends the ladder whatever its bound,
+    as the last cap does."""
     lobes = zero_counts(t, emitter.omega0, omega_max)
     last = min(max(lobes), _CAPS[-1])
     budget = 0.25 * rel_tol * floor
-    edge = [0.0] * len(_CAPS)
-    if isinstance(reservoir, BroadbandReservoir):
-        below = [cap for cap in _CAPS if cap < last]
-        edge[: len(below)] = _edge_bounds(reservoir, emitter, t, below, *lobes)
-    for cap, lower in zip(_CAPS, edge):
-        if lower > _EDGE_MARGIN * budget:
-            continue
+    for cap in _CAPS:
         panels = _build_panels(reservoir, emitter, t, omega_max, cap, lobes)
         a, b, _, kind = panels
         terms = _envelope_terms(reservoir, emitter, t, a, b, kind)
         if terms[2] <= budget or cap >= last:
             if _log.isEnabledFor(logging.DEBUG):
-                _log_ladder(t, cap, max(lobes), edge, _EDGE_MARGIN * budget)
+                _log.debug(
+                    "t=%r, %d lobes: took cap %d; probed and rejected: %s",
+                    t, max(lobes), cap, list(_CAPS[: _CAPS.index(cap)]),
+                )
             return panels, terms
-
-
-def _log_ladder(t, cap, lobes, edge, limit):
-    # one DEBUG line per point: the cap taken and what became of those below
-    skipped = [c for c, e in zip(_CAPS, edge) if c < cap and e > limit]
-    probed = [c for c, e in zip(_CAPS, edge) if c < cap and e <= limit]
-    _log.debug(
-        "t=%r, %d lobes: took cap %d; skipped by the edge bound: %s; "
-        "probed and rejected: %s",
-        t, lobes, cap, skipped, probed,
-    )
-
-
-def _edge_bounds(reservoir, emitter, t, caps, k_left, k_right):
-    """A lower bound on each cap's far-field bound (see _far_field), as a
-    list: 2*sum |S'''|/t**4 over the block edges omega0 -+ 2*pi*cap/t that
-    start an envelope run, for a point with k_left and k_right lobes. A
-    run adds |S'''| at both its ends and its total variation between them,
-    at least twice |S'''| at either end.
-
-    S''' at an edge is that of a 16-node panel beside it, a quarter of the
-    edge's distance from omega0 wide (and from 0, on the left), at most the
-    RSC's widest cap. The panels of all caps and sides take one envelope
-    call."""
-    w0 = emitter.omega0
-    step = _model(reservoir, emitter).width[3]
-    owner, z, s = [], [], []
-    for i, cap in enumerate(caps):
-        reach = (0.5 * math.pi / t) * cap
-        if cap < k_right:
-            owner.append(i)
-            z.append(_phase_omega(w0, t, 2 * cap, 0.0))
-            s.append(min(reach, step))
-        if cap + _EDGE_LOBES < k_left:
-            owner.append(i)
-            z.append(_phase_omega(w0, t, -2 * cap, 0.0))
-            s.append(-min(reach, 0.25 * z[-1], step))
-    bounds = [0.0] * len(caps)
-    if owner:
-        # a panel spans the signed width s from its edge z, so that the
-        # edge is its interpolant's end -1 on either side
-        s = np.array(s)
-        nodes = np.array(z)[:, None] + s[:, None] * _EDGE_NODES
-        vals = _envelope(reservoir, emitter, t)(nodes.reshape(-1)).reshape(nodes.shape)
-        s3 = (vals @ _GL_DIFF[3, 0]) * (2.0 / s) ** 3
-        for i, d in zip(owner, s3.tolist()):
-            bounds[i] += 2.0 * abs(d) / t**4
-    return bounds
 
 
 def _build_panels(reservoir, emitter, t, omega_max, cap, lobes):

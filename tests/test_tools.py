@@ -93,3 +93,41 @@ class TestRecordBench:
         }
         got = bench.rss_per_thousand(per_seed)
         assert got == {"parent": 30.0, "change": 30.0}  # medians of 50, 30, 17.5
+
+    def test_verdicts_against_each_bound(self):
+        bench = load_tool("record_bench")
+        assert bench.BOUNDS["points_per_s"] == 0.25 and bench.BOUNDS["peak_rss_mb"] == 0.1
+        steady = [100.0, 101.0, 99.0, 100.0, 100.5]
+        wide = [0.8, 1.0, 1.5, 2.0, 2.2]  # quartiles 0.9 and 2.1: 80 % of 1.5
+        cases = {
+            # 30 % fewer points a second, beyond the 25 % bound
+            "points_per_s": (steady, [70.0, 71.0, 69.0, 70.0, 70.5], "beyond bound"),
+            # a 10 % drop is beyond the 4 % bound, in the higher-is-better direction
+            "success_frac": ([1.0] * 5, [0.9] * 5, "beyond bound"),
+            # an unchanged median inside a parent spread wider than the bound
+            "point_ms_p50": (wide, [1.6, 1.4, 1.5, 1.7, 1.3], "unresolved"),
+            # the same spread, but every change run beats every parent run
+            "point_ms_tail": (wide, [0.5, 0.6, 0.55, 0.7, 0.65], "within bound"),
+            # 3 % more memory, inside the 10 % bound
+            "peak_rss_mb": ([50.0, 51.0, 50.5, 50.2, 50.8],
+                            [52.0, 52.5, 51.8, 52.2, 52.1], "within bound"),
+        }
+        got = {metric: bench.verdict(metric, parent, change)
+               for metric, (parent, change, _) in cases.items()}
+        for metric, (_, _, word) in cases.items():
+            assert got[metric]["verdict"] == word, (metric, got[metric])
+            assert got[metric]["bound"] == bench.BOUNDS[metric]
+        fewer = got["points_per_s"]
+        assert fewer["parent_median"] == 100.0 and fewer["change_median"] == 70.0
+        assert fewer["change_worse"] == 0.3 and fewer["parent_rel_iqr"] == 0.0125
+        assert got["point_ms_p50"]["change_worse"] == 0.0
+        assert got["point_ms_p50"]["parent_rel_iqr"] == 0.8
+
+    def test_verdicts_cover_every_workload_and_metric(self):
+        bench = load_tool("record_bench")
+        per_seed = {side: {m: [1.0, 2.0, 3.0] for m in bench.RUN_PY_METRICS}
+                    for side in bench.SIDES}
+        got = bench.verdicts({w: (per_seed, None) for w in bench.WORKLOADS})
+        assert set(got) == set(bench.WORKLOADS)
+        for table in got.values():
+            assert list(table) == list(bench.RUN_PY_METRICS)

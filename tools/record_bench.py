@@ -14,10 +14,12 @@ commands, alternating which side goes first:
   checkout, once per workload and seed (default seeds 1-5, 20 s).
 
 The file holds the medians and every run, in the layout of BENCH_11.json,
-with each run's count of attempted operations beside its metrics. The
-claim, if one is named with ``--claim WORKLOAD:METRIC``, gives both
-medians, the parent's quartile spread, the seeds on which the change beats
-the parent, and each side's peak_rss_mb per 1,000 attempted operations.
+with each run's count of attempted operations beside its metrics, and a
+verdict for every workload and end-to-end metric of BENCHMARK.json against
+its bound (see ``verdict``). The claim, if one is named with ``--claim
+WORKLOAD:METRIC``, gives both medians, the parent's quartile spread, the
+seeds on which the change beats the parent, and each side's peak_rss_mb per
+1,000 attempted operations.
 ``--scratch`` holds the parent's tree and the fig1 outputs; without it
 they go to a temporary directory that is removed at the end.
 """
@@ -37,17 +39,14 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
-RUN_PY_METRICS = (
-    "setup_s",
-    "points_per_s",
-    "point_ms_p50",
-    "point_ms_tail",
-    "peak_rss_mb",
-    "success_frac",
-)
-# which way is better for each run.py metric (see BENCHMARK.json)
-HIGHER_IS_BETTER = {"points_per_s", "success_frac"}
-WORKLOADS = ("fig1_broadband", "narrowband_onset", "verify_hard")
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    _BENCHMARK = json.load(_fh)
+# run.py's end-to-end metrics with their bounds, which way is better for
+# each, and its workloads
+BOUNDS = {m["name"]: m["bound"] for m in _BENCHMARK["end_to_end"]}
+RUN_PY_METRICS = tuple(BOUNDS)
+HIGHER_IS_BETTER = {m["name"] for m in _BENCHMARK["end_to_end"] if m["better"] == "higher"}
+WORKLOADS = tuple(w["name"] for w in _BENCHMARK["workloads"])
 FGR = "import sys; from fgr.cli import main; sys.exit(main())"
 E2E_COMMANDS = {
     "fig1_s": "fgr figure fig1 -o DIR",
@@ -108,6 +107,47 @@ def claim_summary(workload, metric, parent, change):
         "change_median": round(statistics.median(change), 4),
         "parent_iqr": round(q3 - q1, 4),
         "pairs_won": f"{pairs_won(parent, change, metric)}/{len(parent)}",
+    }
+
+
+def verdict(metric, parent, change):
+    """One end-to-end metric's record against its bound: both medians, the
+    change in the metric's worse direction relative to the parent's median
+    (positive is worse), the parent's quartile spread relative to its median,
+    the bound, and the verdict. That is "beyond bound" if the change is worse
+    by more than the bound; else "unresolved" if the parent's spread is wider
+    than the bound, unless every change run beats every parent run; else
+    "within bound". A zero parent median makes both figures absolute."""
+    bound = BOUNDS[metric]
+    p, c = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    scale = abs(p) or 1.0
+    if metric in HIGHER_IS_BETTER:
+        worse, clear = (p - c) / scale, min(change) > max(parent)
+    else:
+        worse, clear = (c - p) / scale, max(change) < min(parent)
+    spread = (q3 - q1) / scale
+    if worse > bound:
+        word = "beyond bound"
+    elif spread > bound and not clear:
+        word = "unresolved"
+    else:
+        word = "within bound"
+    return {
+        "parent_median": round(p, 4),
+        "change_median": round(c, 4),
+        "change_worse": round(worse, 4),
+        "parent_rel_iqr": round(spread, 4),
+        "bound": bound,
+        "verdict": word,
+    }
+
+
+def verdicts(workloads):
+    """{workload: {metric: verdict}} from {workload: (per_seed, correct)}."""
+    return {
+        w: {m: verdict(m, per_seed["parent"][m], per_seed["change"][m]) for m in RUN_PY_METRICS}
+        for w, (per_seed, _) in workloads.items()
     }
 
 
@@ -265,6 +305,7 @@ def main(argv=None):
                        "first; medians over the seeds, then every seed's value"),
             "workloads": {w: summarise_workload(*workloads[w]) for w in WORKLOADS},
         },
+        "verdicts": verdicts(workloads),
         "claim": None,
     }
     for side in SIDES:
@@ -279,6 +320,10 @@ def main(argv=None):
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+    for w, table in doc["verdicts"].items():
+        for m, v in table.items():
+            print(f"  {w} {m}: {v['change_worse']:+.1%} worse, parent spread "
+                  f"{v['parent_rel_iqr']:.1%}, bound {v['bound']:.0%}: {v['verdict']}")
     print(f"wrote {args.out}")
     return 0
 
