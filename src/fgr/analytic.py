@@ -254,7 +254,9 @@ def narrowband_rate_detuned(reservoir, emitter, t):
     r = delta / kappa
     if x * (1.0 + r * r) < _SERIES_SWITCH:
         return _series_ratio_detuned(x, r)
-    v = Visibility.from_detuning(delta, kappa).value
+    # formed here, not by Visibility: from |r| ~ 1e8 it rounds to -1.0,
+    # which the class refuses but the expression takes
+    v = (1.0 - r * r) / (1.0 + r * r)
     theta = delta * t
     emx = math.exp(-x)
     # 1 - cos(theta) e^-x assembled from two nonnegative pieces, so the

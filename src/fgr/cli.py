@@ -43,16 +43,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analytic import (
-    narrowband_rate_detuned,
-    onset_time_broadband,
-    onset_time_narrowband,
-)
+from .analytic import onset_time_broadband, onset_time_narrowband
 from .errors import ConfigError, ConvergenceError, UnconvergedPointError
 from .onset import empirical_onset
 from .quadrature import (
     QuadratureConfig,
-    curve_from_ratios,
     decay_rate_numeric,
     decay_rate_numeric_oracle,
     rate_curve,
@@ -74,6 +69,7 @@ EXIT_VERIFY = 4
 
 CSV_COLUMNS = ("t", "t_dimensionless", "gamma_ratio", "abs_err_est", "regime", "flagged")
 
+_FIGURES = ("fig1", "fig2", "fig3")
 _FIG1_ETAS = (0.5, 1.0, 1.5, 2.0, 3.0)
 # fig2/fig3: omega_c = 1 and g = 1e-3 omega_c, over kappa*t in [1e-3, 1e3]
 _NARROW_OMEGA_C = 1.0
@@ -265,17 +261,25 @@ def _write_markers(outdir, figure_id, markers):
 def cmd_figure(figure_id, outdir=".", overrides=None):
     """Emit the data behind one of the three reference figures.
 
-    The broadband sweep is integrated numerically; the narrowband sweeps
-    use the closed forms they plot. One CSV per curve plus markers.json
-    with the reference lines. ``overrides`` may set points_per_decade for
-    every figure, and for fig1 also etas, coupling, omega_x, t_min, t_max,
-    rel_tol and tail_epsilon.
+    Every curve is integrated numerically by ``rate_curve``, as ``fgr rate``
+    does, so each row carries its own error estimate; a flagged row makes
+    the exit code EXIT_PARTIAL. One CSV per curve plus markers.json with
+    the reference lines, which come from the closed forms. ``overrides``
+    may set points_per_decade, rel_tol and tail_epsilon for every figure,
+    and for fig1 also etas, coupling, omega_x, t_min and t_max.
     """
+    if figure_id not in _FIGURES:
+        raise ConfigError("figure_id", f"unknown figure {figure_id!r}")
     overrides = overrides or {}
     os.makedirs(outdir, exist_ok=True)
     ppd = int(overrides.get("points_per_decade", 16))
-    status = EXIT_OK
+    cfg = QuadratureConfig(
+        rel_tol=float(overrides.get("rel_tol", 1e-8)),
+        tail_epsilon=float(overrides.get("tail_epsilon", 1e-12)),
+    )
 
+    # (file name, model, emitter, times, extra columns) per curve
+    curves = []
     if figure_id == "fig1":
         coupling = float(overrides.get("coupling", 1e-3))
         omega_x = float(overrides.get("omega_x", 250.0))
@@ -283,25 +287,16 @@ def cmd_figure(figure_id, outdir=".", overrides=None):
         t_min = float(overrides.get("t_min", 1e-4))
         t_max = float(overrides.get("t_max", 1e5))
         grid = TimeGridSpec(t_min, t_max, ppd).times()
-        cfg = QuadratureConfig(
-            rel_tol=float(overrides.get("rel_tol", 1e-8)),
-            tail_epsilon=float(overrides.get("tail_epsilon", 1e-12)),
-        )
         vertical = []
         for eta in overrides.get("etas", _FIG1_ETAS):
             model = BroadbandReservoir(coupling=coupling, eta=eta, omega_x=omega_x)
-            curve = rate_curve(model, emitter, grid, cfg)
-            if bool(np.any(curve.flagged)):
-                status = EXIT_PARTIAL
-            name = os.path.join(outdir, f"fig1_eta_{eta:g}.csv")
-            write_curve_csv(name, curve, model.scale_frequency(emitter))
-            t_f = onset_time_broadband(model, emitter)
-            vertical.append({"eta": eta, "t_f": t_f})
+            curves.append((f"fig1_eta_{eta:g}.csv", model, emitter, grid, None))
+            vertical.append({"eta": eta, "t_f": onset_time_broadband(model, emitter)})
         markers = {
             "horizontal_lines": [{"gamma_ratio": 2.0, "applies_to": "eta>1"}],
             "vertical_lines": vertical,
         }
-    elif figure_id in ("fig2", "fig3"):
+    else:
         omega_c = _NARROW_OMEGA_C
         kt = TimeGridSpec(*_NARROW_KT, ppd).times()
 
@@ -310,13 +305,14 @@ def cmd_figure(figure_id, outdir=".", overrides=None):
                 g=_NARROW_G, kappa=omega_c / (2.0 * q), omega_c=omega_c
             )
 
-        # (file name, model, emitter, extra columns) per closed-form curve
         if figure_id == "fig2":
-            sweep = []
             vertical = []
             for q in _FIG2_QS:
                 model = narrow(q)
-                sweep.append((f"fig2_q_{q:g}.csv", model, EmitterSpec(omega_c), None))
+                times = kt / model.kappa
+                curves.append(
+                    (f"fig2_q_{q:g}.csv", model, EmitterSpec(omega_c), times, None)
+                )
                 vertical.append({"q": q, "t_f": onset_time_narrowband(model)})
             markers = {
                 "horizontal_lines": [{"gamma_ratio": 1.0 / math.e}],
@@ -324,27 +320,26 @@ def cmd_figure(figure_id, outdir=".", overrides=None):
             }
         else:
             model = narrow(_FIG3_Q)
-            sweep = [
+            curves = [
                 (
                     f"fig3_detuning_{d:g}.csv",
                     model,
                     EmitterSpec(omega_c + d * model.kappa),
+                    kt / model.kappa,
                     [("delta_over_kappa", d)],
                 )
                 for d in _FIG3_DETUNINGS
             ]
             markers = {"horizontal_lines": [], "vertical_lines": []}
-        for name, model, emitter, extra in sweep:
-            times = kt / model.kappa
-            ratios = np.array(
-                [narrowband_rate_detuned(model, emitter, float(t)) for t in times]
-            )
-            curve = curve_from_ratios(model, emitter, times, ratios, np.zeros_like(times))
-            write_curve_csv(
-                os.path.join(outdir, name), curve, model.scale_frequency(emitter), extra
-            )
-    else:
-        raise ConfigError("figure_id", f"unknown figure {figure_id!r}")
+
+    status = EXIT_OK
+    for name, model, emitter, times, extra in curves:
+        curve = rate_curve(model, emitter, times, cfg)
+        if bool(np.any(curve.flagged)):
+            status = EXIT_PARTIAL
+        write_curve_csv(
+            os.path.join(outdir, name), curve, model.scale_frequency(emitter), extra
+        )
     _write_markers(outdir, figure_id, markers)
     return status
 
@@ -460,7 +455,7 @@ def main(argv=None):
     p_onset.add_argument("--epsilon", type=float, default=None)
 
     p_fig = sub.add_parser("figure", help="emit reference-figure data")
-    p_fig.add_argument("figure_id", choices=("fig1", "fig2", "fig3"))
+    p_fig.add_argument("figure_id", choices=_FIGURES)
     p_fig.add_argument("-o", "--outdir", default=".")
     p_fig.add_argument(
         "--points-per-decade", type=int, default=None, dest="points_per_decade"

@@ -1222,22 +1222,6 @@ def _regime_label(reservoir, emitter, t):
     return "crossover"
 
 
-def curve_from_ratios(reservoir, emitter, times, ratios, errors, flagged=None):
-    """RateCurve with the regime labels and model metadata of its points."""
-    return RateCurve(
-        times=times,
-        ratios=ratios,
-        error_estimates=errors,
-        regime_labels=tuple(_regime_label(reservoir, emitter, float(t)) for t in times),
-        model_metadata={
-            "model": to_json(reservoir),
-            "emitter": to_json(emitter),
-            "t_scale": 1.0 / reservoir.scale_frequency(emitter),
-        },
-        flagged=flagged,
-    )
-
-
 def rate_curve(reservoir, emitter, time_grid, cfg=None):
     """Rate-ratio curve over a strictly increasing time grid.
 
@@ -1272,4 +1256,15 @@ def rate_curve(reservoir, emitter, time_grid, cfg=None):
         ratios[i], errors[i] = res.value / gamma0, res.error_estimate / gamma0
         if not (ratios[i] < math.inf and errors[i] < math.inf):
             raise ValueError(f"Gamma/Gamma0 overflows at t={t} for {reservoir}")
-    return curve_from_ratios(reservoir, emitter, times, ratios, errors, flagged)
+    return RateCurve(
+        times=times,
+        ratios=ratios,
+        error_estimates=errors,
+        regime_labels=tuple(_regime_label(reservoir, emitter, float(t)) for t in times),
+        model_metadata={
+            "model": to_json(reservoir),
+            "emitter": to_json(emitter),
+            "t_scale": 1.0 / reservoir.scale_frequency(emitter),
+        },
+        flagged=flagged,
+    )

@@ -28,8 +28,10 @@ from fgr.cli import (
     load_config,
     main,
 )
+from fgr.analytic import narrowband_rate_detuned
 from fgr.errors import ConvergenceError
-from fgr.reservoir import to_json
+from fgr.quadrature import QuadratureConfig, decay_rate_numeric, decay_rate_numeric_oracle
+from fgr.reservoir import EmitterSpec, NarrowbandReservoir, golden_rule_rate, to_json
 
 NARROW_CONFIG = {
     "schema_version": 1,
@@ -383,7 +385,66 @@ class TestCmdOnset:
             assert report["t_f_analytic"] == pytest.approx(expected, rel=1e-12)
 
 
+def assert_row_rule(model, emitter, t, ratio, err):
+    """A line's numerical rate against its whole-line closed form.
+
+    The model's spectrum lives on omega >= 0, so the closed form, which
+    integrates the Lorentzian over the whole axis, exceeds the true ratio
+    by the line's mass on omega < 0, M- = g^2 (1/2 - atan(omega_c/kappa)/pi),
+    seen through the sinc^2 profile: at most t/2pi, and at most
+    2/(pi t delta^2) with |delta| >= omega0 there.
+    """
+    closed = narrowband_rate_detuned(model, emitter, t)
+    gamma0 = golden_rule_rate(model, emitter)
+    m_minus = model.g**2 * (0.5 - math.atan(model.omega_c / model.kappa) / math.pi)
+    slack = err + 4e-16 * closed
+    gap = closed - ratio
+    assert gap >= -slack, (t, gap, slack)
+    bound = min(t, 4.0 / (t * emitter.omega0**2)) * m_minus / gamma0 + slack
+    assert gap <= bound, (t, gap, bound)
+
+
 class TestCmdFigure:
+    def test_narrowband_rows_are_integrated(self, tmp_path):
+        # every fig2/fig3 row lies below its whole-line closed form by no
+        # more than the line's mass on omega < 0 allows, and within the
+        # summed estimates of the contour reference at rel_tol 1e-12
+        ref_cfg = QuadratureConfig(rel_tol=1e-12)
+        q_of = {f"fig2_q_{q:g}.csv": q for q in cli._FIG2_QS}
+        q_of.update({f"fig3_detuning_{d:g}.csv": cli._FIG3_Q for d in cli._FIG3_DETUNINGS})
+        rows = 0
+        for figure_id in ("fig2", "fig3"):
+            outdir = tmp_path / figure_id
+            assert cmd_figure(figure_id, str(outdir), {"points_per_decade": 4}) == EXIT_OK
+            for name in sorted(n for n in os.listdir(outdir) if n.endswith(".csv")):
+                kappa = cli._NARROW_OMEGA_C / (2.0 * q_of[name])
+                model = NarrowbandReservoir(
+                    g=cli._NARROW_G, kappa=kappa, omega_c=cli._NARROW_OMEGA_C
+                )
+                with open(outdir / name, newline="", encoding="utf-8") as fh:
+                    for row in csv.DictReader(fh):
+                        d = float(row.get("delta_over_kappa", 0.0))
+                        emitter = EmitterSpec(model.omega_c + d * kappa)
+                        t, ratio = float(row["t"]), float(row["gamma_ratio"])
+                        err = float(row["abs_err_est"])
+                        assert row["flagged"] == "false" and err > 0.0
+                        assert_row_rule(model, emitter, t, ratio, err)
+                        ref = decay_rate_numeric_oracle(model, emitter, t, ref_cfg)
+                        gamma0 = golden_rule_rate(model, emitter)
+                        gap = abs(ratio - ref.value / gamma0)
+                        assert gap <= err + ref.error_estimate / gamma0, (name, t)
+                        rows += 1
+        assert rows == 225
+
+    def test_far_detuned_closed_form(self):
+        # (1 - r^2)/(1 + r^2) rounds to -1.0 here, which Visibility refuses
+        model, emitter = NarrowbandReservoir(1e-3, 1e-9, 1.0), EmitterSpec(2.0)
+        res = decay_rate_numeric(model, emitter, 1.0)
+        gamma0 = golden_rule_rate(model, emitter)
+        assert_row_rule(
+            model, emitter, 1.0, res.value / gamma0, res.error_estimate / gamma0
+        )
+
     def test_fig2_outputs(self, tmp_path):
         code = cmd_figure("fig2", str(tmp_path), {"points_per_decade": 4})
         assert code == EXIT_OK
@@ -427,8 +488,10 @@ class TestCmdFigure:
         assert max(float(r["gamma_ratio"]) for r in rows) > 1.5
 
     def test_unknown_figure(self, tmp_path):
+        outdir = tmp_path / "fig9"
         with pytest.raises(ConfigError):
-            cmd_figure("fig9", str(tmp_path))
+            cmd_figure("fig9", str(outdir))
+        assert not outdir.exists()
 
 
 class TestCmdVerify:

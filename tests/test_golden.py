@@ -1,8 +1,9 @@
 """Byte-level pins on CLI outputs.
 
-The digests are sha256 of the files written by the closed-form figures
-(fig2, fig3, with their markers.json) and by ``cmd_rate`` on the two small
-configs of test_cli. They do not depend on the BLAS thread count. A change
+The digests are sha256 of the files written by the narrowband figures
+(fig2, fig3, with their markers.json), integrated numerically at the
+default grid and tolerance, and by ``cmd_rate`` on the two small configs
+of test_cli. They do not depend on the BLAS thread count. A change
 to any of them means the CLI output changed; refactors must keep them.
 """
 
@@ -16,18 +17,18 @@ from fgr.cli import EXIT_OK, RunConfig, cmd_figure, cmd_rate
 
 FIGURE_DIGESTS = {
     "fig2": {
-        "fig2_q_1.csv": "dbdaefdc3f3e4e1d817ea1f36da098fa88ef5eccc4e2f4386aa28816e7e3ab74",
-        "fig2_q_10.csv": "e4080eb76112689b39761a510b97568748b6a245dc5ced96266addc0444d6fdc",
-        "fig2_q_100.csv": "6d56b5414ff5523e38b002352e1f5340c6585dfd6868a4e48f618b151d4dab6d",
-        "fig2_q_1000.csv": "3d27c36ba5b96221ffdeeec38e047c38d5d4fc981451be71fdbdb7565a201ebf",
+        "fig2_q_1.csv": "e1d3a717b76b037516486f8973ec3e662715dc57cf2b318c7b6202068ebcf79c",
+        "fig2_q_10.csv": "e113136f679f1ba1df281a75d043706eb8238aba86ea7563070087c024ae0a50",
+        "fig2_q_100.csv": "e473ec324e28ca388ff6fb77fac8c482ecb5279916c3da6efbfaaee3bff68e04",
+        "fig2_q_1000.csv": "3c4771412c6c67ef8d8a9f29f85b4c946e9bb7d2f2e339211cee00aa9f9a7e37",
         "markers.json": "ab9419fbc899c1077d30613a530bfb1d1d0d63e7595c295a9213c5fdac2ae9da",
     },
     "fig3": {
-        "fig3_detuning_0.4.csv": "2b84cd7c530fe672db1461643d81578052d84308409cc354068c7fdad7a76628",
-        "fig3_detuning_0.csv": "1432d76029ddcaa8461ab233fa9f430943876f021810c5f49036fa89223fd142",
-        "fig3_detuning_1.csv": "cfd45fdeac95afb99b4beec25ccfa1d8d97f644efb81a22c7b9dade171c4f48d",
-        "fig3_detuning_2.csv": "a367135d33858d0a54e8af0282644c947891bca292eecb2e56c62d2a4f738548",
-        "fig3_detuning_5.csv": "13166185df0a9478c572e94e7685c3215e98832c0e439af5377fdd345966d507",
+        "fig3_detuning_0.4.csv": "8065964ccd326a95c2cea4f608490c87764d0dfd2ddecac1ae805c77ef54dbe3",
+        "fig3_detuning_0.csv": "bcf6462a0563e3adb492cac28ced6b5b5425eeddd708c6f6d0c86b8614d1719c",
+        "fig3_detuning_1.csv": "3ba0e64c825fbc4948a2e5c0a596d035c1c003fb067291745378c3b0854dfdc5",
+        "fig3_detuning_2.csv": "71c076972a48acc21ced191d026377929a305dc851ff0fb0465ff922187314b7",
+        "fig3_detuning_5.csv": "e26e9556666bf12296a3b465e4ca139ed676953252b7b6ac45b3421b25e197d6",
         "markers.json": "017891842775e84294d79c5865bf37a8752f61697c56ce4ee0947563efbbfbb0",
     },
 }

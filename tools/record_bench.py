@@ -7,8 +7,9 @@ into a scratch directory (no worktree is registered in the repository);
 the change side is this checkout as it stands. Both sides run the same
 commands, alternating which side goes first:
 
-- end to end, ``--runs`` times each (default 3): ``fgr figure fig1``,
-  ``fgr verify`` and the tier-1 suite, each the wall time of one process
+- end to end, ``--runs`` times each (default 3): ``fgr figure`` fig1,
+  fig2 and fig3, ``fgr verify`` and the tier-1 suite, each the wall time
+  of one process
   with the side's ``src`` on ``PYTHONPATH``;
 - ``benchmark/run.py --workload W --seed S --seconds N`` of the side's own
   checkout, once per workload and seed (default seeds 1-5, 20 s).
@@ -20,7 +21,7 @@ its bound (see ``verdict``). The claim, if one is named with ``--claim
 WORKLOAD:METRIC``, gives both medians, the parent's quartile spread, the
 seeds on which the change beats the parent, and each side's peak_rss_mb per
 1,000 attempted operations.
-``--scratch`` holds the parent's tree and the fig1 outputs; without it
+``--scratch`` holds the parent's tree and the figure outputs; without it
 they go to a temporary directory that is removed at the end.
 """
 
@@ -50,6 +51,8 @@ WORKLOADS = tuple(w["name"] for w in _BENCHMARK["workloads"])
 FGR = "import sys; from fgr.cli import main; sys.exit(main())"
 E2E_COMMANDS = {
     "fig1_s": "fgr figure fig1 -o DIR",
+    "fig2_s": "fgr figure fig2 -o DIR",
+    "fig3_s": "fgr figure fig3 -o DIR",
     "verify_s": "fgr verify",
     "tier1_s": "python -m pytest -q --continue-on-collection-errors (PYTHONPATH=src)",
 }
@@ -188,9 +191,15 @@ def end_to_end(roots, scratch, runs):
     for i in range(runs):
         for side in side_order(i):
             root, env = roots[side], _env(roots[side])
-            fig_dir = os.path.join(scratch, f"fig1-{side}-{i}")
             cmds = {
-                "fig1_s": ([sys.executable, "-c", FGR, "figure", "fig1", "-o", fig_dir], (0,)),
+                f"{fig}_s": (
+                    [sys.executable, "-c", FGR, "figure", fig, "-o",
+                     os.path.join(scratch, f"{fig}-{side}-{i}")],
+                    (0,),
+                )
+                for fig in ("fig1", "fig2", "fig3")
+            }
+            cmds.update({
                 "verify_s": ([sys.executable, "-c", FGR, "verify"], (0,)),
                 # tier-1 exits 1: the deliberate pair of failures
                 "tier1_s": (
@@ -198,7 +207,7 @@ def end_to_end(roots, scratch, runs):
                      "--continue-on-collection-errors"],
                     (0, 1),
                 ),
-            }
+            })
             for name, (cmd, codes) in cmds.items():
                 wall, _ = _timed(cmd, root, env, codes)
                 out[side][name].append(round(wall, 2))
