@@ -5,7 +5,6 @@ detection of the golden-rule onset time."""
 from .analytic import (
     BroadbandRateParts,
     Regime,
-    Visibility,
     broadband_rate_analytic,
     broadband_resonant_part,
     broadband_tail_part,

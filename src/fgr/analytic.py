@@ -29,7 +29,6 @@ from .reservoir import (
 __all__ = [
     "Regime",
     "BroadbandRateParts",
-    "Visibility",
     "classify_regime",
     "broadband_resonant_part",
     "broadband_tail_part",
@@ -83,22 +82,6 @@ class BroadbandRateParts:
     @property
     def total(self):
         return self.resonant_part + self.tail_part
-
-
-@dataclass(frozen=True)
-class Visibility:
-    """Detuning-dependent weight of the oscillatory narrowband term."""
-
-    value: float
-
-    def __post_init__(self):
-        if not -1.0 < self.value <= 1.0:
-            raise ValueError(f"visibility must lie in (-1, 1], got {self.value}")
-
-    @classmethod
-    def from_detuning(cls, delta, kappa):
-        r2 = (delta / kappa) ** 2
-        return cls((1.0 - r2) / (1.0 + r2))
 
 
 def classify_regime(reservoir, emitter, t):
@@ -254,8 +237,7 @@ def narrowband_rate_detuned(reservoir, emitter, t):
     r = delta / kappa
     if x * (1.0 + r * r) < _SERIES_SWITCH:
         return _series_ratio_detuned(x, r)
-    # formed here, not by Visibility: from |r| ~ 1e8 it rounds to -1.0,
-    # which the class refuses but the expression takes
+    # from |r| ~ 1e8 v rounds to -1.0, which the expression takes
     v = (1.0 - r * r) / (1.0 + r * r)
     theta = delta * t
     emx = math.exp(-x)

@@ -265,18 +265,16 @@ def cmd_figure(figure_id, outdir=".", overrides=None):
     does, so each row carries its own error estimate; a flagged row makes
     the exit code EXIT_PARTIAL. One CSV per curve plus markers.json with
     the reference lines, which come from the closed forms. ``overrides``
-    may set points_per_decade, rel_tol and tail_epsilon for every figure,
-    and for fig1 also etas, coupling, omega_x, t_min and t_max.
+    may set points_per_decade and rel_tol for every figure, and for fig1
+    also etas, coupling, omega_x, t_min and t_max; a tail_epsilon key is
+    ignored, as the integral's cut follows rel_tol.
     """
     if figure_id not in _FIGURES:
         raise ConfigError("figure_id", f"unknown figure {figure_id!r}")
     overrides = overrides or {}
     os.makedirs(outdir, exist_ok=True)
     ppd = int(overrides.get("points_per_decade", 16))
-    cfg = QuadratureConfig(
-        rel_tol=float(overrides.get("rel_tol", 1e-8)),
-        tail_epsilon=float(overrides.get("tail_epsilon", 1e-12)),
-    )
+    cfg = QuadratureConfig(rel_tol=float(overrides.get("rel_tol", 1e-8)))
 
     # (file name, model, emitter, times, extra columns) per curve
     curves = []

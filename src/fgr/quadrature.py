@@ -33,6 +33,7 @@ import cmath
 import functools
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,6 @@ from .reservoir import (
     BroadbandReservoir,
     ExponentialCutoff,
     NarrowbandReservoir,
-    PowerLorentzCutoff,
     _line_shape,
     _power_lorentz_moment,
     _require_finite,
@@ -161,6 +161,9 @@ _NODE_OFFSETS = 1.0 + _GL_PAIR[0]
 # profile panels carry the whole integrand, smooth panels its envelope.
 _PHASE, _PROFILE, _SMOOTH = 0, 1, 2
 _HALF_PI = 0.5 * math.pi
+# pi/2 less the float _HALF_PI, so that m*pi/2 + u is formed to eps of its
+# value even where it cancels to near 0
+_HALF_PI_LO = 6.123233995736766e-17
 
 
 def _half_lobe_rule(rule):
@@ -212,17 +215,20 @@ _log = logging.getLogger("fgr")
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for the decay-rate integrator."""
+    """Tolerance for the decay-rate integrator; the integral's cut follows
+    rel_tol (see truncation_frequency). tail_epsilon is ignored, with a
+    FutureWarning, and is to be removed."""
 
     rel_tol: float = 1e-8
-    tail_epsilon: float = 1e-12
+    tail_epsilon: float | None = None
 
     def __post_init__(self):
         _require_finite(self)
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be > 0")
-        if not self.tail_epsilon > 0.0:
-            raise ValueError("tail_epsilon must be > 0")
+        if self.tail_epsilon is not None:
+            msg = "tail_epsilon is ignored: the integral's cut follows rel_tol"
+            warnings.warn(msg, FutureWarning, stacklevel=3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -374,30 +380,33 @@ def _rate_floor(reservoir, emitter, t):
 
 
 def truncation_frequency(reservoir, emitter, t, cfg):
-    """Upper integration limit with the neglected tail below
-    tail_epsilon relative to the rate scale.
+    """Upper integration limit, with the neglected tail sized by
+    eps = 1e-4*rel_tol (1e-12 at the default rel_tol).
 
-    For the exponential cutoff, with L = ln(1/tail_epsilon), the limit is
-    omega_x*(L + 10) wherever the RSC mass beyond it is at most
-    tail_epsilon times the total mass (eta <= 3 at the default
-    tail_epsilon). Otherwise the spectral peak at eta*omega_x lies too
-    close below it, and the limit moves out to omega_x*x with
-    x = min(a + sqrt(2*a*L) + L, 700), a = eta + 1: past the peak by the
-    Gamma(a) tail's width, capped where the closed-form tail bound is
-    still a normal float.
+    For the exponential cutoff, with L = ln(1/eps), the limit is
+    omega_x*(L + 10) wherever the RSC mass beyond it is at most eps times
+    the total mass (eta <= 3 at the default rel_tol). Otherwise the
+    spectral peak at eta*omega_x lies too close below it, and the limit
+    moves out to omega_x*x with x = min(a + sqrt(2*a*L) + L, 700),
+    a = eta + 1: past the peak by the Gamma(a) tail's width, capped where
+    the closed-form tail bound is still a normal float.
 
     For the power-Lorentz cutoff, whose tail falls as a power, the limit
-    starts at the lesser of omega_x*tail_epsilon**(1/p), p = eta + 1 -
-    2*mu, and 1e3*omega_x, and goes out by whole decades, at most
-    40, until the bound on the tail beyond it is within 1e-3*rel_tol of the
-    point's rate floor, as the contour reference sizes its ray.
+    starts at the lesser of omega_x*eps**(1/p), p = eta + 1 - 2*mu, and
+    1e3*omega_x, and goes out by whole decades, at most 40, until the bound
+    on the tail beyond it is within 1e-3*rel_tol of the point's rate floor,
+    as the contour reference sizes its ray.
+
+    For a Lorentzian line the limit lies past max(omega0, omega_c) by the
+    larger of 50*kappa and the span whose tail, 4*kappa*g**2/(3*pi*t*span**3),
+    is eps times the point's rate floor.
     """
     return _truncation(reservoir, emitter, t, cfg, _rate_floor(reservoir, emitter, t))
 
 
 def _truncation(reservoir, emitter, t, cfg, floor):
     # truncation_frequency, given the point's _rate_floor
-    eps = cfg.tail_epsilon
+    eps = 1e-4 * cfg.rel_tol
     w0 = emitter.omega0
     if isinstance(reservoir, BroadbandReservoir):
         wx = reservoir.omega_x
@@ -579,27 +588,34 @@ def _phase_omega(w0, t, m, u):
     return (w0 + (math.pi / t) * m) + (2.0 / t) * u
 
 
+def _line_anchor(reservoir, w0, t):
+    # the half-lobe k nearest a line's centre, and its edge's detuning
+    # omega_k - omega_c formed as (w0 - omega_c) + (pi/t)*k, whose rounding
+    # scales with |w0 - omega_c|, not with omega_c
+    k = round((reservoir.omega_c - w0) * t / math.pi)
+    return k, (w0 - reservoir.omega_c) + (math.pi / t) * k
+
+
 def _line_shift(reservoir, w0, t):
     # How far rounding moves a line along the exact phases of the
-    # half-lobes, in frequency (see _phase_rsc): omega_k = w0 + (pi/t)*k is
-    # off by up to eps*(2*|pi*k/t| + |omega_k|), nothing at k = 0, and
-    # omega_k - omega_c by eps*|omega_k - omega_c| more.
-    wc = reservoir.omega_c
-    k = round((wc - w0) * t / math.pi)
-    wk = _phase_omega(w0, t, k, 0.0)
-    far = 2.0 * abs((math.pi / t) * k) + abs(wk) if k else 0.0
-    return _EPS * (far + abs(wk - wc))
+    # half-lobes, in frequency (see _phase_rsc): its anchor (see
+    # _line_anchor) is off by half an ulp of w0 - omega_c and of the sum,
+    # and (pi/t)*k by 1.2 eps, two roundings and float pi's 0.18 eps; in
+    # all at most about 2*eps*|w0 - omega_c|.
+    k, anchor = _line_anchor(reservoir, w0, t)
+    far = 0.5 * abs(w0 - reservoir.omega_c) + 1.2 * abs((math.pi / t) * k)
+    return _EPS * (far + 0.5 * abs(anchor))
 
 
 def _phase_rsc(reservoir, w0, t, m, u):
     # The RSC at local phase u of half-lobe m. A Lorentzian line takes its
-    # detuning d = omega - omega_c from the half-lobe k nearest its centre,
-    # so that rounding omega costs eps of d rather than eps*omega_c, which
-    # is eps*omega_c/kappa of the line's value.
+    # detuning d = omega - omega_c from the edge of the half-lobe k nearest
+    # its centre (see _line_anchor), so that rounding costs eps of d and of
+    # |w0 - omega_c| rather than eps*omega_c, which is eps*omega_c/kappa of
+    # the line's value.
     if isinstance(reservoir, NarrowbandReservoir):
-        wc = reservoir.omega_c
-        k = round((wc - w0) * t / math.pi)
-        d = (_phase_omega(w0, t, k, 0.0) - wc) + ((math.pi / t) * (m - k) + (2.0 / t) * u)
+        k, anchor = _line_anchor(reservoir, w0, t)
+        d = anchor + ((math.pi / t) * (m - k) + (2.0 / t) * u)
         return _line_shape(reservoir, d)
     return evaluate_rsc(reservoir, _phase_omega(w0, t, m, u))
 
@@ -779,8 +795,11 @@ def _phase_values(reservoir, w0, t, a, b, m):
 def _phase_pass(reservoir, w0, t, a, b, m):
     # Each phase panel is sum_j W_j R(omega_j) / x_j**2 with
     # W_j = (b - a) * w_j * sin(x_j)**2: from the parity table on whole
-    # half-lobes, from sin of the local phase on the rest. Rounding the
-    # small local phase costs eps relative at any m.
+    # half-lobes, on the rest from sin(u) for even m and cos(u) for odd m,
+    # which near u = pi/2 does not cancel as sin(u + pi/2) would. Rounding
+    # the small local phase costs eps relative at any m, and x = m*pi/2 + u
+    # takes pi/2's low part too: at m = -1, x runs to 0 at omega0, where the
+    # float pi/2 alone would cost 1.2e-16/|x| of x**2.
     nodes, w, u, table = _HALF_LOBE_RULE
     part = (a != 0.0) | (b != _HALF_PI)
     partial = part.any()
@@ -788,14 +807,15 @@ def _phase_pass(reservoir, w0, t, a, b, m):
         half = 0.5 * (b - a)[:, None]
         u = 0.5 * (a + b)[:, None] + half * nodes
     mc = m[:, None]
-    x2 = _HALF_PI * mc + u
+    x2 = (_HALF_PI * mc + u) + _HALF_PI_LO * mc
     x2 *= x2
     vals = _phase_rsc(reservoir, w0, t, mc, u) / x2
     odd = (m & 1).astype(bool)
     both = vals @ table
     out = np.where(odd[:, None], both[:, 2:], both[:, :2])
     if partial:
-        s = np.sin(u[part] + _HALF_PI * odd[part, None])
+        up = u[part]
+        s = np.where(odd[part, None], np.cos(up), np.sin(up))
         out[part] = ((s * s * vals[part]) @ w) * (2.0 * half[part])
     return out
 
@@ -959,12 +979,10 @@ def decay_rate_numeric(reservoir, emitter, t, cfg=None):
         f"estimate {err:.3e} (value {value:.6e})"
     )
     if tail > limit:
-        msg += f"; the tail bound {tail:.3e} alone exceeds the tolerance"
-        if isinstance(getattr(reservoir, "cutoff", None), PowerLorentzCutoff):
-            # the cut went out _REF_DECADES decades whatever tail_epsilon is
-            msg += f" at omega_max = {omega_max:.3e}"
-        else:
-            msg += f" (lower tail_epsilon, now {cfg.tail_epsilon:g})"
+        msg += (
+            f"; the tail bound {tail:.3e} alone exceeds the tolerance at "
+            f"omega_max = {omega_max:.3e}"
+        )
     raise ConvergenceError(msg, result=result)
 
 

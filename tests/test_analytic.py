@@ -11,7 +11,6 @@ from fgr.analytic import (
     RESONANT_MIN,
     BroadbandRateParts,
     Regime,
-    Visibility,
     broadband_rate_analytic,
     broadband_resonant_part,
     broadband_tail_part,
@@ -289,21 +288,6 @@ class TestNarrowbandDetuned:
         assert narrowband_rate_detuned(nb, em, x) == pytest.approx(
             x * (1.0 + 9.0) / 2.0, rel=1e-6
         )
-
-
-class TestVisibility:
-    def test_resonant_is_one(self):
-        assert Visibility.from_detuning(0.0, 1.0).value == 1.0
-
-    def test_zero_at_detuning_equal_width(self):
-        assert Visibility.from_detuning(1.0, 1.0).value == 0.0
-        assert Visibility.from_detuning(-2.0, 2.0).value == 0.0
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            Visibility(-1.0)
-        with pytest.raises(ValueError):
-            Visibility(1.2)
 
 
 class TestOnsetTimeNarrowband:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,22 @@ class TestCmdRate:
         assert tuple(rows[0]) == CSV_COLUMNS
         # 0.5 to 2.0 at 4 points/decade: round(log10(4)*4)+1 = 3 rows
         assert len(rows) == 1 + 3
+
+    def test_tail_epsilon_key_is_ignored(self, tmp_path):
+        # an old config's tail_epsilon loads with a FutureWarning and
+        # changes no byte of the curve
+        outs = []
+        for quadrature in ({}, {"tail_epsilon": 1e-15}):
+            data = json.loads(json.dumps(NARROW_CONFIG))
+            data["quadrature"] = quadrature
+            out = tmp_path / f"curve{len(outs)}.csv"
+            data["output"] = {"path": str(out)}
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["rate", "-c", write_config(tmp_path, data)]) == EXIT_OK
+            assert [w.category for w in caught] == [FutureWarning] * len(quadrature)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_dimensionless_column_monotone(self, tmp_path):
         data = dict(BROAD_CONFIG)
@@ -437,7 +454,7 @@ class TestCmdFigure:
         assert rows == 225
 
     def test_far_detuned_closed_form(self):
-        # (1 - r^2)/(1 + r^2) rounds to -1.0 here, which Visibility refuses
+        # |delta|/kappa = 1e9: the visibility (1 - r^2)/(1 + r^2) rounds to -1.0
         model, emitter = NarrowbandReservoir(1e-3, 1e-9, 1.0), EmitterSpec(2.0)
         res = decay_rate_numeric(model, emitter, 1.0)
         gamma0 = golden_rule_rate(model, emitter)

@@ -17,25 +17,25 @@ from fgr.cli import EXIT_OK, RunConfig, cmd_figure, cmd_rate
 
 FIGURE_DIGESTS = {
     "fig2": {
-        "fig2_q_1.csv": "e1d3a717b76b037516486f8973ec3e662715dc57cf2b318c7b6202068ebcf79c",
-        "fig2_q_10.csv": "e113136f679f1ba1df281a75d043706eb8238aba86ea7563070087c024ae0a50",
-        "fig2_q_100.csv": "e473ec324e28ca388ff6fb77fac8c482ecb5279916c3da6efbfaaee3bff68e04",
-        "fig2_q_1000.csv": "3c4771412c6c67ef8d8a9f29f85b4c946e9bb7d2f2e339211cee00aa9f9a7e37",
+        "fig2_q_1.csv": "f4417207b82c8a740315da01e527bcb73c1a2a3aa04b532a16ba1d9e43dec253",
+        "fig2_q_10.csv": "650e5541156363763d97e1ee704077a5142f36ed8f509fe5595d725498f39155",
+        "fig2_q_100.csv": "a5a0a7cf91b864ec84d29f34db21caf2575947bf0f0cb741b4615fad23f8da9c",
+        "fig2_q_1000.csv": "ff87a8485d5ed643c8eb064adafe1b515bdb48925f07747f8bb74183f38f4753",
         "markers.json": "ab9419fbc899c1077d30613a530bfb1d1d0d63e7595c295a9213c5fdac2ae9da",
     },
     "fig3": {
-        "fig3_detuning_0.4.csv": "8065964ccd326a95c2cea4f608490c87764d0dfd2ddecac1ae805c77ef54dbe3",
-        "fig3_detuning_0.csv": "bcf6462a0563e3adb492cac28ced6b5b5425eeddd708c6f6d0c86b8614d1719c",
-        "fig3_detuning_1.csv": "3ba0e64c825fbc4948a2e5c0a596d035c1c003fb067291745378c3b0854dfdc5",
-        "fig3_detuning_2.csv": "71c076972a48acc21ced191d026377929a305dc851ff0fb0465ff922187314b7",
-        "fig3_detuning_5.csv": "e26e9556666bf12296a3b465e4ca139ed676953252b7b6ac45b3421b25e197d6",
+        "fig3_detuning_0.4.csv": "11d0d05d7a2ff7a01940537f66c572a8654f015a2d77b4337f956f60f2f3256d",
+        "fig3_detuning_0.csv": "a4864eadd3c04fe73c6ed7a99c06b299f1fb8acc61ac3bf938996f24b0e8edfd",
+        "fig3_detuning_1.csv": "cc539045aa65fcc06a330e13f1c733d692d83133198053f60e1b7a7163d394b4",
+        "fig3_detuning_2.csv": "08190b8f20d4883c2cce88d3eb467351ff414626d539633f79db4f54539f4292",
+        "fig3_detuning_5.csv": "bbf8c3534832c1e0586f20e42b7848ce53ca71ee45d56635c1e59785ec8623e1",
         "markers.json": "017891842775e84294d79c5865bf37a8752f61697c56ce4ee0947563efbbfbb0",
     },
 }
 
 RATE_DIGESTS = {
-    "narrow": "11aa095b6454711f864988fc3b6e530d9166948a58921ef74cba14c1be2da56e",
-    "broad": "b920c1c04ead6bf1ba20725e353792150b85656d66596c70b319bafa0ef9ab09",
+    "narrow": "915d7931a634d676dbb06c3a494f84f2409c77842986c33d33e94a75ccf1fb94",
+    "broad": "b8dd916c0540f6c0a8f9cfcce51f13ae08c51ebd130b907017e717b90aabd4f3",
 }
 
 

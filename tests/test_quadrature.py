@@ -93,6 +93,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=0.0)
 
+    def test_tail_epsilon_is_ignored_with_a_warning(self):
+        # the cut follows rel_tol: a tail_epsilon that an old config sets
+        # loads, warns, and changes no result
+        with pytest.warns(FutureWarning, match="follows rel_tol"):
+            old = QuadratureConfig(rel_tol=1e-10, tail_epsilon=1e-15)
+        new = QuadratureConfig(rel_tol=1e-10)
+        for model, em, t in [(bb(2.0), EM, 1.0), (*nb_resonant(10.0), 0.5)]:
+            assert decay_rate_numeric(model, em, t, old) == decay_rate_numeric(model, em, t, new)
+
     @pytest.mark.parametrize("value,error", [(-1.0, 0.0), (math.nan, 0.0), (1.0, math.nan)])
     def test_result_invariants(self, value, error):
         with pytest.raises(ValueError, match="nonnegative numbers"):
@@ -312,14 +321,15 @@ class TestErrors:
 
     def test_latest_accepted_time(self):
         # omega0*t = 2.5e16, just below the limit: the value the integrator
-        # gave before the limit existed, without a RuntimeWarning. The first
+        # gave before the limit existed, without a RuntimeWarning, less
+        # 3e-17 since the phase panels take pi/2's low part. The first
         # kernel zero rounds to omega = 0 here, so the half-lobe above it is
         # the stub, whose panel at the branch point takes the Gauss-Jacobi
         # pair: 72 panels fewer than the 9-decade stub, for the same value
         # and estimate
         res = decay_rate_numeric(bb(0.5), EM, 2.5e16, CFG)
         assert res == IntegrationResult(
-            0.09894929280922665, 3.5565116973142965e-10, 40314, 9407.755278982137
+            0.09894929280922662, 3.5565115585364184e-10, 40314, 9407.755278982137
         )
 
     def test_convergence_error_carries_best_result(self):
@@ -336,20 +346,21 @@ class TestTruncation:
     def test_exponential_cutoff_formula(self):
         r = bb(1.0)
         w = truncation_frequency(r, EM, 1.0, CFG)
-        expected = 250.0 * math.log(1.0 / CFG.tail_epsilon) + 10.0 * 250.0
+        expected = 250.0 * math.log(1.0 / (1e-4 * CFG.rel_tol)) + 10.0 * 250.0
         assert w == pytest.approx(expected, rel=1e-12)
 
     @staticmethod
     def power_lorentz_cut(r, t, cfg):
-        # The cut starts at eps**(1/p) times omega_x, bit for bit, wherever
-        # that stays below 1e3*omega_x, and at 1e3*omega_x as p = eta + 1 -
-        # 2*mu rises to 0 and beyond. It goes out by the fewest whole decades
-        # whose tail bound is within 1e-3*rel_tol of the rate floor, at most
-        # 40. Returns the decades taken.
-        p = r.eta + 1.0 - 2.0 * r.cutoff.mu
+        # The cut starts at eps**(1/p) times omega_x, eps = 1e-4*rel_tol,
+        # bit for bit, wherever that stays below 1e3*omega_x, and at
+        # 1e3*omega_x as p = eta + 1 - 2*mu rises to 0 and beyond. It goes
+        # out by the fewest whole decades whose tail bound is within
+        # 1e-3*rel_tol of the rate floor, at most 40. Returns the decades
+        # taken.
+        p, eps = r.eta + 1.0 - 2.0 * r.cutoff.mu, 1e-4 * cfg.rel_tol
         x = 1e3 * r.omega_x
-        if p < -1e-9 and math.log(cfg.tail_epsilon) / p < math.log(1e3):
-            x = min(r.omega_x * cfg.tail_epsilon ** (1.0 / p), x)
+        if p < -1e-9 and math.log(eps) / p < math.log(1e3):
+            x = min(r.omega_x * eps ** (1.0 / p), x)
         budget = 1e-3 * cfg.rel_tol * quadrature._rate_floor(r, EM, t)
         decades = 0
         while decades < 40 and quadrature._tail_bound(r, EM, t, x) > budget:
@@ -402,13 +413,14 @@ class TestTruncation:
     def test_exponential_tail_mass_bounds_gammainc(self):
         # the closed-form tail mass against the exact upper incomplete gamma
         # Gamma(eta+1, omega_max/omega_x): never below it (but for rounding),
-        # never above 1.5x, and within 1% at the default tail_epsilon for eta <= 10
+        # never above 1.5x, and within 1% at the default cut eps = 1e-12 for
+        # eta <= 10; each cut eps = 1e-4*rel_tol is set through rel_tol
         epsilons = [1e-300, 1e-100, 1e-30, 1e-16, 1e-12, 1e-4, 0.1, 0.999]
         with mp.workdps(30):
             for eta in np.arange(0.0, 170.125, 0.25):
                 r = BroadbandReservoir(coupling=1.0, eta=float(eta), omega_x=1.0)
                 for eps in epsilons:
-                    cfg = QuadratureConfig(tail_epsilon=eps)
+                    cfg = QuadratureConfig(rel_tol=1e4 * eps)
                     x = truncation_frequency(r, EM, 1.0, cfg)
                     ratio = _tail_mass(r, x) / mp.gammainc(eta + 1.0, x)
                     assert 1.0 - 1e-12 <= ratio <= 1.5, (eta, eps, ratio)
@@ -856,8 +868,8 @@ class TestCapLadder:
         self.check_ladder(monkeypatch, [p[1:] for p in PROPERTY_POINTS], rel_tol)
 
     def test_cap_decision_logged(self, caplog):
-        # eta = 3 at a fig1 time and rel_tol 1e-12: the probe rejects 32,
-        # 128 and 512 and takes 2048
+        # eta = 3 at a fig1 time and rel_tol 1e-12, whose cut at eps = 1e-16
+        # holds 18635 lobes: the probe rejects 32, 128 and 512 and takes 2048
         t, cfg = 10.0, QuadratureConfig(rel_tol=1e-12)
         with caplog.at_level(logging.INFO, logger="fgr"):
             decay_rate_numeric(bb(3.0), EM, t, cfg)
@@ -865,7 +877,7 @@ class TestCapLadder:
         with caplog.at_level(logging.DEBUG, logger="fgr"):
             decay_rate_numeric(bb(3.0), EM, t, cfg)
         assert [r.getMessage() for r in caplog.records] == [
-            "t=10.0, 14971 lobes: took cap 2048; probed and rejected: [32, 128, 512]"
+            "t=10.0, 18635 lobes: took cap 2048; probed and rejected: [32, 128, 512]"
         ]
 
 
@@ -936,7 +948,7 @@ PROPERTY_REFERENCES = {
 
 
 class TestExactProperty:
-    # every point of the seeded grid converges at both tolerances, within
+    # every point of the seeded grid converges at every tolerance, within
     # its own estimate of the 25-digit rate; a failure here is a finding
     # to record, not a case to drop
 
@@ -957,7 +969,7 @@ class TestExactProperty:
         for name, model, em, t in PROPERTY_POINTS[:12]:
             assert closed_form_rate(model, em, t) == PROPERTY_REFERENCES[name], name
 
-    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12, 1e-13])
     @pytest.mark.parametrize(
         "point", PROPERTY_POINTS, ids=[p[0] for p in PROPERTY_POINTS]
     )
@@ -1696,7 +1708,7 @@ class TestRefinement:
         # a heavy power-Lorentz tail just below the integrability edge
         # eta = 2*mu + 1: 40 decades past 1e3*omega_x the bound beyond
         # omega_max alone still exceeds rel_tol*value, no panel can lower
-        # it, and no tail_epsilon would move the cut
+        # it, and the cut goes out no further
         with pytest.warns(UserWarning):
             cutoff = PowerLorentzCutoff(mu=1.6)
         model, t = bb(4.19, cutoff=cutoff), 10.0
@@ -1707,16 +1719,13 @@ class TestRefinement:
             decay_rate_numeric(model, EM, t, CFG)
         assert excinfo.value.result.panels_used == first
 
-    def test_tail_bound_message_names_tail_epsilon(self):
-        # a line at rel_tol 1e-13: the tail bound at the default tail_epsilon
-        # alone exceeds the tolerance, and the message names the setting to
-        # lower; lowered, the point converges within its estimate of its
-        # 25-digit rate (EXACT_REFERENCES)
+    def test_tight_tolerance_cut_follows_rel_tol(self):
+        # a line at rel_tol 1e-13, in the default config otherwise: the cut
+        # follows rel_tol, so the point converges within its estimate of its
+        # 25-digit rate (PASTED_REFERENCES); under a cut fixed at 1e-12 its
+        # tail bound alone exceeded the tolerance
         model, em = NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=20.0), EmitterSpec(20.0)
-        with pytest.raises(ConvergenceError, match=r"\(lower tail_epsilon, now 1e-12\)$"):
-            decay_rate_numeric(model, em, 1.0, QuadratureConfig(rel_tol=1e-13))
-        cfg = QuadratureConfig(rel_tol=1e-13, tail_epsilon=1e-15)
-        res = decay_rate_numeric(model, em, 1.0, cfg)
+        res = decay_rate_numeric(model, em, 1.0, QuadratureConfig(rel_tol=1e-13))
         assert abs(res.value - 0.7357292394136496) <= res.error_estimate
 
     def test_divergent_rsc_mass_reaches_the_tail_bound(self):
@@ -1763,27 +1772,28 @@ class TestModelRecord:
         assert info.hits >= 2 * grid.size
 
     # ratios, their error estimates and the reference's rates at
-    # omega0*t = 1e-3, 1e-1, 10 and 1e3, as computed before the record
-    # existed (per point, from the model)
+    # omega0*t = 1e-3, 1e-1, 10 and 1e3, as computed per point from the
+    # model before the record existed, the ratios and estimates re-recorded
+    # since the phase panels take pi/2's low part (within the estimates)
     PASTED = {
         "exp-eta1.7": (
-            [699.7350116615318, 193.38668411186578, 3.04961251967511, 1.0204965899996514],
-            [9.05106981420153e-13, 2.447740681930418e-13, 4.0043962545316254e-12, 9.299830527827432e-11],
+            [699.7350116615318, 193.38668411186578, 3.04961251967511, 1.0204965899996512],
+            [9.051061743141039e-13, 2.398152653766573e-13, 4.00445113711488e-12, 9.299833110537229e-11],
             [0.09179484418709964, 0.02536946163913929, 0.0004000638833407564, 0.0001338740007511037],
         ),
         "exp-eta2": (
-            [4700.364591869417, 815.45218892317, 9.27155755056736, 1.0827155983291572],
-            [1.032848477207834e-11, 1.2052581319337086e-12, 5.134031066821574e-10, 9.299837271686321e-11],
+            [4700.364591869417, 815.45218892317, 9.27155755056736, 1.0827155983291568],
+            [1.032847026659397e-11, 1.2052581319337086e-12, 5.134031362899258e-10, 9.299844885112479e-11],
             [0.11766145858576126, 0.020412734391203467, 0.00023208943975936542, 2.710298191735864e-05],
         ),
         "pl-eta2.5": (
-            [3387.837314601518, 3445.788612381497, 35.08158609541449, 1.340815653718289],
-            [3.009158463276024e-11, 1.0788369635825415e-08, 2.47600512372794e-10, 9.299867219507566e-11],
+            [3387.837314601518, 3445.788612381497, 35.08158609541449, 1.3408156537182887],
+            [3.0091585023079115e-11, 1.0788403742408839e-08, 2.476005498434057e-10, 9.299873048269381e-11],
             [0.005384738381603158, 0.00547684805171735, 5.5759809457449615e-05, 2.131135837710846e-06],
         ),
         "line-q10": (
-            [2.460223535722923e-05, 0.002458133007811621, 0.21303639655030313, 0.9799997344721487],
-            [7.434165184373257e-18, 7.419035132792146e-16, 7.597867348372461e-14, 2.4668994731198434e-11],
+            [2.460223535722923e-05, 0.002458133007811621, 0.21303639655030296, 0.9799997344721484],
+            [7.434165185786895e-18, 7.41903516587937e-16, 7.546755347456063e-14, 2.4669105753500896e-11],
             [4.920447071446099e-05, 0.004916266015623554, 0.4260727931006326, 1.9599994689687412],
         ),
     }
