@@ -189,6 +189,8 @@ def onset_time_broadband(reservoir, emitter):
     1/omega0 for eta < 1; for eta >= 1 the off-resonant tail delays the
     onset by the factor (omega_x/omega0)**(eta-1) (logarithmic at eta = 1).
     """
+    if not isinstance(reservoir, BroadbandReservoir):
+        raise TypeError("onset formulas are defined for broadband reservoirs only")
     eta, w0, wx = reservoir.eta, emitter.omega0, reservoir.omega_x
     if not wx > w0:
         raise ValueError("onset formulas require omega_x > omega0")

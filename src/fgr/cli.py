@@ -272,7 +272,6 @@ def cmd_figure(figure_id, outdir=".", overrides=None):
     if figure_id not in _FIGURES:
         raise ConfigError("figure_id", f"unknown figure {figure_id!r}")
     overrides = overrides or {}
-    os.makedirs(outdir, exist_ok=True)
     ppd = int(overrides.get("points_per_decade", 16))
     cfg = QuadratureConfig(rel_tol=float(overrides.get("rel_tol", 1e-8)))
 
@@ -330,6 +329,8 @@ def cmd_figure(figure_id, outdir=".", overrides=None):
             ]
             markers = {"horizontal_lines": [], "vertical_lines": []}
 
+    # made only once every override has been checked
+    os.makedirs(outdir, exist_ok=True)
     status = EXIT_OK
     for name, model, emitter, times, extra in curves:
         curve = rate_curve(model, emitter, times, cfg)

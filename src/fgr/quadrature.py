@@ -29,7 +29,6 @@ of stretch sequences in one call.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import logging
 import math
@@ -88,64 +87,55 @@ _PHASE_CAP = 4.0
 _REF_DECADES = 40
 
 
-def _gauss_legendre(n):
-    # The n-node Gauss-Legendre rule in plain numpy (numpy.polynomial and
-    # LAPACK would cost the process about 2.5 MB): Newton's method on the
-    # Legendre recurrence from the asymptotic roots, then weights
-    # 2/((1 - x**2) P_n'(x)**2), symmetrised and scaled to sum to 2. Both
-    # are within 3e-15 relative of 40-digit values for n = 8 and 16.
-    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(10):
-        p0, p1 = np.ones(n), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (p0 - x * p1) / (1.0 - x * x)
-        x = x - p1 / dp
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    w += w[::-1]
-    return 0.5 * (x - x[::-1]), w * (2.0 / w.sum())
+def _gauss_pair(eta=0.0):
+    """The 16/8 Gauss-Jacobi pair for the weight (1 + x)**eta on [-1, 1],
+    Gauss-Legendre at eta = 0, as one 24-node rule: its weight columns give
+    the 16-node value and the 8-node one, whose difference is its error
+    estimate, so one integrand call on 24 nodes gives both. The weights are
+    divided by their node's (1 + x)**eta, so that it integrates
+    (1 + x)**eta * g(x) itself.
 
-
-def _gauss_jacobi(n, eta):
-    """The n-node Gauss-Jacobi rule for the weight (1 + x)**eta on [-1, 1],
-    its weights divided by their node's (1 + x)**eta so that it integrates
-    (1 + x)**eta * g(x) itself. Golub-Welsch, alpha = 0, beta = eta: the
-    nodes are the Jacobi matrix's eigenvalues after one Newton step on p_n
-    (without it their rounding costs up to 5e-14 of exactness), the
-    weights 1/sum p_k(x)**2, k < n, each orthonormal p_k times
-    (1 + x)**(eta/2) from logarithms, so that none overflows up to
-    eta ~ 170. The eigenvalue call costs the process about 0.6 MB."""
-    k = np.arange(n + 1.0)
+    Golub-Welsch, alpha = 0, beta = eta: the nodes are the eigenvalues of
+    the n = 16 Jacobi matrix and of its leading 8x8 block, after one Newton
+    step on p_n (without it their rounding costs up to 5e-14 of
+    exactness), the weights 1/sum p_k(x)**2, k < n, each orthonormal p_k
+    times (1 + x)**(eta/2) from logarithms, so that none overflows up to
+    eta ~ 170. The recurrence runs over all 24 nodes and takes the 8-node
+    rule's p_8, slope and sum at step 8. At eta = 0 the nodes are within
+    1e-16 and the weights 3e-15 relative of 40-digit Legendre values.
+    """
+    k = np.arange(17.0)
     s = 2.0 * k + eta
-    diag = eta * eta / (s * (s + 2.0))
-    diag[0] = eta / (eta + 2.0)  # rounded twice, it cost 1e-14 of exactness
+    # diag[0] formed apart: rounded twice it cost 1e-14 of exactness, and
+    # the general form is 0/0 at eta = 0
+    diag = np.append(eta / (eta + 2.0), eta * eta / (s[1:] * (s[1:] + 2.0)))
     off = np.append(0.0, 2.0 * k[1:] * (k[1:] + eta) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0)))
-    x = np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[1:n], 1) + np.diag(off[1:n], -1))
+    jacobi = np.diag(diag[:16]) + np.diag(off[1:16], 1) + np.diag(off[1:16], -1)
+    x = np.concatenate([np.linalg.eigvalsh(jacobi), np.linalg.eigvalsh(jacobi[:8, :8])])
     log_mass = (eta + 1.0) * math.log(2.0) - math.log1p(eta)
-    for step in range(2):
-        # p_k and its slope by the recurrence, p_0 = (1 + x)**(eta/2)/sqrt(mass)
-        p0, p1 = 0.0, np.exp(0.5 * (eta * np.log1p(x) - log_mass))
-        d0, d1, total = 0.0, 0.0, 0.0
-        for i in range(1, n + 1):
-            total = total + p1 * p1
-            a, b, c = x - diag[i - 1], off[i - 1], off[i]
-            p0, p1, d0, d1 = p1, (a * p1 - b * p0) / c, d1, (a * d1 + p1 - b * d0) / c
-        if step == 0:
-            x = x - p1 / d1
-    return x, 1.0 / total
+    steps = list(zip(range(1, 17), off[:16].tolist(), off[1:].tolist()))
 
+    def start(x):
+        # p_-1 = 0, p_0 = (1 + x)**(eta/2)/sqrt(mass), and x - diag[i - 1]
+        return 0.0, np.exp(0.5 * (eta * np.log1p(x) - log_mass)), x - diag[:16, None]
 
-def _gauss_pair(eta=None):
-    # the 16/8 pair as one 24-node rule, Gauss-Legendre, or with eta the
-    # Gauss-Jacobi pair for a branch point (1 + x)**eta at -1: its weight
-    # columns give the 16-node value and the 8-node one, whose difference
-    # is its error estimate, so one integrand call on 24 nodes gives both
-    rule = _gauss_legendre if eta is None else functools.partial(_gauss_jacobi, eta=eta)
-    (x16, w16), (x8, w8) = rule(16), rule(8)
-    x, w = np.concatenate([x16, x8]), np.zeros((24, 2))
-    w[:16, 0], w[16:, 1] = w16, w8
-    # read-only, as _GL_PAIR and each record of _model hand the same arrays
-    # to every caller
+    # the Newton step, on p_n and its slope
+    (p0, p1, rows), d0, d1 = start(x), 0.0, 0.0
+    for (i, b, c), a in zip(steps, rows):
+        p0, p1, d0, d1 = p1, (a * p1 - b * p0) / c, d1, (a * d1 + p1 - b * d0) / c
+        if i == 8:
+            p8, d8 = p1[16:], d1[16:]
+    x = x - np.append(p1[:16], p8) / np.append(d1[:16], d8)
+    # the weights, from the sum of p_k**2 at the corrected nodes
+    (p0, p1, rows), total = start(x), 0.0
+    for (i, b, c), a in zip(steps, rows):
+        total = total + p1 * p1
+        p0, p1 = p1, (a * p1 - b * p0) / c
+        if i == 8:
+            total8 = total[16:]
+    w = np.zeros((24, 2))
+    w[:16, 0], w[16:, 1] = 1.0 / total[:16], 1.0 / total8
+    # read-only: _GL_PAIR and each record of _model share them with every caller
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -379,7 +369,7 @@ def _rate_floor(reservoir, emitter, t):
     return 0.1 * min(model.slope * t, late)
 
 
-def truncation_frequency(reservoir, emitter, t, cfg):
+def truncation_frequency(reservoir, emitter, t, cfg=None):
     """Upper integration limit, with the neglected tail sized by
     eps = 1e-4*rel_tol (1e-12 at the default rel_tol).
 
@@ -398,9 +388,11 @@ def truncation_frequency(reservoir, emitter, t, cfg):
     as the contour reference sizes its ray.
 
     For a Lorentzian line the limit lies past max(omega0, omega_c) by the
-    larger of 50*kappa and the span whose tail, 4*kappa*g**2/(3*pi*t*span**3),
-    is eps times the point's rate floor.
+    larger of 50*kappa and the least span whose tail, the lesser of
+    4*kappa*g**2/(3*pi*t*span**3) and t*kappa*g**2/(pi*span), is eps times
+    the point's rate floor.
     """
+    cfg, _ = _setup(reservoir, emitter, t, cfg)
     return _truncation(reservoir, emitter, t, cfg, _rate_floor(reservoir, emitter, t))
 
 
@@ -432,10 +424,14 @@ def _truncation(reservoir, emitter, t, cfg, floor):
                     break
                 omega_max *= 10.0
     else:
+        # the lesser span, as _tail_bound takes the lesser bound: the flat
+        # profile's, formed with floor/t to stay finite at tiny t, and the
+        # envelope's, where its divisor has not underflowed to 0
         k, wc = reservoir.kappa, reservoir.omega_c
-        span = (4.0 * k * reservoir.g**2 / (3.0 * math.pi * t * eps * floor)) ** (
-            1.0 / 3.0
-        )
+        span = k * reservoir.g**2 / (math.pi * eps * (floor / t))
+        den = 3.0 * math.pi * t * eps * floor
+        if den > 0.0:
+            span = min(span, (4.0 * k * reservoir.g**2 / den) ** (1.0 / 3.0))
         omega_max = max(w0, wc) + max(span, 50.0 * k)
     return max(omega_max, 2.0 * w0)
 
@@ -1008,17 +1004,14 @@ def _line_residue(reservoir, emitter, t):
     ray crosses, adds (2/t)*g**2*Re[(1 - e**(-i*z))/d**2] with d = p -
     omega0, z = d*t. The two cancel to O(kappa*t) on the Zeno side, so they
     are formed together, exactly, as 2*g**2*t*Re phi2(-i*z) with phi2(w) =
-    (e**w - 1 - w)/w**2, here of one number by cmath. This is also the
+    (e**w - 1 - w)/w**2, the kernel's _phi2. This is also the
     residue term of the subtracted kernel, whose pole at omega0 is removed.
 
     Returns the term and what rounding its phase Re(z) costs (see
     _line_phase_cost), eps*|Re z| of it.
     """
     w = complex(-reservoir.kappa * t, -(reservoir.omega_c - emitter.omega0) * t)
-    if abs(w) < 0.5:
-        phi2 = sum(w**k / math.factorial(k + 2) for k in range(19))
-    else:
-        phi2 = (cmath.exp(w) - 1.0 - w) / (w * w)
+    phi2 = _phi2(np.array([w])).item()
     phase = _line_phase_cost(reservoir, emitter, t, _EPS * abs(w.imag))
     return 2.0 * reservoir.g**2 * t * phi2.real, phase
 

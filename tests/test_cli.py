@@ -226,6 +226,19 @@ class TestCmdRate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_line_from_tiny_times(self, tmp_path):
+        # the line's cut stays finite from t_min = 1e-160, where it once
+        # divided by a product that had underflowed to 0
+        data = {
+            "schema_version": 1,
+            "unit": "omega0",
+            "model": {"type": "narrowband", "g": 1e-3, "kappa": 0.05, "omega_c": 1.0},
+            "emitter": {"omega0": 1.0},
+            "time_grid": {"t_min": 1e-160, "t_max": 1e-150, "points_per_decade": 1},
+            "output": {"path": str(tmp_path / "curve.csv")},
+        }
+        assert main(["rate", "-c", write_config(tmp_path, data)]) == EXIT_OK
+
     def test_dimensionless_column_monotone(self, tmp_path):
         data = dict(BROAD_CONFIG)
         out = tmp_path / "curve.csv"
@@ -508,6 +521,12 @@ class TestCmdFigure:
         outdir = tmp_path / "fig9"
         with pytest.raises(ConfigError):
             cmd_figure("fig9", str(outdir))
+        assert not outdir.exists()
+
+    def test_bad_grid_makes_no_directory(self, tmp_path):
+        outdir = tmp_path / "out"
+        argv = ["figure", "fig1", "-o", str(outdir), "--points-per-decade", "0"]
+        assert main(argv) == EXIT_CONFIG
         assert not outdir.exists()
 
 

@@ -17,25 +17,25 @@ from fgr.cli import EXIT_OK, RunConfig, cmd_figure, cmd_rate
 
 FIGURE_DIGESTS = {
     "fig2": {
-        "fig2_q_1.csv": "f4417207b82c8a740315da01e527bcb73c1a2a3aa04b532a16ba1d9e43dec253",
-        "fig2_q_10.csv": "650e5541156363763d97e1ee704077a5142f36ed8f509fe5595d725498f39155",
-        "fig2_q_100.csv": "a5a0a7cf91b864ec84d29f34db21caf2575947bf0f0cb741b4615fad23f8da9c",
-        "fig2_q_1000.csv": "ff87a8485d5ed643c8eb064adafe1b515bdb48925f07747f8bb74183f38f4753",
+        "fig2_q_1.csv": "f5715152249712420a9ee44199503aa1a0c4253cb0981623856454291fc46e3c",
+        "fig2_q_10.csv": "ad58b6e1f0ed8c51e595913e324ce62417ae7db3d374ce33e0d6f05a6c061f76",
+        "fig2_q_100.csv": "6154647b566ae9118e33187bc035a134c653109974e2bcefe9319a04a8b99ff5",
+        "fig2_q_1000.csv": "07118a6f6e7cf9d12640c97b0921f07b0259619fbb1350121c326a44669aa54f",
         "markers.json": "ab9419fbc899c1077d30613a530bfb1d1d0d63e7595c295a9213c5fdac2ae9da",
     },
     "fig3": {
-        "fig3_detuning_0.4.csv": "11d0d05d7a2ff7a01940537f66c572a8654f015a2d77b4337f956f60f2f3256d",
-        "fig3_detuning_0.csv": "a4864eadd3c04fe73c6ed7a99c06b299f1fb8acc61ac3bf938996f24b0e8edfd",
-        "fig3_detuning_1.csv": "cc539045aa65fcc06a330e13f1c733d692d83133198053f60e1b7a7163d394b4",
-        "fig3_detuning_2.csv": "08190b8f20d4883c2cce88d3eb467351ff414626d539633f79db4f54539f4292",
-        "fig3_detuning_5.csv": "bbf8c3534832c1e0586f20e42b7848ce53ca71ee45d56635c1e59785ec8623e1",
+        "fig3_detuning_0.4.csv": "1003b4fc74729d1081dc9dba8e6dfd6d05af946d832d4adce61a6ccd7793cbec",
+        "fig3_detuning_0.csv": "243edbddfadbb12ae8636ee079225ca861c5558ce831da2a5f94bbe003c7af0f",
+        "fig3_detuning_1.csv": "e1c6b23785b738e9e98bc558aae4deb8371bc6d5c5c36203fa915bebacd2f07b",
+        "fig3_detuning_2.csv": "6621fc87e6babf69ce6624374d692f27ff834e16c760c1cc987fc13d7383ee37",
+        "fig3_detuning_5.csv": "eb69a2e79ac04fd2bcf1e3bf0ed54a98c20b204072874e3c613fabe8c9c7fff9",
         "markers.json": "017891842775e84294d79c5865bf37a8752f61697c56ce4ee0947563efbbfbb0",
     },
 }
 
 RATE_DIGESTS = {
-    "narrow": "915d7931a634d676dbb06c3a494f84f2409c77842986c33d33e94a75ccf1fb94",
-    "broad": "b8dd916c0540f6c0a8f9cfcce51f13ae08c51ebd130b907017e717b90aabd4f3",
+    "narrow": "29d409d884401e718d754a1ee7e277e231da4a7e0e03d656ec366c6382e73886",
+    "broad": "d75ae0e8473caddb209d7bd81d2ba8109f3bd6d1ea79ff4fe51281d1ae40e0e7",
 }
 
 

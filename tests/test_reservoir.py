@@ -15,11 +15,17 @@ from fgr.analytic import (
     classify_regime,
     narrowband_rate_detuned,
     narrowband_rate_resonant,
+    onset_time_broadband,
 )
 from fgr.errors import ConvergenceError
 from fgr.kernel import kernel_zeros, spectral_profile
 from fgr.onset import RateCurve, empirical_onset, survival_probability
-from fgr.quadrature import QuadratureConfig, decay_rate_numeric, decay_rate_numeric_oracle
+from fgr.quadrature import (
+    QuadratureConfig,
+    decay_rate_numeric,
+    decay_rate_numeric_oracle,
+    truncation_frequency,
+)
 from fgr.reservoir import (
     BroadbandReservoir,
     EmitterSpec,
@@ -216,9 +222,12 @@ class TestGoldenRuleRate:
         )
 
     def test_approx_rejects_narrowband(self):
+        # so do the broadband onset formulas
         nb = NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=10.0)
         with pytest.raises(TypeError):
             golden_rule_rate_approx(nb, EmitterSpec(10.0))
+        with pytest.raises(TypeError, match="broadband reservoirs only"):
+            onset_time_broadband(nb, EmitterSpec(1.0))
 
 
 class TestZenoSlope:
@@ -337,6 +346,10 @@ class TestValidation:
             NarrowbandReservoir(g=1.0, kappa=0.0, omega_c=1.0)
         with pytest.raises(ValueError):
             EmitterSpec(omega0=-1.0)
+        with pytest.raises(ValueError, match="^t must be finite and > 0"):
+            truncation_frequency(
+                BroadbandReservoir(coupling=1e-3, eta=1.0, omega_x=250.0), EmitterSpec(1.0), 0.0
+            )
 
     @pytest.mark.parametrize("eta", [170.0, 200.0])
     def test_exponential_mass_must_be_finite(self, eta):
@@ -369,6 +382,9 @@ class TestValidation:
             ("t", lambda v: decay_rate_numeric_oracle(
                 NarrowbandReservoir(g=1.0, kappa=1.0, omega_c=20.0),
                 EmitterSpec(20.0), v)),
+            ("t", lambda v: truncation_frequency(
+                BroadbandReservoir(coupling=1e-3, eta=1.0, omega_x=250.0),
+                EmitterSpec(1.0), v, None)),
             ("t", lambda v: spectral_profile(0.3, v)),
             ("t", lambda v: kernel_zeros(v, 1.0, 2.0)),
             ("rel_tol", lambda v: QuadratureConfig(rel_tol=v)),
@@ -394,7 +410,7 @@ class TestValidation:
         ],
         ids=[
             "coupling", "eta", "omega_x", "mu", "g", "kappa", "omega_c", "omega0",
-            "decay_rate_numeric-t", "oracle-t", "spectral_profile-t", "kernel_zeros-t",
+            "decay_rate_numeric-t", "oracle-t", "truncation_frequency-t", "spectral_profile-t", "kernel_zeros-t",
             "rel_tol", "tail_epsilon", "narrowband_rate_resonant-t",
             "narrowband_rate_detuned-t", "broadband_resonant_part-t",
             "broadband_tail_part-t", "classify_regime-t", "survival_probability-t",

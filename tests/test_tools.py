@@ -1,9 +1,11 @@
 """The tools: check_tier1.py reads the failing set from pytest's short
-summary, and record_bench.py summarises runs in the BENCH_<n>.json layout."""
+summary and the deliberate pair's ACCEPTANCE lines, and record_bench.py
+summarises runs in the BENCH_<n>.json layout."""
 
 import importlib.util
 import json
 import os
+import subprocess
 
 CHECK = os.path.join(os.path.dirname(__file__), "..", "tools", "check_tier1.py")
 
@@ -36,6 +38,42 @@ def load_tool(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_deliberate_pair_keeps_its_numbers(monkeypatch, capsys):
+    # each deliberate failure's ACCEPTANCE line, from pytest's captured
+    # stdout, must be the pasted one verbatim; a changed or missing line
+    # fails the gate, which prints both versions
+    check = load_tool("check_tier1")
+    (t3, line3), (t6, line6) = check.DELIBERATE.items()
+
+    def output(printed3, printed6):
+        return "\n".join(
+            [
+                "----------------------------- Captured stdout call ----------",
+                printed3,
+                "----------------------------- Captured stdout call ----------",
+                printed6,
+                "=========================== short test summary info ===",
+                f"FAILED {t3} - AssertionError: eta=3.0: ratio(t_F)=3.0245 ...",
+                f"FAILED {t6} - AssertionError: (ratio-1)*w0t deviates ...",
+                "2 failed, 806 passed in 20.99s",
+            ]
+        )
+
+    assert check.changed_reports(output(line3, line6)) == []
+    moved = line6.replace("0.291", "0.292")
+    assert check.changed_reports(output(line3, moved)) == [(t6, line6, moved)]
+    assert check.changed_reports(output(line3, "")) == [(t6, line6, None)]
+
+    def run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 1, stdout=output(line3, moved), stderr="")
+
+    monkeypatch.setattr(check.subprocess, "run", run)
+    assert check.main() == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert f"  pasted:  {line6}" in printed and f"  printed: {moved}" in printed
+    assert printed[-1] == "tier-1: FAILED (2 failing)"
 
 
 class TestRecordBench:
